@@ -274,24 +274,27 @@ def cmd_eval(args) -> int:
     from .train import MetricRecord
 
     bundle = kio.load_bundle(args.bundle)
+    decoders = {"seq-lm": kio.lm_from_bundle, "graph-reg": kio.graph_from_bundle}
+    if bundle.kind not in decoders:
+        raise DataError(f"{args.bundle}: unknown bundle kind {bundle.kind!r}")
+    try:
+        model = decoders[bundle.kind](bundle)
+    except (DataError, ConfigError) as exc:
+        raise DataError(f"{args.bundle}: {exc}") from None
     if bundle.kind == "seq-lm":
         if not args.vocab:
             raise DataError("evaluating a language model needs --vocab")
         vocab, _ = kio.load_vocab(args.vocab)
         ids = kio.flatten_corpus(kio.load_corpus(args.data, vocab))
-        model = kio.lm_from_bundle(bundle)
         loss, ppl = eval_lm(model, ids)
         records = [MetricRecord(0, "eval", loss, ppl, "ppl")]
-    elif bundle.kind == "graph-reg":
+    else:
         items = kio.load_graphs(args.data)
         targets = [t for _, t in items]
         if any(t is None for t in targets):
             raise DataError(f"{args.data}: evaluation needs a target on every record")
-        model = kio.graph_from_bundle(bundle)
         rmse = eval_graph_reg(model, [g for g, _ in items], targets)
         records = [MetricRecord(0, "eval", float("nan"), rmse, "rmse")]
-    else:
-        raise DataError(f"unknown bundle kind {bundle.kind!r}")
     _emit_metrics(records, args.metrics)
     return EXIT_OK
 

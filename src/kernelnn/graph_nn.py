@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
-from .tensor import Activation, Tensor, accumulate, add, concat, matvec, mul, scale, sigmoid
+from .tensor import (
+    Activation,
+    NamedParams,
+    Tensor,
+    accumulate,
+    add,
+    concat,
+    matvec,
+    mul,
+    scale,
+    sigmoid,
+)
 
 
 @dataclass
@@ -39,68 +50,24 @@ class GraphModelConfig:
 
 
 @dataclass
-class GraphLayerParams:
+class GraphLayerParams(NamedParams):
     W: list[Tensor]
     readout: Tensor | None = None
     gate_u: Tensor | None = None
     gate_b: Tensor | None = None
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.W{j + 1}": w for j, w in enumerate(self.W)}
-        for name in ("readout", "gate_u", "gate_b"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}.{name}"] = t
-        return out
-
-    def with_named(self, updates: dict[str, Tensor], prefix: str) -> "GraphLayerParams":
-        new = GraphLayerParams(
-            W=list(self.W), readout=self.readout, gate_u=self.gate_u, gate_b=self.gate_b
-        )
-        head = prefix + "."
-        for name, t in updates.items():
-            if not name.startswith(head):
-                continue
-            key = name[len(head):]
-            if key.startswith("W") and key[1:].isdigit():
-                new.W[int(key[1:]) - 1] = t
-            else:
-                setattr(new, key, t)
-        return new
-
 
 @dataclass
-class WLParams:
+class WLParams(NamedParams):
     """Per-layer walk weights plus relabeling transforms shared by all layers."""
+
+    LISTS: ClassVar[dict[str, str]] = {"layer_W": "l{}.W{}"}
+    PREFIX: ClassVar[str] = "wl"
 
     layer_W: list[list[Tensor]]
     u1: Tensor
     u2: Tensor
     v: Tensor
-
-    def named(self, prefix: str = "wl") -> dict[str, Tensor]:
-        out = {}
-        for l, ws in enumerate(self.layer_W):
-            for j, w in enumerate(ws):
-                out[f"{prefix}.l{l + 1}.W{j + 1}"] = w
-        out[f"{prefix}.u1"] = self.u1
-        out[f"{prefix}.u2"] = self.u2
-        out[f"{prefix}.v"] = self.v
-        return out
-
-    def with_named(self, updates: dict[str, Tensor], prefix: str = "wl") -> "WLParams":
-        new = WLParams(layer_W=[list(ws) for ws in self.layer_W], u1=self.u1, u2=self.u2, v=self.v)
-        head = prefix + "."
-        for name, t in updates.items():
-            if not name.startswith(head):
-                continue
-            key = name[len(head):]
-            if key.startswith("l") and "." in key:
-                layer_part, w_part = key.split(".", 1)
-                new.layer_W[int(layer_part[1:]) - 1][int(w_part[1:]) - 1] = t
-            else:
-                setattr(new, key, t)
-        return new
 
 
 @dataclass
@@ -159,33 +126,61 @@ def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
 
 
 def _walk_states(
-    g: FeatureGraph, feats: list[Tensor], ws: Sequence[Tensor], lam: float, m: int
+    g: FeatureGraph, feats: list[Tensor], ws: Sequence[Tensor], join
 ) -> list[list[Tensor]]:
-    """The plain decayed walk recursion over given node vectors."""
-    zeros = Tensor(np.zeros(m))
+    """The walk recursion: c_1[v] = W_1 f_v, and c_j[v] = join(c_{j-1}, v, W_j f_v)."""
     proj = [[matvec(w, feats[v]) for v in range(g.num_nodes)] for w in ws]
     states: list[list[Tensor]] = [proj[0]]
     for j in range(1, len(ws)):
-        row: list[Tensor] = []
-        for v in range(g.num_nodes):
-            nbr = [states[j - 1][u] for u in g.neighbors[v]]
-            if not nbr:
-                row.append(zeros)
-            else:
-                row.append(mul(scale(accumulate(nbr), lam), proj[j][v]))
-        states.append(row)
+        prev = states[-1]
+        states.append([join(prev, v, proj[j][v]) for v in range(g.num_nodes)])
     return states
+
+
+def _sum_join(g: FeatureGraph, lam: float, m: int, composition: str = MULTIPLICATIVE,
+              act: Activation = Activation.IDENTITY):
+    """Aggregate lam * sum of act(neighbor states), multiplied into or added to the projection.
+
+    An edgeless node keeps the projection under additive composition and is
+    zero under multiplicative composition.
+    """
+    zeros = Tensor(np.zeros(m))
+
+    def join(prev: list[Tensor], v: int, proj: Tensor) -> Tensor:
+        nbrs = g.neighbors[v]
+        if not nbrs:
+            return proj if composition == ADDITIVE else zeros
+        agg = scale(accumulate([act(prev[u]) for u in nbrs]), lam)
+        return add(agg, proj) if composition == ADDITIVE else mul(agg, proj)
+
+    return join
+
+
+def _gated_join(g: FeatureGraph, gates: dict[tuple[int, int], Tensor], m: int):
+    """Aggregate sum over neighbors u of gate(u, v) * c_{j-1}[u] * proj."""
+    zeros = Tensor(np.zeros(m))
+
+    def join(prev: list[Tensor], v: int, proj: Tensor) -> Tensor:
+        terms = [mul(mul(gates[(u, v)], prev[u]), proj) for u in g.neighbors[v]]
+        return accumulate(terms) if terms else zeros
+
+    return join
+
+
+def _single_layer(
+    g: FeatureGraph, feats: list[Tensor], p: GraphLayerParams, cfg: GraphModelConfig, join
+) -> GraphStateTrace:
+    """Project, recurse, sum the final states over nodes, activate."""
+    _check_weights(p.W, cfg.hidden, g.dim)
+    states = _walk_states(g, feats, p.W, join)
+    pre = accumulate(states[-1])
+    return GraphStateTrace(c=[states], h_node=[feats], h_layer=[pre], h_graph=cfg.activation(pre))
 
 
 def rw_forward(g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Single-layer walk module: h_G = act(sum of final node states)."""
     feats = [Tensor(f) for f in g.features]
-    _check_weights(p.W, cfg.hidden, g.dim)
-    states = _walk_states(g, feats, p.W, cfg.lam, cfg.hidden)
-    pre = accumulate(states[-1])
-    trace = GraphStateTrace(c=[states], h_node=[feats], h_layer=[pre])
-    trace.h_graph = cfg.activation(pre)
-    return trace
+    return _single_layer(g, feats, p, cfg, _sum_join(g, cfg.lam, cfg.hidden))
 
 
 def generalized_forward(
@@ -198,32 +193,8 @@ def generalized_forward(
     on edgeless nodes.
     """
     feats = [Tensor(f) for f in g.features]
-    _check_weights(p.W, cfg.hidden, g.dim)
-    states = _generalized_states(g, feats, p.W, cfg)
-    pre = accumulate(states[-1])
-    trace = GraphStateTrace(c=[states], h_node=[feats], h_layer=[pre])
-    trace.h_graph = cfg.activation(pre)
-    return trace
-
-
-def _generalized_states(
-    g: FeatureGraph, feats: list[Tensor], ws: Sequence[Tensor], cfg: GraphModelConfig
-) -> list[list[Tensor]]:
-    m = cfg.hidden
-    zeros = Tensor(np.zeros(m))
-    proj = [[matvec(w, feats[v]) for v in range(g.num_nodes)] for w in ws]
-    states: list[list[Tensor]] = [proj[0]]
-    for j in range(1, len(ws)):
-        row: list[Tensor] = []
-        for v in range(g.num_nodes):
-            nbr = [cfg.activation(states[j - 1][u]) for u in g.neighbors[v]]
-            agg = scale(accumulate(nbr), cfg.lam) if nbr else zeros
-            if cfg.composition == MULTIPLICATIVE:
-                row.append(mul(proj[j][v], agg))
-            else:
-                row.append(add(proj[j][v], agg))
-        states.append(row)
-    return states
+    join = _sum_join(g, cfg.lam, cfg.hidden, cfg.composition, cfg.activation)
+    return _single_layer(g, feats, p, cfg, join)
 
 
 def deep_forward(
@@ -238,7 +209,8 @@ def deep_forward(
         if p.readout is None:
             raise ConfigError("deep layers need a readout matrix")
         _check_weights(p.W, cfg.hidden, node_vecs[0].shape[0])
-        states = _generalized_states(g, node_vecs, p.W, cfg)
+        join = _sum_join(g, cfg.lam, cfg.hidden, cfg.composition, cfg.activation)
+        states = _walk_states(g, node_vecs, p.W, join)
         node_vecs = [cfg.activation(matvec(p.readout, states[-1][v])) for v in range(g.num_nodes)]
         trace.c.append(states)
         trace.h_node.append(node_vecs)
@@ -260,7 +232,7 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     act = cfg.activation
     for ws in p.layer_W:
         _check_weights(ws, cfg.hidden, node_vecs[0].shape[0])
-        states = _walk_states(g, node_vecs, ws, cfg.lam, cfg.hidden)
+        states = _walk_states(g, node_vecs, ws, _sum_join(g, cfg.lam, cfg.hidden))
         trace.c.append(states)
         trace.h_layer.append(accumulate(states[-1]))
         inner = [act(matvec(p.v, node_vecs[u])) for u in range(g.num_nodes)]
@@ -282,25 +254,9 @@ def gated_rw_forward(g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
     if p.gate_u is None or p.gate_b is None:
         raise ConfigError("gated walk module needs gate_u and gate_b parameters")
     feats = [Tensor(f) for f in g.features]
-    m = cfg.hidden
-    _check_weights(p.W, m, g.dim)
-    zeros = Tensor(np.zeros(m))
     gates: dict[tuple[int, int], Tensor] = {}
     for v in range(g.num_nodes):
         for u in g.neighbors[v]:
             if (u, v) not in gates:
                 gates[(u, v)] = sigmoid(add(matvec(p.gate_u, concat(feats[u], feats[v])), p.gate_b))
-    proj = [[matvec(w, feats[v]) for v in range(g.num_nodes)] for w in p.W]
-    states: list[list[Tensor]] = [proj[0]]
-    for j in range(1, len(p.W)):
-        row: list[Tensor] = []
-        for v in range(g.num_nodes):
-            terms = [
-                mul(mul(gates[(u, v)], states[j - 1][u]), proj[j][v]) for u in g.neighbors[v]
-            ]
-            row.append(accumulate(terms) if terms else zeros)
-        states.append(row)
-    pre = accumulate(states[-1])
-    trace = GraphStateTrace(c=[states], h_node=[feats], h_layer=[pre])
-    trace.h_graph = cfg.activation(pre)
-    return trace
+    return _single_layer(g, feats, p, cfg, _gated_join(g, gates, cfg.hidden))

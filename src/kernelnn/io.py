@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graph_kernel import FeatureGraph
-from .graph_nn import GraphModelConfig, WLParams
-from .seq_nn import SeqLayerParams, SeqModelConfig
+from .graph_nn import GraphModelConfig
+from .seq_nn import SeqModelConfig
 from .tensor import Activation, Tensor
-from .train import GraphRegModel, SeqLMModel
+from .train import GraphRegModel, SeqLMModel, init_graph_model, init_lm_model
 
 BUNDLE_VERSION = 1
 UNK_ID = 0
@@ -98,6 +98,8 @@ def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]
         feats = [np.array([float(v) for v in g.split(",")]) for g in groups]
     except ValueError:
         raise DataError(f"{where}: malformed feature vector") from None
+    if not all(np.all(np.isfinite(f)) for f in feats):
+        raise DataError(f"{where}: non-finite feature value")
     if len({f.shape[0] for f in feats}) > 1:
         raise DataError(f"{where}: feature dimensions differ within the graph")
     edges = []
@@ -118,6 +120,8 @@ def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]
             target = float(parts[3])
         except ValueError:
             raise DataError(f"{where}: malformed target {parts[3]!r}") from None
+        if not np.isfinite(target):
+            raise DataError(f"{where}: non-finite target {parts[3]!r}")
     return FeatureGraph.undirected(feats, edges), target
 
 
@@ -182,12 +186,14 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict, where: str) -> np.ndarray:
-    if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
-        raise DataError(f"{where}: unsupported tensor encoding {obj.get('dtype')}")
-    raw = base64.b64decode(obj["data"])
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return arr.reshape(obj["shape"])
+def _decode_array(obj, where: str) -> np.ndarray:
+    try:
+        if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
+            raise DataError(f"{where}: unsupported tensor encoding {obj.get('dtype')}")
+        raw = base64.b64decode(obj["data"])
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{where}: undecodable tensor payload ({exc})") from None
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -209,16 +215,28 @@ def load_bundle(path) -> ModelBundle:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: bundle is not valid JSON") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: bundle is not text") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: bundle is not a JSON object")
     version = doc.get("format_version")
     if version != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {version!r}")
+    missing = [key for key in ("kind", "config", "seed") if key not in doc]
+    if missing:
+        raise DataError(f"{path}: bundle lacks {', '.join(missing)}")
+    if not isinstance(doc["config"], dict) or not isinstance(doc.get("params", {}), dict):
+        raise DataError(f"{path}: bundle config and params must be objects")
+    try:
+        seed = int(doc["seed"])
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: bundle seed {doc['seed']!r} is not an integer") from None
     params = {
         name: _decode_array(obj, f"{path}: param {name!r}")
         for name, obj in doc.get("params", {}).items()
     }
     return ModelBundle(
-        kind=doc["kind"], config=doc["config"], params=params, seed=int(doc["seed"]),
-        version=version,
+        kind=doc["kind"], config=doc["config"], params=params, seed=seed, version=version,
     )
 
 
@@ -237,14 +255,17 @@ def _seq_config_dict(cfg: SeqModelConfig, vocab_size: int) -> dict:
 
 
 def seq_config_from_dict(doc: dict) -> tuple[SeqModelConfig, int]:
-    cfg = SeqModelConfig(
-        n=doc["n"], hidden=doc["hidden"], layers=doc.get("layers", 1),
-        variant=doc.get("variant", "mult-unnorm"), decay=doc.get("decay", "constant"),
-        lam=doc.get("lam", 0.5), activation=Activation(doc.get("activation", "tanh")),
-        output=doc.get("output", "last-state"), highway=doc.get("highway", False),
-        dropout=doc.get("dropout", 0.0),
-    )
-    return cfg, int(doc["vocab_size"])
+    try:
+        cfg = SeqModelConfig(
+            n=doc["n"], hidden=doc["hidden"], layers=doc.get("layers", 1),
+            variant=doc.get("variant", "mult-unnorm"), decay=doc.get("decay", "constant"),
+            lam=doc.get("lam", 0.5), activation=Activation(doc.get("activation", "tanh")),
+            output=doc.get("output", "last-state"), highway=doc.get("highway", False),
+            dropout=doc.get("dropout", 0.0),
+        )
+        return cfg, int(doc["vocab_size"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad sequence model config: {exc!r}") from None
 
 
 def bundle_from_lm(model: SeqLMModel, seed: int) -> ModelBundle:
@@ -255,28 +276,26 @@ def bundle_from_lm(model: SeqLMModel, seed: int) -> ModelBundle:
     )
 
 
+def _restore(model, params: dict[str, np.ndarray]):
+    """``model`` with every tensor replaced by the bundle's, which must match name for name."""
+    expected = model.parameters()
+    missing = sorted(set(expected) - set(params))
+    extra = sorted(set(params) - set(expected))
+    if missing or extra:
+        raise DataError(f"bundle params do not match its config: missing {missing}, extra {extra}")
+    for name, t in expected.items():
+        if params[name].shape != t.shape:
+            raise DataError(
+                f"bundle param {name!r} has shape {params[name].shape}, expected {t.shape}"
+            )
+    return model.with_parameters({name: Tensor(params[name]) for name in expected})
+
+
 def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
     if bundle.kind != "seq-lm":
         raise DataError(f"bundle kind {bundle.kind!r} is not a language model")
     cfg, vocab_size = seq_config_from_dict(bundle.config)
-    params = bundle.params
-    layers = []
-    for l in range(cfg.layers):
-        prefix = f"layer{l}."
-        ws = []
-        j = 1
-        while f"{prefix}W{j}" in params:
-            ws.append(Tensor(params[f"{prefix}W{j}"]))
-            j += 1
-        fields = {}
-        for name in ("gate_u", "gate_b", "decay_logit", "comb", "hw_u", "hw_b"):
-            if prefix + name in params:
-                fields[name] = Tensor(params[prefix + name])
-        layers.append(SeqLayerParams(W=ws, **fields))
-    return SeqLMModel(
-        cfg=cfg, vocab_size=vocab_size, embed=Tensor(params["embed"]),
-        layers=layers, out_w=Tensor(params["out_w"]), out_b=Tensor(params["out_b"]),
-    )
+    return _restore(init_lm_model(cfg, vocab_size, np.random.default_rng(0)), bundle.params)
 
 
 def _graph_config_dict(cfg: GraphModelConfig, in_dim: int) -> dict:
@@ -288,13 +307,16 @@ def _graph_config_dict(cfg: GraphModelConfig, in_dim: int) -> dict:
 
 
 def graph_config_from_dict(doc: dict) -> tuple[GraphModelConfig, int]:
-    cfg = GraphModelConfig(
-        n=doc["n"], hidden=doc["hidden"], lam=doc.get("lam", 0.5),
-        composition=doc.get("composition", "multiplicative"),
-        activation=Activation(doc.get("activation", "identity")),
-        layers=doc.get("layers", 1), gated=doc.get("gated", False),
-    )
-    return cfg, int(doc["in_dim"])
+    try:
+        cfg = GraphModelConfig(
+            n=doc["n"], hidden=doc["hidden"], lam=doc.get("lam", 0.5),
+            composition=doc.get("composition", "multiplicative"),
+            activation=Activation(doc.get("activation", "identity")),
+            layers=doc.get("layers", 1), gated=doc.get("gated", False),
+        )
+        return cfg, int(doc["in_dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad graph model config: {exc!r}") from None
 
 
 def bundle_from_graph(model: GraphRegModel, in_dim: int, seed: int) -> ModelBundle:
@@ -308,20 +330,5 @@ def bundle_from_graph(model: GraphRegModel, in_dim: int, seed: int) -> ModelBund
 def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
     if bundle.kind != "graph-reg":
         raise DataError(f"bundle kind {bundle.kind!r} is not a graph regressor")
-    cfg, _ = graph_config_from_dict(bundle.config)
-    params = bundle.params
-    layer_W = []
-    for l in range(cfg.layers):
-        ws = []
-        j = 1
-        while f"wl.l{l + 1}.W{j}" in params:
-            ws.append(Tensor(params[f"wl.l{l + 1}.W{j}"]))
-            j += 1
-        layer_W.append(ws)
-    wl = WLParams(
-        layer_W=layer_W, u1=Tensor(params["wl.u1"]), u2=Tensor(params["wl.u2"]),
-        v=Tensor(params["wl.v"]),
-    )
-    return GraphRegModel(
-        cfg=cfg, wl=wl, head_w=Tensor(params["head_w"]), head_b=Tensor(params["head_b"]),
-    )
+    cfg, in_dim = graph_config_from_dict(bundle.config)
+    return _restore(init_graph_model(cfg, in_dim, np.random.default_rng(0)), bundle.params)

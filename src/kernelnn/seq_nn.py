@@ -19,6 +19,7 @@ from .errors import ConfigError, ContractError, ShapeError
 from .seq_kernel import FeatureSequence
 from .tensor import (
     Activation,
+    NamedParams,
     Tensor,
     accumulate,
     add,
@@ -76,7 +77,7 @@ class SeqModelConfig:
 
 
 @dataclass
-class SeqLayerParams:
+class SeqLayerParams(NamedParams):
     """Weights of one recurrent layer; optional fields follow the config."""
 
     W: list[Tensor]
@@ -86,35 +87,6 @@ class SeqLayerParams:
     comb: Tensor | None = None
     hw_u: Tensor | None = None
     hw_b: Tensor | None = None
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        out = {f"{prefix}.W{j + 1}": w for j, w in enumerate(self.W)}
-        for name in ("gate_u", "gate_b", "decay_logit", "comb", "hw_u", "hw_b"):
-            t = getattr(self, name)
-            if t is not None:
-                out[f"{prefix}.{name}"] = t
-        return out
-
-    def with_named(self, updates: dict[str, Tensor], prefix: str) -> "SeqLayerParams":
-        new = SeqLayerParams(
-            W=list(self.W),
-            gate_u=self.gate_u,
-            gate_b=self.gate_b,
-            decay_logit=self.decay_logit,
-            comb=self.comb,
-            hw_u=self.hw_u,
-            hw_b=self.hw_b,
-        )
-        head = prefix + "."
-        for name, t in updates.items():
-            if not name.startswith(head):
-                continue
-            key = name[len(head):]
-            if key.startswith("W") and key[1:].isdigit():
-                new.W[int(key[1:]) - 1] = t
-            else:
-                setattr(new, key, t)
-        return new
 
 
 def init_seq_layer(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> SeqLayerParams:
@@ -162,7 +134,6 @@ class StateTrace:
     pre: list[list[Tensor]] = field(default_factory=list)
     h: list[list[Tensor]] = field(default_factory=list)
     decays: list[list[object]] = field(default_factory=list)
-    transform: list[list[Tensor]] = field(default_factory=list)
 
     def outputs(self, layer: int = -1) -> list[Tensor]:
         return self.h[layer]
@@ -216,7 +187,7 @@ def _decayed(decay, t: Tensor) -> Tensor:
 
 
 def _stepped(cfg, decay, t: Tensor) -> Tensor:
-    if cfg.variant == "mult-unnorm":
+    if cfg.variant == "mult-unnorm" and not cfg.highway:
         return t
     if isinstance(decay, float):
         return scale(t, 1.0 - decay)
@@ -230,16 +201,28 @@ def forward_layer(
     init_c: Sequence[np.ndarray] | None = None,
     init_h: np.ndarray | None = None,
 ) -> StateTrace:
-    """Run one recurrent layer over a token sequence and record the full trace."""
+    """Run one recurrent layer over a token sequence and record the full trace.
+
+    With ``cfg.highway`` the cell input is always scaled by (1 - decay), the
+    pre-activation is the last state, and the output mixes it with the layer
+    input, h = f * pre + (1 - f) * x, with no activation, so an
+    identity-activation stack stays exactly linear-gated.
+    """
     tokens = _as_tensors(x)
     if not tokens:
         raise ContractError("forward_layer needs a nonempty sequence")
     m, n = cfg.hidden, cfg.n
     in_dim = tokens[0].shape[0]
+    if cfg.highway:
+        if in_dim != m:
+            raise ShapeError(f"highway layers need input dim {m}, got {tokens[0].shape}")
+        if p.hw_u is None or p.hw_b is None:
+            raise ConfigError("highway mode needs hw_u and hw_b parameters")
     for j, w in enumerate(p.W):
         if w.shape != (m, in_dim):
             raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
-    if cfg.output == "combination" and p.comb is None:
+    combine = cfg.output == "combination" and not cfg.highway
+    if combine and p.comb is None:
         raise ConfigError("combination output needs comb coefficients")
     zeros = Tensor(np.zeros(m))
     c_prev = [Tensor(np.asarray(v)) for v in init_c] if init_c is not None else [zeros] * n
@@ -248,7 +231,7 @@ def forward_layer(
     h_prev = Tensor(np.asarray(init_h)) if init_h is not None else zeros
     learned = sigmoid(p.decay_logit) if cfg.decay == "learned" else None
 
-    trace = StateTrace(c=[[ [cj] for cj in c_prev ]], pre=[[]], h=[[]], decays=[[]], transform=[[]])
+    trace = StateTrace(c=[[[cj] for cj in c_prev]], pre=[[]], h=[[]], decays=[[]])
     for x_t in tokens:
         decay = _decay_for_step(cfg, p, x_t, h_prev, learned)
         new_states: list[Tensor] = []
@@ -261,11 +244,15 @@ def forward_layer(
             else:
                 inner = mul(c_prev[j - 1], proj)
             new_states.append(add(_decayed(decay, c_prev[j]), _stepped(cfg, decay, inner)))
-        if cfg.output == "last-state":
-            pre = new_states[-1]
-        else:
+        if combine:
             pre = accumulate([smul(pick(p.comb, j), new_states[j]) for j in range(n)])
-        h_t = cfg.activation(pre)
+        else:
+            pre = new_states[-1]
+        if cfg.highway:
+            f_t = sigmoid(add(matvec(p.hw_u, concat(x_t, h_prev)), p.hw_b))
+            h_t = add(mul(f_t, pre), mul(sub(1.0, f_t), x_t))
+        else:
+            h_t = cfg.activation(pre)
         for j in range(n):
             trace.c[0][j].append(new_states[j])
         trace.pre[0].append(pre)
@@ -274,63 +261,6 @@ def forward_layer(
         c_prev = new_states
         h_prev = h_t
     return trace
-
-
-def _highway_layer(
-    inputs: list[Tensor],
-    p: SeqLayerParams,
-    cfg: SeqModelConfig,
-    init_c: Sequence[np.ndarray] | None,
-    init_h: np.ndarray | None,
-) -> tuple[list[list[Tensor]], list[Tensor], list[Tensor], list[object], list[Tensor]]:
-    """Cell update with (1-decay)-scaled input, output mixed with the layer input.
-
-    The mix acts on the pre-activation cell state; no extra nonlinearity is
-    applied, so an identity-activation stack stays exactly linear-gated.
-    """
-    m, n = cfg.hidden, cfg.n
-    if inputs[0].shape != (m,):
-        raise ShapeError(f"highway layers need input dim {m}, got {inputs[0].shape}")
-    if p.hw_u is None or p.hw_b is None:
-        raise ConfigError("highway mode needs hw_u and hw_b parameters")
-    zeros = Tensor(np.zeros(m))
-    c_prev = [Tensor(np.asarray(v)) for v in init_c] if init_c is not None else [zeros] * n
-    h_prev = Tensor(np.asarray(init_h)) if init_h is not None else zeros
-    learned = sigmoid(p.decay_logit) if cfg.decay == "learned" else None
-    cs: list[list[Tensor]] = [[cj] for cj in c_prev]
-    pres: list[Tensor] = []
-    hs: list[Tensor] = []
-    decays: list[object] = []
-    gates: list[Tensor] = []
-    for x_t in inputs:
-        decay = _decay_for_step(cfg, p, x_t, h_prev, learned)
-        new_states: list[Tensor] = []
-        for j in range(n):
-            proj = matvec(p.W[j], x_t)
-            if j == 0:
-                inner = proj
-            elif cfg.variant == "add-norm":
-                inner = add(c_prev[j - 1], proj)
-            else:
-                inner = mul(c_prev[j - 1], proj)
-            decayed = _decayed(decay, c_prev[j])
-            if isinstance(decay, float):
-                stepped = scale(inner, 1.0 - decay)
-            else:
-                stepped = mul(sub(1.0, decay), inner)
-            new_states.append(add(decayed, stepped))
-        pre = new_states[-1]
-        f_t = sigmoid(add(matvec(p.hw_u, concat(x_t, h_prev)), p.hw_b))
-        h_t = add(mul(f_t, pre), mul(sub(1.0, f_t), x_t))
-        for j in range(n):
-            cs[j].append(new_states[j])
-        pres.append(pre)
-        hs.append(h_t)
-        decays.append(decay)
-        gates.append(f_t)
-        c_prev = new_states
-        h_prev = h_t
-    return cs, pres, hs, decays, gates
 
 
 def forward_stack(
@@ -363,62 +293,11 @@ def forward_stack(
             inputs = masked
         init_c = state.c[l] if state is not None else None
         init_h = state.h[l] if state is not None else None
-        if cfg.highway:
-            cs, pres, hs, decays, gates = _highway_layer(inputs, p, cfg, init_c, init_h)
-            trace.c.append(cs)
-            trace.pre.append(pres)
-            trace.h.append(hs)
-            trace.decays.append(decays)
-            trace.transform.append(gates)
-        else:
-            sub_trace = forward_layer(inputs, p, cfg, init_c=init_c, init_h=init_h)
-            trace.c.append(sub_trace.c[0])
-            trace.pre.append(sub_trace.pre[0])
-            trace.h.append(sub_trace.h[0])
-            trace.decays.append(sub_trace.decays[0])
-            trace.transform.append([])
+        layer = forward_layer(inputs, p, cfg, init_c=init_c, init_h=init_h)
+        trace.c.append(layer.c[0])
+        trace.pre.append(layer.pre[0])
+        trace.h.append(layer.h[0])
+        trace.decays.append(layer.decays[0])
         inputs = trace.h[-1]
     return trace
 
-
-def lstm_like_instance(
-    x,
-    p: SeqLayerParams,
-    cfg: SeqModelConfig,
-    input_gate: str = "complement",
-) -> StateTrace:
-    """Single-state cell c[t] = decay * c[t-1] + input_gate * (W x_t).
-
-    ``input_gate`` is "unit" (always 1) or "complement" (1 - decay); these are
-    by construction the order-1 unnormalized and normalized modules, which the
-    tests confirm by comparing against :func:`forward_layer`.
-    """
-    if cfg.n != 1:
-        raise ContractError(f"this cell is the order-1 instance, got n={cfg.n}")
-    if input_gate not in ("unit", "complement"):
-        raise ContractError(f"unknown input gate {input_gate!r}")
-    tokens = _as_tensors(x)
-    if not tokens:
-        raise ContractError("lstm_like_instance needs a nonempty sequence")
-    m = cfg.hidden
-    zeros = Tensor(np.zeros(m))
-    c_prev, h_prev = zeros, zeros
-    learned = sigmoid(p.decay_logit) if cfg.decay == "learned" else None
-    trace = StateTrace(c=[[[zeros]]], pre=[[]], h=[[]], decays=[[]], transform=[[]])
-    for x_t in tokens:
-        decay = _decay_for_step(cfg, p, x_t, h_prev, learned)
-        proj = matvec(p.W[0], x_t)
-        if input_gate == "unit":
-            inject = proj
-        elif isinstance(decay, float):
-            inject = scale(proj, 1.0 - decay)
-        else:
-            inject = mul(sub(1.0, decay), proj)
-        c_t = add(_decayed(decay, c_prev), inject)
-        h_t = cfg.activation(c_t)
-        trace.c[0][0].append(c_t)
-        trace.pre[0].append(c_t)
-        trace.h[0].append(h_t)
-        trace.decays[0].append(decay)
-        c_prev, h_prev = c_t, h_t
-    return trace

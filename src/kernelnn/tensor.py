@@ -9,9 +9,9 @@ makes repeated backward passes bit-identical.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -425,6 +425,46 @@ def relu(a: Tensor) -> Tensor:
 
 def quadratic(a: Tensor) -> Tensor:
     return Activation.QUADRATIC(a)
+
+
+# ---------------------------------------------------------------------------
+# parameter naming
+# ---------------------------------------------------------------------------
+
+
+class NamedParams:
+    """Flat ``prefix.name -> Tensor`` view of a dataclass of parameter tensors.
+
+    A tensor field is named after the field and skipped while it is None.  A
+    field listed in ``LISTS`` holds (nested) lists of tensors, named by its
+    template with one 1-based index per nesting level, e.g. ``W{}`` gives
+    ``W1, W2, ...``.  Names follow field order, then list order.
+    """
+
+    LISTS: ClassVar[dict[str, str]] = {"W": "W{}"}
+    PREFIX: ClassVar[str] = ""
+
+    def _map(self, prefix: str | None, fn: Callable[[str, Tensor], Tensor]) -> dict:
+        """Field values with every tensor t replaced by fn(name, t)."""
+        prefix = self.PREFIX if prefix is None else prefix
+        head = f"{prefix}." if prefix else ""
+
+        def walk(value, template: str, idx: tuple[int, ...]):
+            if isinstance(value, list):
+                return [walk(v, template, (*idx, i + 1)) for i, v in enumerate(value)]
+            return None if value is None else fn(head + template.format(*idx), value)
+
+        return {f.name: walk(getattr(self, f.name), self.LISTS.get(f.name, f.name), ())
+                for f in fields(self)}
+
+    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        self._map(prefix, lambda name, t: out.setdefault(name, t))
+        return out
+
+    def with_named(self, updates: dict[str, Tensor], prefix: str | None = None):
+        """A copy with the named tensors replaced; names it does not hold are ignored."""
+        return type(self)(**self._map(prefix, lambda name, t: updates.get(name, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError
-from .graph_kernel import FeatureGraph
+from .graph_kernel import MULTIPLICATIVE, FeatureGraph
 from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
 from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
 from .tensor import (
@@ -61,15 +61,12 @@ class TrainConfig:
     epochs: int = 1
     batch: int = 1
     unroll: int = 16
-    dropout: float = 0.0
     seed: int = 0
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.unroll < 1:
-            raise ConfigError(f"unroll must be >= 1, got {self.unroll}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.unroll < 1 or self.batch < 1:
+            raise ConfigError(f"unroll and batch must be >= 1, got {self.unroll} and {self.batch}")
 
 
 def _check_finite(name: str, g: np.ndarray) -> None:
@@ -242,6 +239,10 @@ class GraphRegModel:
 
 
 def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> GraphRegModel:
+    if cfg.gated or cfg.composition != MULTIPLICATIVE:
+        raise ConfigError(
+            "the WL graph regressor supports neither gated walks nor additive composition"
+        )
     wl = init_wl_params(cfg, in_dim, rng)
     a = 1.0 / math.sqrt(cfg.hidden)
     head_w = Tensor(rng.uniform(-a, a, size=cfg.hidden))
@@ -309,6 +310,8 @@ def train_lm(
     Cell and output states carry across windows as constants, so gradients
     stop at window boundaries.
     """
+    if tc.batch != 1:
+        raise ConfigError(f"LM training runs one window per step; batch must be 1, got {tc.batch}")
     if len(train_ids) < 2:
         raise DataError("training needs at least two tokens")
     rng = np.random.default_rng(tc.seed)

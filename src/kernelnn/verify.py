@@ -8,8 +8,6 @@ the acceptance tests call them directly.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +63,6 @@ from .train import (
     train_graph_reg,
     train_lm,
 )
-
-THREADS_ENV = "KERNELNN_THREADS"
 
 
 @dataclass
@@ -300,6 +296,20 @@ def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
     return [CheckResult("wl-chain", seed, err, err <= tol)]
 
 
+def _tape_vs_fd(run, params, named: dict[str, Tensor], swap) -> tuple[float, int]:
+    """Worst tape-vs-finite-difference error over the named tensors, and their coordinates."""
+    with Tape() as tape:
+        loss = run(params)
+    grads = tape.backward(loss)
+    worst, coords = 0.0, 0
+    for name, tensor in named.items():
+        fd = finite_diff_grad(lambda t: run(swap(name, t)).item(), tensor)
+        got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
+        worst = max(worst, rel_error(got, fd))
+        coords += tensor.size
+    return worst, coords
+
+
 def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
     d, length = 2, 3
     p = init_seq_layer(cfg, d, rng)
@@ -314,16 +324,7 @@ def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
             loss = term if loss is None else loss + term
         return loss
 
-    with Tape() as tape:
-        loss = run(p)
-    grads = tape.backward(loss)
-    worst, coords = 0.0, 0
-    for name, tensor in p.named("L").items():
-        fd = finite_diff_grad(lambda t: run(p.with_named({name: t}, "L")).item(), tensor)
-        got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
-        worst = max(worst, rel_error(got, fd))
-        coords += tensor.size
-    return worst, coords
+    return _tape_vs_fd(run, p, p.named("L"), lambda name, t: p.with_named({name: t}, "L"))
 
 
 def _graph_grad_error(kind: str, cfg: GraphModelConfig, rng) -> tuple[float, int]:
@@ -332,52 +333,27 @@ def _graph_grad_error(kind: str, cfg: GraphModelConfig, rng) -> tuple[float, int
     probe = rng.normal(size=cfg.hidden)
     if kind == "wl":
         params = init_wl_params(cfg, d, rng)
-
-        def run(ps):
-            return dot(Tensor(probe), wl_forward(g, ps, cfg).h_graph)
-
+        fwd = wl_forward
         named = params.named()
         swap = lambda name, t: params.with_named({name: t})
     elif kind == "deep":
-        layer_list = [
+        params = [
             init_graph_layer(cfg, d if l == 0 else cfg.hidden, rng, with_readout=True)
             for l in range(cfg.layers)
         ]
-
-        def run(ps):
-            return dot(Tensor(probe), deep_forward(g, ps, cfg).h_graph)
-
-        named = {}
-        for l, p in enumerate(layer_list):
-            named.update(p.named(f"D{l}"))
-
-        def swap(name, t):
-            out = list(layer_list)
-            l = int(name[1 : name.index(".")])
-            out[l] = layer_list[l].with_named({name: t}, f"D{l}")
-            return out
-
-        params = layer_list
+        fwd = deep_forward
+        named = {k: t for l, p in enumerate(params) for k, t in p.named(f"D{l}").items()}
+        swap = lambda name, t: [p.with_named({name: t}, f"D{l}") for l, p in enumerate(params)]
     else:
         params = init_graph_layer(cfg, d, rng)
         fwd = gated_rw_forward if kind == "gated" else rw_forward
-
-        def run(ps):
-            return dot(Tensor(probe), fwd(g, ps, cfg).h_graph)
-
         named = params.named("G")
         swap = lambda name, t: params.with_named({name: t}, "G")
 
-    with Tape() as tape:
-        loss = run(params)
-    grads = tape.backward(loss)
-    worst, coords = 0.0, 0
-    for name, tensor in named.items():
-        fd = finite_diff_grad(lambda t: run(swap(name, t)).item(), tensor)
-        got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
-        worst = max(worst, rel_error(got, fd))
-        coords += tensor.size
-    return worst, coords
+    def run(ps):
+        return dot(Tensor(probe), fwd(g, ps, cfg).h_graph)
+
+    return _tape_vs_fd(run, params, named, swap)
 
 
 def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
@@ -556,28 +532,13 @@ SUITES = {
 }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(name: str, seeds: int | None = None, tol: float | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ConfigError(f"unknown verify suite {name!r}; choose from {sorted(SUITES)}")
     fn, default_seeds, default_tol = SUITES[name]
     count = default_seeds if seeds is None else seeds
     bound = default_tol if tol is None else tol
-    seed_list = list(range(count))
-    workers = min(_thread_count(), len(seed_list))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda s: fn(s, bound), seed_list))
-    else:
-        chunks = [fn(s, bound) for s in seed_list]
-    results = [r for chunk in chunks for r in chunk]
+    results = [r for seed in range(count) for r in fn(seed, bound)]
     if name == "decay-ordering":
         passing = sum(1 for r in results if r.passed)
         passed = passing * 3 >= 2 * len(results)
@@ -585,6 +546,3 @@ def run_suite(name: str, seeds: int | None = None, tol: float | None = None) -> 
         passed = all(r.passed for r in results)
     return SuiteReport(name=name, results=results, passed=passed)
 
-
-def run_all(seeds: int | None = None, tol: float | None = None) -> list[SuiteReport]:
-    return [run_suite(name, seeds=seeds, tol=tol) for name in SUITES]

@@ -1,6 +1,8 @@
+import base64
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kernelnn.cli import (
@@ -157,8 +159,6 @@ def test_train_and_eval_lm_round_trip(tmp_path, capsys):
 
 
 def test_train_and_eval_graph_round_trip(tmp_path, capsys):
-    import numpy as np
-
     from kernelnn.graph_kernel import FeatureGraph
     from kernelnn.io import save_graphs
 
@@ -236,3 +236,79 @@ def test_train_bad_config_is_input_error(tmp_path, capsys):
         "--data", str(corpus), "--vocab", str(vocab), "--out", str(tmp_path / "x.bundle"),
     )
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("train", [{"dropout": 0.2}, {"batch": 4}], ids=["dropout", "batch"])
+def test_train_lm_rejects_dead_train_knobs(tmp_path, capsys, train):
+    vocab, corpus, _ = write_lm_inputs(tmp_path)
+    config = tmp_path / "knob.json"
+    config.write_text(json.dumps({
+        "model": {"n": 1, "hidden": 4},
+        "train": {"epochs": 1, "unroll": 8, **train},
+    }))
+    out = tmp_path / "x.bundle"
+    code, _, err = run(
+        capsys, "train", "--task", "lm", "--config", str(config),
+        "--data", str(corpus), "--vocab", str(vocab), "--out", str(out),
+    )
+    assert code == EXIT_INPUT
+    assert list(train)[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [{"gated": True}, {"composition": "additive"}],
+                         ids=["gated", "additive"])
+def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model):
+    data = tmp_path / "graphs.txt"
+    data.write_text("2 | 1,0 ; 0,1 | 0-1 | 1.5\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 1, "hidden": 2, **model}}))
+    out = tmp_path / "graph.bundle"
+    code, _, err = run(
+        capsys, "train", "--task", "graph-reg", "--config", str(config),
+        "--data", str(data), "--out", str(out),
+    )
+    assert code == EXIT_INPUT
+    assert "WL graph regressor" in err
+    assert not out.exists()
+
+
+def _bad_payload(doc):
+    doc["params"]["out_b"]["data"] = base64.b64encode(b"\0" * 7).decode("ascii")
+
+
+BAD_BUNDLES = {
+    "no-kind": (lambda doc: doc.pop("kind"), "lacks kind"),
+    "no-config": (lambda doc: doc.pop("config"), "lacks config"),
+    "no-seed": (lambda doc: doc.pop("seed"), "lacks seed"),
+    "payload-length": (_bad_payload, "undecodable"),
+    "missing-param": (lambda doc: doc["params"].pop("out_b"), "missing ['out_b']"),
+    "extra-param": (lambda doc: doc["params"].update(extra=doc["params"]["out_b"]),
+                    "extra ['extra']"),
+    "wrong-shape": (lambda doc: doc["params"]["out_b"].update(shape=[1, 3]), "'out_b' has shape"),
+    "config-without-n": (lambda doc: doc["config"].pop("n"), "model config"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BUNDLES))
+def test_eval_bad_bundle_is_input_error(tmp_path, capsys, case):
+    from kernelnn.io import bundle_from_lm, save_bundle
+    from kernelnn.seq_nn import SeqModelConfig
+    from kernelnn.train import init_lm_model
+
+    vocab, corpus, _ = write_lm_inputs(tmp_path)
+    model = init_lm_model(SeqModelConfig(n=1, hidden=2), vocab_size=3,
+                          rng=np.random.default_rng(0))
+    path = tmp_path / "model.bundle"
+    save_bundle(bundle_from_lm(model, seed=0), path)
+    code, _, _ = run(capsys, "eval", "--bundle", str(path), "--data", str(corpus),
+                     "--vocab", str(vocab))
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    edit, fragment = BAD_BUNDLES[case]
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "eval", "--bundle", str(path), "--data", str(corpus),
+                       "--vocab", str(vocab))
+    assert code == EXIT_INPUT
+    assert str(path) in err and fragment in err

@@ -74,6 +74,9 @@ def test_graph_line_round_trip():
         ("2 | 1,2 ; 3,4 | 0-5", "out of range"),
         ("2 | 1,2 ; 3,4 | 01", "malformed edge"),
         ("1 | 1,2 | | zzz", "malformed target"),
+        ("2 | 1,nan ; 3,4 |", "non-finite feature"),
+        ("1 | 1,-inf |", "non-finite feature"),
+        ("1 | 1,2 | | inf", "non-finite target"),
     ],
 )
 def test_graph_line_errors(line, fragment):

