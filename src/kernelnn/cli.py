@@ -205,9 +205,7 @@ def cmd_verify(args) -> int:
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise DataError(f"{path}: no such file") from None
+        return json.loads(kio.read_text(Path(path)))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON") from None
 
@@ -294,7 +292,7 @@ def cmd_eval(args) -> int:
         if any(t is None for t in targets):
             raise DataError(f"{args.data}: evaluation needs a target on every record")
         rmse = eval_graph_reg(model, [g for g, _ in items], targets)
-        records = [MetricRecord(0, "eval", float("nan"), rmse, "rmse")]
+        records = [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse")]
     _emit_metrics(records, args.metrics)
     return EXIT_OK
 

@@ -26,6 +26,16 @@ BUNDLE_VERSION = 1
 UNK_ID = 0
 
 
+def read_text(path: Path) -> str:
+    """A text file's contents; a missing, unreadable or binary file is a DataError."""
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: file is not text") from None
+
+
 # ---------------------------------------------------------------------------
 # corpora
 # ---------------------------------------------------------------------------
@@ -36,7 +46,7 @@ def load_vocab(path) -> tuple[dict[str, int], list[str]]:
     path = Path(path)
     tokens: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines()):
+    for lineno, raw in enumerate(read_text(path).splitlines()):
         tok = raw.strip()
         if not tok:
             raise DataError(f"{path}:{lineno + 1}: empty vocabulary entry")
@@ -57,7 +67,7 @@ def load_corpus(path, vocab: dict[str, int]) -> list[list[int]]:
     """Whitespace-tokenized sentences, one per line; unknown tokens map to id 0."""
     path = Path(path)
     out: list[list[int]] = []
-    for raw in path.read_text().splitlines():
+    for raw in read_text(path).splitlines():
         toks = raw.split()
         if toks:
             out.append([vocab.get(t, UNK_ID) for t in toks])
@@ -129,7 +139,7 @@ def load_graphs(path) -> list[tuple[FeatureGraph, float | None]]:
     path = Path(path)
     out = []
     dim = None
-    for lineno, raw in enumerate(path.read_text().splitlines()):
+    for lineno, raw in enumerate(read_text(path).splitlines()):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -211,12 +221,11 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 def load_bundle(path) -> ModelBundle:
     path = Path(path)
+    text = read_text(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: bundle is not valid JSON") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: bundle is not text") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: bundle is not a JSON object")
     version = doc.get("format_version")

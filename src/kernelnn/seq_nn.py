@@ -10,28 +10,14 @@ highway mixing between a layer's cell state and its input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, EvaluationError, ShapeError
 from .seq_kernel import FeatureSequence
-from .tensor import (
-    Activation,
-    NamedParams,
-    Tensor,
-    accumulate,
-    add,
-    concat,
-    matvec,
-    mul,
-    pick,
-    scale,
-    sigmoid,
-    smul,
-    sub,
-)
+from .tensor import Activation, NamedParams, Tensor, emit, mul, row, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -70,6 +56,9 @@ class SeqModelConfig:
             raise ConfigError(f"unknown output mode {self.output!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.highway and self.output == "combination":
+            raise ConfigError("highway layers output their last state; "
+                              "output 'combination' does not apply to them")
 
     @property
     def gated(self) -> bool:
@@ -95,7 +84,7 @@ def init_seq_layer(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -
     a = 1.0 / math.sqrt(in_dim)
     ws = [Tensor(rng.uniform(-a, a, size=(m, in_dim))) for _ in range(cfg.n)]
     p = SeqLayerParams(W=ws)
-    if cfg.gated or cfg.highway:
+    if cfg.gated:
         gate_in = in_dim if cfg.decay == "gated-input" else in_dim + m
         ga = 1.0 / math.sqrt(gate_in)
         p.gate_u = Tensor(rng.uniform(-ga, ga, size=(m, gate_in)))
@@ -120,41 +109,83 @@ def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -
     return params
 
 
+class _Steps(Sequence):
+    """Per-token view of one window; item t is built on first access and kept."""
+
+    def __init__(self, count: int, make: Callable[[int], object]) -> None:
+        self._make = make
+        self._items: list = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self[i] for i in range(*t.indices(len(self)))]
+        item = self._items[t]
+        if item is None:
+            t = range(len(self))[t]
+            item = self._items[t] = self._make(t)
+        return item
+
+
+def _constant_rows(arr: np.ndarray) -> _Steps:
+    return _Steps(len(arr), lambda t: Tensor(arr[t]))
+
+
 @dataclass
+class LayerScan:
+    """What one layer's scan computed over a window of T tokens.
+
+    ``c[t, j]`` is cell state j+1 after token t (row 0 holds the initial
+    state), ``pre[t-1]`` the pre-activation output, ``decay`` the decay applied
+    at each step (a float for constant decay, else a (T, hidden) array), and
+    ``h`` the (T, hidden) output tensor the scan recorded on the tape.
+    """
+
+    c: np.ndarray
+    pre: np.ndarray
+    decay: float | np.ndarray
+    h: Tensor
+
+
 class StateTrace:
     """Everything a forward pass produced, layer by layer.
 
-    ``c[l][j][t]`` is cell state j+1 after token t (index 0 holds the zero
-    init), ``pre[l][t-1]`` the pre-activation output, ``h[l][t-1]`` the
+    ``c[l][j][t]`` is cell state j+1 after token t (index 0 holds the initial
+    state), ``pre[l][t-1]`` the pre-activation output, ``h[l][t-1]`` the
     output, and ``decays[l][t-1]`` the decay applied at step t (a float for
-    constant decay, a tensor otherwise).
+    constant decay, a tensor otherwise).  These per-token tensors are built on
+    first access.  A row of ``h`` read while a tape is open is a
+    differentiable slice of ``matrix(l)``; the others are constants.
     """
 
-    c: list[list[list[Tensor]]] = field(default_factory=list)
-    pre: list[list[Tensor]] = field(default_factory=list)
-    h: list[list[Tensor]] = field(default_factory=list)
-    decays: list[list[object]] = field(default_factory=list)
+    def __init__(self, scans: list[LayerScan]) -> None:
+        self.scans = scans
+        self.c = [[_constant_rows(s.c[:, j]) for j in range(s.c.shape[1])] for s in scans]
+        self.pre = [_constant_rows(s.pre) for s in scans]
+        self.h = [_Steps(len(s.pre), lambda t, s=s: row(s.h, t)) for s in scans]
+        self.decays = [[s.decay] * len(s.pre) if isinstance(s.decay, float)
+                       else _constant_rows(s.decay) for s in scans]
 
-    def outputs(self, layer: int = -1) -> list[Tensor]:
-        return self.h[layer]
+    def matrix(self, layer: int = -1) -> Tensor:
+        """The (T, hidden) output of a layer, one row per token."""
+        return self.scans[layer].h
 
     def state(self, j: int, t: int, layer: int = -1) -> Tensor:
         """Cell state c_j at position t (both 1-based, matching the math)."""
         return self.c[layer][j - 1][t]
 
     def decay_arrays(self, hidden: int, layer: int = -1) -> list[np.ndarray]:
-        out = []
-        for g in self.decays[layer]:
-            if isinstance(g, Tensor):
-                out.append(np.array(g.data))
-            else:
-                out.append(np.full(hidden, float(g)))
-        return out
+        decay = self.scans[layer].decay
+        if isinstance(decay, float):
+            return [np.full(hidden, decay) for _ in range(len(self.pre[layer]))]
+        return [np.array(d) for d in decay]
 
     def carry(self, layer_count: int) -> "StackState":
-        cs = [[np.array(cj[-1].data) for cj in self.c[l]] for l in range(layer_count)]
-        hs = [np.array(self.h[l][-1].data) for l in range(layer_count)]
-        return StackState(cs, hs)
+        scans = self.scans[:layer_count]
+        return StackState([list(np.array(s.c[-1])) for s in scans],
+                          [np.array(s.h.data[-1]) for s in scans])
 
 
 @dataclass
@@ -165,33 +196,207 @@ class StackState:
     h: list[np.ndarray]
 
 
-def _as_tensors(x) -> list[Tensor]:
+def _as_matrix(x) -> Tensor:
+    """A window as a (T, d) tensor: a FeatureSequence, a list of 1-d tensors, or a matrix."""
     if isinstance(x, FeatureSequence):
-        return [Tensor(t) for t in x.tokens]
-    return list(x)
+        x = Tensor(np.array(x.tokens).reshape(len(x.tokens), x.dim))
+    elif not isinstance(x, Tensor):
+        x = list(x)
+        if not x:
+            raise ContractError("forward_layer needs a nonempty sequence")
+        x = stack(x)
+    if x.data.ndim != 2:
+        raise ShapeError(f"a window matrix must be 2-d, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ContractError("forward_layer needs a nonempty sequence")
+    return x
 
 
-def _decay_for_step(cfg, p: SeqLayerParams, x_t: Tensor, h_prev: Tensor, learned: Tensor | None):
-    if cfg.decay == "constant":
-        return cfg.lam
+def _check_params(p: SeqLayerParams, cfg: SeqModelConfig, in_dim: int) -> list[Tensor]:
+    """The parameters the config reads, in a fixed order, after checking their shapes."""
+    m, n = cfg.hidden, cfg.n
+    if len(p.W) != n:
+        raise ShapeError(f"got {len(p.W)} projection matrices for order {n}")
+    for j, w in enumerate(p.W):
+        if w.shape != (m, in_dim):
+            raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
+    wanted: dict[str, tuple[int, ...]] = {}
+    if cfg.gated:
+        gate_in = in_dim if cfg.decay == "gated-input" else in_dim + m
+        wanted.update(gate_u=(m, gate_in), gate_b=(m,))
     if cfg.decay == "learned":
-        return learned
-    if p.gate_u is None or p.gate_b is None:
-        raise ConfigError("gated decay needs gate_u and gate_b parameters")
-    gate_in = x_t if cfg.decay == "gated-input" else concat(x_t, h_prev)
-    return sigmoid(add(matvec(p.gate_u, gate_in), p.gate_b))
+        wanted["decay_logit"] = (m,)
+    if cfg.output == "combination":
+        wanted["comb"] = (n,)
+    if cfg.highway:
+        if in_dim != m:
+            raise ShapeError(f"highway layers need input dim {m}, got {in_dim}")
+        wanted.update(hw_u=(m, in_dim + m), hw_b=(m,))
+    params = list(p.W)
+    for name, shape in wanted.items():
+        t = getattr(p, name)
+        if t is None:
+            raise ConfigError(f"decay {cfg.decay!r}, output {cfg.output!r} and highway "
+                              f"{cfg.highway} need the {name} parameter")
+        if t.shape != shape:
+            raise ShapeError(f"{name} has shape {t.shape}, expected {shape}")
+        params.append(t)
+    return params
 
 
-def _decayed(decay, t: Tensor) -> Tensor:
-    return scale(t, decay) if isinstance(decay, float) else mul(decay, t)
+def _scan(
+    x: Tensor,
+    p: SeqLayerParams,
+    cfg: SeqModelConfig,
+    init_c: Sequence[np.ndarray] | None,
+    init_h: np.ndarray | None,
+) -> LayerScan:
+    """One layer over a whole window, recorded as a single tape node.
 
+    The projections W_j x_t of all tokens, and the input parts of the gate
+    and highway pre-activations, are one matmul each.  The recurrence
+    c_j[t] = lam_t c_j[t-1] + s_t inner_j[t] then runs as a numpy loop, with
+    s_t = 1 - lam_t (or 1 for unnormalized layers); the previous output only
+    enters through the m x m state parts of the gate and highway weights.  The
+    backward is hand-written backprop through time over the same loop.
+    """
+    xd = x.data
+    steps, in_dim = xd.shape
+    m, n = cfg.hidden, cfg.n
+    params = _check_params(p, cfg, in_dim)
+    sig = Activation.SIGMOID.f
+    with_state = cfg.decay == "gated-input-state"
+    stepwise = with_state or cfg.highway  # the previous output feeds this step
+    normalized = cfg.variant != "mult-unnorm" or cfg.highway
+    additive = cfg.variant == "add-norm"
 
-def _stepped(cfg, decay, t: Tensor) -> Tensor:
-    if cfg.variant == "mult-unnorm" and not cfg.highway:
-        return t
-    if isinstance(decay, float):
-        return scale(t, 1.0 - decay)
-    return mul(sub(1.0, decay), t)
+    c = np.zeros((steps + 1, n, m))
+    if init_c is not None:
+        c0 = np.array(init_c, dtype=np.float64)
+        if c0.shape != (n, m):
+            raise ShapeError(f"init_c has shape {c0.shape}, expected {(n, m)}")
+        c[0] = c0
+    h0 = np.zeros(m) if init_h is None else np.array(init_h, dtype=np.float64)
+    if h0.shape != (m,):
+        raise ShapeError(f"init_h has shape {h0.shape}, expected {(m,)}")
+
+    wcat = np.concatenate([w.data for w in p.W])
+    proj = (xd @ wcat.T).reshape(steps, n, m)
+    if cfg.decay == "constant":
+        lam = cfg.lam
+    elif cfg.decay == "learned":
+        lam = np.broadcast_to(sig(p.decay_logit.data), (steps, m))
+    else:
+        gate_u = p.gate_u.data
+        gate_h = gate_u[:, in_dim:]
+        lam = xd @ gate_u[:, :in_dim].T + p.gate_b.data
+        if not with_state:
+            lam = sig(lam)
+    comb = p.comb.data if cfg.output == "combination" else None
+    if cfg.highway:
+        hw_h = p.hw_u.data[:, in_dim:]
+        hw_x = xd @ p.hw_u.data[:, :in_dim].T + p.hw_b.data
+        f = np.empty((steps, m))
+
+    inner = np.empty((steps, n, m))
+    pre = np.empty((steps, m))
+    h = np.empty((steps, m))
+
+    def outputs(k) -> None:
+        """pre and h at step k, an index or a slice, from the states already in c."""
+        states = c[1:][k]
+        pre[k] = states[..., -1, :] if comb is None else comb @ states
+        if not cfg.highway:
+            h[k] = cfg.activation.f(pre[k])
+
+    h_prev = h0
+    for t in range(steps):
+        if with_state:
+            lam[t] = sig(lam[t] + gate_h @ h_prev)
+        lt = lam if isinstance(lam, float) else lam[t]
+        a, inn = c[t], inner[t]
+        inn[0] = proj[t, 0]
+        if additive:
+            np.add(a[:-1], proj[t, 1:], out=inn[1:])
+        else:
+            np.multiply(a[:-1], proj[t, 1:], out=inn[1:])
+        c[t + 1] = lt * a + ((1.0 - lt) * inn if normalized else inn)
+        if stepwise:
+            outputs(t)
+            if cfg.highway:
+                f[t] = sig(hw_x[t] + hw_h @ h_prev)
+                h[t] = f[t] * pre[t] + (1.0 - f[t]) * xd[t]
+            h_prev = h[t]
+    if not stepwise:
+        outputs(slice(None))
+    if not np.isfinite(c).all():
+        raise EvaluationError("cell state holds non-finite entries")
+    h_prev_rows = np.vstack([h0, h[:-1]])
+
+    def bwd(g_h: np.ndarray):
+        g_proj = np.empty((steps, n, m))
+        g_lam = np.empty((steps, m))
+        g_x = np.zeros((steps, in_dim))
+        g_gate = np.empty((steps, m)) if with_state else None
+        g_f = np.empty((steps, m)) if cfg.highway else None
+        g_comb = np.zeros(n)
+        g_c = np.zeros((n, m))
+        g_next = np.zeros(m)  # reaches h[t] through step t+1's gate and highway inputs
+        d_act = None if cfg.highway else cfg.activation.deriv(pre)
+        for t in reversed(range(steps)):
+            gh = g_h[t] + g_next
+            if cfg.highway:
+                g_pre = gh * f[t]
+                g_x[t] += gh * (1.0 - f[t])
+                g_f[t] = gh * (pre[t] - xd[t]) * f[t] * (1.0 - f[t])
+            else:
+                g_pre = gh * d_act[t]
+            if comb is None:
+                g_c[-1] += g_pre
+            else:
+                g_c += comb[:, None] * g_pre
+                g_comb += c[t + 1] @ g_pre
+            lt = lam if isinstance(lam, float) else lam[t]
+            g_inn = (1.0 - lt) * g_c if normalized else g_c
+            if not isinstance(lam, float):
+                g_lam[t] = (g_c * (c[t] - inner[t] if normalized else c[t])).sum(axis=0)
+            g_prev = lt * g_c
+            g_proj[t] = g_inn
+            if additive:
+                g_prev[:-1] += g_inn[1:]
+            else:
+                g_proj[t, 1:] *= c[t, :-1]
+                g_prev[:-1] += g_inn[1:] * proj[t, 1:]
+            g_c = g_prev
+            if stepwise:
+                g_next = np.zeros(m)
+                if with_state:
+                    g_gate[t] = g_lam[t] * lt * (1.0 - lt)
+                    g_next += gate_h.T @ g_gate[t]
+                if cfg.highway:
+                    g_next += hw_h.T @ g_f[t]
+        flat = g_proj.reshape(steps, n * m)
+        g_x += flat @ wcat
+        grads = [g_x, *np.split(flat.T @ xd, n)]
+        if cfg.gated:
+            if not with_state:
+                g_gate = g_lam * lam * (1.0 - lam)
+            g_x += g_gate @ gate_u[:, :in_dim]
+            g_u = g_gate.T @ xd
+            if with_state:
+                g_u = np.hstack([g_u, g_gate.T @ h_prev_rows])
+            grads += [g_u, g_gate.sum(axis=0)]
+        if cfg.decay == "learned":
+            grads.append(np.sum(g_lam, axis=0) * lam[0] * (1.0 - lam[0]))
+        if comb is not None:
+            grads.append(g_comb)
+        if cfg.highway:
+            g_x += g_f @ p.hw_u.data[:, :in_dim]
+            grads += [np.hstack([g_f.T @ xd, g_f.T @ h_prev_rows]), g_f.sum(axis=0)]
+        return tuple(grads)
+
+    out = emit(h, "seq_scan", (x, *params), bwd)
+    return LayerScan(c=c, pre=pre, decay=lam, h=out)
 
 
 def forward_layer(
@@ -203,64 +408,13 @@ def forward_layer(
 ) -> StateTrace:
     """Run one recurrent layer over a token sequence and record the full trace.
 
+    ``x`` is a FeatureSequence, a list of 1-d tensors or a (T, d) tensor.
     With ``cfg.highway`` the cell input is always scaled by (1 - decay), the
     pre-activation is the last state, and the output mixes it with the layer
     input, h = f * pre + (1 - f) * x, with no activation, so an
     identity-activation stack stays exactly linear-gated.
     """
-    tokens = _as_tensors(x)
-    if not tokens:
-        raise ContractError("forward_layer needs a nonempty sequence")
-    m, n = cfg.hidden, cfg.n
-    in_dim = tokens[0].shape[0]
-    if cfg.highway:
-        if in_dim != m:
-            raise ShapeError(f"highway layers need input dim {m}, got {tokens[0].shape}")
-        if p.hw_u is None or p.hw_b is None:
-            raise ConfigError("highway mode needs hw_u and hw_b parameters")
-    for j, w in enumerate(p.W):
-        if w.shape != (m, in_dim):
-            raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
-    combine = cfg.output == "combination" and not cfg.highway
-    if combine and p.comb is None:
-        raise ConfigError("combination output needs comb coefficients")
-    zeros = Tensor(np.zeros(m))
-    c_prev = [Tensor(np.asarray(v)) for v in init_c] if init_c is not None else [zeros] * n
-    if len(c_prev) != n:
-        raise ShapeError(f"init_c has {len(c_prev)} states, expected {n}")
-    h_prev = Tensor(np.asarray(init_h)) if init_h is not None else zeros
-    learned = sigmoid(p.decay_logit) if cfg.decay == "learned" else None
-
-    trace = StateTrace(c=[[[cj] for cj in c_prev]], pre=[[]], h=[[]], decays=[[]])
-    for x_t in tokens:
-        decay = _decay_for_step(cfg, p, x_t, h_prev, learned)
-        new_states: list[Tensor] = []
-        for j in range(n):
-            proj = matvec(p.W[j], x_t)
-            if j == 0:
-                inner = proj
-            elif cfg.variant == "add-norm":
-                inner = add(c_prev[j - 1], proj)
-            else:
-                inner = mul(c_prev[j - 1], proj)
-            new_states.append(add(_decayed(decay, c_prev[j]), _stepped(cfg, decay, inner)))
-        if combine:
-            pre = accumulate([smul(pick(p.comb, j), new_states[j]) for j in range(n)])
-        else:
-            pre = new_states[-1]
-        if cfg.highway:
-            f_t = sigmoid(add(matvec(p.hw_u, concat(x_t, h_prev)), p.hw_b))
-            h_t = add(mul(f_t, pre), mul(sub(1.0, f_t), x_t))
-        else:
-            h_t = cfg.activation(pre)
-        for j in range(n):
-            trace.c[0][j].append(new_states[j])
-        trace.pre[0].append(pre)
-        trace.h[0].append(h_t)
-        trace.decays[0].append(decay)
-        c_prev = new_states
-        h_prev = h_t
-    return trace
+    return StateTrace([_scan(_as_matrix(x), p, cfg, init_c, init_h)])
 
 
 def forward_stack(
@@ -274,30 +428,23 @@ def forward_stack(
     """Apply the configured layers in order; layer l+1 reads layer l's outputs.
 
     Dropout, when enabled and training, is applied to layer inputs only,
-    with inverted scaling so evaluation uses the weights unchanged.
+    with inverted scaling so evaluation uses the weights unchanged.  Each
+    layer draws its (T, d) mask in one call, row by row, which consumes the
+    rng stream exactly as one draw per token does.
     """
-    tokens = _as_tensors(x)
+    inputs = _as_matrix(x)
     if len(params) != cfg.layers:
         raise ConfigError(f"got {len(params)} layer params for {cfg.layers} layers")
-    trace = StateTrace()
-    inputs = tokens
+    scans = []
     for l, p in enumerate(params):
         if training and cfg.dropout > 0.0:
             if rng is None:
                 raise ConfigError("dropout during training needs an rng")
             keep = 1.0 - cfg.dropout
-            masked = []
-            for t in inputs:
-                mask = (rng.random(t.shape[0]) < keep).astype(np.float64) / keep
-                masked.append(mul(t, Tensor(mask)))
-            inputs = masked
+            mask = (rng.random(inputs.shape) < keep).astype(np.float64) / keep
+            inputs = mul(inputs, Tensor(mask))
         init_c = state.c[l] if state is not None else None
         init_h = state.h[l] if state is not None else None
-        layer = forward_layer(inputs, p, cfg, init_c=init_c, init_h=init_h)
-        trace.c.append(layer.c[0])
-        trace.pre.append(layer.pre[0])
-        trace.h.append(layer.h[0])
-        trace.decays.append(layer.decays[0])
-        inputs = trace.h[-1]
-    return trace
-
+        scans.append(_scan(inputs, p, cfg, init_c, init_h))
+        inputs = scans[-1].h
+    return StateTrace(scans)

@@ -8,7 +8,6 @@ makes repeated backward passes bit-identical.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, ClassVar, Sequence
@@ -19,20 +18,8 @@ from .errors import ContractError, EvaluationError, ShapeError
 
 Array = np.ndarray
 
-# one tape stack per thread: a Tape is single-threaded, distinct Tapes may
-# run concurrently
-_TAPES = threading.local()
-
-
-def _stack() -> list["Tape"]:
-    if not hasattr(_TAPES, "stack"):
-        _TAPES.stack = []
-    return _TAPES.stack
-
-
-def _active_tape() -> "Tape | None":
-    stack = _stack()
-    return stack[-1] if stack else None
+# open tapes, innermost last; ops record to the innermost one
+_TAPES: list["Tape"] = []
 
 
 class Tensor:
@@ -42,7 +29,7 @@ class Tensor:
 
     def __init__(self, data) -> None:
         arr = np.array(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise EvaluationError("tensor holds non-finite entries")
         arr.flags.writeable = False
         self.data = arr
@@ -100,19 +87,21 @@ class _Node:
 class Tape:
     """Append-only record of ops, replayed in reverse for gradients.
 
-    A tape is single-threaded; open it with a ``with`` block.  Tensors created
-    while no tape is open are plain values and never receive gradients.
+    Open it with a ``with`` block; ops record to the innermost open tape.  The
+    stack of open tapes is shared by the whole process, so record from one
+    thread only.  Tensors created while no tape is open are plain values and
+    never receive gradients.
     """
 
     def __init__(self) -> None:
         self._nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _stack().pop()
+        popped = _TAPES.pop()
         assert popped is self
 
     def __len__(self) -> int:
@@ -157,11 +146,15 @@ def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
     return tape.backward(root)
 
 
-def _emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
+def emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
+    """Wrap ``out_data`` as a tensor and record it on the open tape, if any.
+
+    ``bwd`` maps the output adjoint to one adjoint (or None) per parent; this
+    is how ops outside this module, such as the sequence scan, join the tape.
+    """
     out = Tensor(out_data)
-    tape = _active_tape()
-    if tape is not None:
-        tape._nodes.append(_Node(out, op, parents, bwd))
+    if _TAPES:
+        _TAPES[-1]._nodes.append(_Node(out, op, parents, bwd))
     return out
 
 
@@ -179,7 +172,7 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     def bwd(g: Array):
         return np.outer(g, xd), wd.T @ g
 
-    return _emit(wd @ xd, "matvec", (w, x), bwd)
+    return emit(wd @ xd, "matvec", (w, x), bwd)
 
 
 def add(a, b) -> Tensor:
@@ -189,7 +182,7 @@ def add(a, b) -> Tensor:
         def bwd_s(g: Array):
             return (g,)
 
-        return _emit(av.data + float(b), "add_scalar", (av,), bwd_s)
+        return emit(av.data + float(b), "add_scalar", (av,), bwd_s)
     if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.isscalar(a):
         return add(b, a)
     ta, tb = _coerce(a), _coerce(b)
@@ -199,7 +192,7 @@ def add(a, b) -> Tensor:
     def bwd(g: Array):
         return g, g
 
-    return _emit(ta.data + tb.data, "add", (ta, tb), bwd)
+    return emit(ta.data + tb.data, "add", (ta, tb), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -209,7 +202,7 @@ def sub(a, b) -> Tensor:
         def bwd_s(g: Array):
             return (-g,)
 
-        return _emit(float(a) - tb.data, "rsub_scalar", (tb,), bwd_s)
+        return emit(float(a) - tb.data, "rsub_scalar", (tb,), bwd_s)
     if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.isscalar(b):
         return add(a, -float(b))
     ta, tb = _coerce(a), _coerce(b)
@@ -219,7 +212,7 @@ def sub(a, b) -> Tensor:
     def bwd(g: Array):
         return g, -g
 
-    return _emit(ta.data - tb.data, "sub", (ta, tb), bwd)
+    return emit(ta.data - tb.data, "sub", (ta, tb), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -235,7 +228,7 @@ def mul(a, b) -> Tensor:
     def bwd(g: Array):
         return g * bd, g * ad
 
-    return _emit(ad * bd, "mul", (ta, tb), bwd)
+    return emit(ad * bd, "mul", (ta, tb), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -244,7 +237,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def bwd(g: Array):
         return (g * c,)
 
-    return _emit(a.data * c, "scale", (a,), bwd)
+    return emit(a.data * c, "scale", (a,), bwd)
 
 
 def smul(s: Tensor, a: Tensor) -> Tensor:
@@ -257,7 +250,7 @@ def smul(s: Tensor, a: Tensor) -> Tensor:
     def bwd(g: Array):
         return np.sum(g * ad).reshape(s.shape), g * sv
 
-    return _emit(ad * sv, "smul", (s, a), bwd)
+    return emit(ad * sv, "smul", (s, a), bwd)
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -268,7 +261,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: Array):
         return g * bd, g * ad
 
-    return _emit(np.dot(ad, bd), "dot", (a, b), bwd)
+    return emit(np.dot(ad, bd), "dot", (a, b), bwd)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -277,7 +270,7 @@ def tsum(a: Tensor) -> Tensor:
     def bwd(g: Array):
         return (np.full(shape, float(g)),)
 
-    return _emit(np.sum(a.data), "sum", (a,), bwd)
+    return emit(np.sum(a.data), "sum", (a,), bwd)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -288,23 +281,94 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: Array):
         return g[:na], g[na:]
 
-    return _emit(np.concatenate([a.data, b.data]), "concat", (a, b), bwd)
+    return emit(np.concatenate([a.data, b.data]), "concat", (a, b), bwd)
 
 
-def column(a: Tensor, j: int) -> Tensor:
-    """Column j of a 2-d tensor; the gradient scatters back into that column."""
+def row(a: Tensor, i: int) -> Tensor:
+    """Row i of a 2-d tensor; the gradient scatters back into that row."""
     if a.data.ndim != 2:
-        raise ShapeError(f"column needs a 2-d input, got {a.shape}")
-    if not 0 <= j < a.shape[1]:
-        raise ContractError(f"column {j} out of range for shape {a.shape}")
+        raise ShapeError(f"row needs a 2-d input, got {a.shape}")
+    if not 0 <= i < a.shape[0]:
+        raise ContractError(f"row {i} out of range for shape {a.shape}")
     shape = a.shape
 
     def bwd(g: Array):
         out = np.zeros(shape)
-        out[:, j] = g
+        out[i] = g
         return (out,)
 
-    return _emit(a.data[:, j].copy(), "column", (a,), bwd)
+    return emit(a.data[i], "row", (a,), bwd)
+
+
+def stack(rows: Sequence[Tensor]) -> Tensor:
+    """Equal-shaped 1-d tensors as the rows of a matrix."""
+    if not rows:
+        raise ContractError("stack needs at least one tensor")
+    shape = rows[0].shape
+    if len(shape) != 1 or any(r.shape != shape for r in rows):
+        raise ShapeError(f"stack needs equal 1-d shapes, got {sorted({r.shape for r in rows})}")
+
+    def bwd(g: Array):
+        return tuple(g)
+
+    return emit(np.stack([r.data for r in rows]), "stack", tuple(rows), bwd)
+
+
+def gather_columns(a: Tensor, ids: Sequence[int]) -> Tensor:
+    """Columns ``ids`` of a 2-d tensor as the rows of a (len(ids), rows) matrix.
+
+    This is the embedding lookup; the gradient adds each row back into its
+    column, so a repeated id accumulates.
+    """
+    if a.data.ndim != 2:
+        raise ShapeError(f"gather_columns needs a 2-d input, got {a.shape}")
+    idx = np.asarray(ids, dtype=np.intp).reshape(-1)
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= a.shape[1]:
+        raise ContractError(f"column ids {list(ids)} out of range for shape {a.shape}")
+    shape = a.shape
+
+    def bwd(g: Array):
+        out = np.zeros(shape)
+        np.add.at(out.T, idx, g)
+        return (out,)
+
+    return emit(a.data.T[idx], "gather_columns", (a,), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of every row, ``x @ w.T + b``, for x (T, d), w (m, d) and b (m,)."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1] or b.shape != w.shape[:1]:
+        raise ShapeError(f"linear needs (T,d), (m,d), (m,), got {x.shape}, {w.shape}, {b.shape}")
+    xd, wd = x.data, w.data
+
+    def bwd(g: Array):
+        return g @ wd, g.T @ xd, g.sum(axis=0)
+
+    return emit(xd @ wd.T + b.data, "linear", (x, w, b), bwd)
+
+
+def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean over rows of ``logsumexp(row) - row[target]``; one target column per row."""
+    z = logits.data
+    ys = np.asarray(targets, dtype=np.intp).reshape(-1)
+    if z.ndim != 2 or ys.shape != z.shape[:1] or ys.size == 0:
+        raise ShapeError(f"softmax_cross_entropy needs (T,V) logits and T targets, got "
+                         f"{logits.shape} and {ys.size}")
+    if ys.min() < 0 or ys.max() >= z.shape[1]:
+        raise ContractError(f"targets out of range for {z.shape[1]} classes")
+    rows = np.arange(ys.size)
+    top = z.max(axis=1, keepdims=True)
+    ez = np.exp(z - top)
+    total = ez.sum(axis=1, keepdims=True)
+    per_row = top[:, 0] + np.log(total[:, 0]) - z[rows, ys]
+    inv = 1.0 / ys.size
+
+    def bwd(g: Array):
+        out = ez / total
+        out[rows, ys] -= 1.0
+        return (out * (float(g) * inv),)
+
+    return emit(np.sum(per_row) * inv, "softmax_cross_entropy", (logits,), bwd)
 
 
 def pick(a: Tensor, index: int) -> Tensor:
@@ -319,7 +383,7 @@ def pick(a: Tensor, index: int) -> Tensor:
         out[index] = float(g)
         return (out,)
 
-    return _emit(a.data[index], "pick", (a,), bwd)
+    return emit(a.data[index], "pick", (a,), bwd)
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -333,7 +397,7 @@ def logsumexp(a: Tensor) -> Tensor:
     def bwd(g: Array):
         return (float(g) * soft,)
 
-    return _emit(m + np.log(z), "logsumexp", (a,), bwd)
+    return emit(m + np.log(z), "logsumexp", (a,), bwd)
 
 
 def accumulate(tensors: Sequence[Tensor]) -> Tensor:
@@ -352,12 +416,9 @@ def accumulate(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def _sigmoid_raw(z: Array) -> Array:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument only, so nothing overflows
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Activation(Enum):
@@ -408,7 +469,7 @@ class Activation(Enum):
         def bwd(g: Array):
             return (g * kind.deriv(zd),)
 
-        return _emit(self.f(zd), self.value, (a,), bwd)
+        return emit(self.f(zd), self.value, (a,), bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -432,6 +493,18 @@ def quadratic(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _map_nested(value, head: str, template: str, idx: tuple[int, ...], fn):
+    """``value`` with every tensor in its nested lists replaced by fn(name, tensor).
+
+    A module-level function on purpose: a recursive closure would form a
+    reference cycle that keeps ``fn`` and everything it holds alive until the
+    cyclic garbage collector runs.
+    """
+    if isinstance(value, list):
+        return [_map_nested(v, head, template, (*idx, i + 1), fn) for i, v in enumerate(value)]
+    return None if value is None else fn(head + template.format(*idx), value)
+
+
 class NamedParams:
     """Flat ``prefix.name -> Tensor`` view of a dataclass of parameter tensors.
 
@@ -448,13 +521,8 @@ class NamedParams:
         """Field values with every tensor t replaced by fn(name, t)."""
         prefix = self.PREFIX if prefix is None else prefix
         head = f"{prefix}." if prefix else ""
-
-        def walk(value, template: str, idx: tuple[int, ...]):
-            if isinstance(value, list):
-                return [walk(v, template, (*idx, i + 1)) for i, v in enumerate(value)]
-            return None if value is None else fn(head + template.format(*idx), value)
-
-        return {f.name: walk(getattr(self, f.name), self.LISTS.get(f.name, f.name), ())
+        return {f.name: _map_nested(getattr(self, f.name), head, self.LISTS.get(f.name, f.name),
+                                    (), fn)
                 for f in fields(self)}
 
     def named(self, prefix: str | None = None) -> dict[str, Tensor]:

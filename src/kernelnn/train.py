@@ -22,13 +22,13 @@ from .tensor import (
     Tensor,
     accumulate,
     add,
-    column,
     dot,
-    logsumexp,
-    matvec,
+    gather_columns,
+    linear,
     mul,
-    pick,
     scale,
+    softmax_cross_entropy,
+    stack,
     sub,
 )
 
@@ -131,18 +131,20 @@ def step(params, grads, state: OptimizerState):
 # ---------------------------------------------------------------------------
 
 
-def lm_loss(hs: Sequence[Tensor], targets: Sequence[int], out_w: Tensor, out_b: Tensor) -> Tensor:
-    """Mean token-level cross-entropy of softmax(out_w h + out_b) against targets."""
-    if len(hs) != len(targets):
-        raise ContractError(f"{len(hs)} states vs {len(targets)} targets")
+def lm_loss(hs, targets: Sequence[int], out_w: Tensor, out_b: Tensor) -> Tensor:
+    """Mean token-level cross-entropy of softmax(out_w h_t + out_b) against targets.
+
+    ``hs`` is the (T, hidden) output matrix of the top layer, or a list of its
+    rows; the logits are one matrix product and the loss one fused node.
+    """
+    h = hs if isinstance(hs, Tensor) else stack(list(hs))
+    if h.shape[0] != len(targets):
+        raise ContractError(f"{h.shape[0]} states vs {len(targets)} targets")
     vocab = out_w.shape[0]
-    terms = []
-    for h, y in zip(hs, targets):
-        if not 0 <= y < vocab:
-            raise DataError(f"target id {y} outside vocabulary of size {vocab}")
-        logits = add(matvec(out_w, h), out_b)
-        terms.append(sub(logsumexp(logits), pick(logits, y)))
-    return scale(accumulate(terms), 1.0 / len(terms))
+    bad = [y for y in targets if not 0 <= y < vocab]
+    if bad:
+        raise DataError(f"target id {bad[0]} outside vocabulary of size {vocab}")
+    return softmax_cross_entropy(linear(h, out_w, out_b), targets)
 
 
 def perplexity(loss: float) -> float:
@@ -163,7 +165,12 @@ def regression_loss(h_g: Tensor, target: float, head_w: Tensor, head_b: Tensor) 
 
 @dataclass
 class SeqLMModel:
-    """Recurrent language model: embedding columns -> stack -> softmax."""
+    """Recurrent language model: embedding columns -> stack -> softmax.
+
+    A window runs as a few whole-window tape nodes: one embedding gather, one
+    scan per layer (plus its dropout mask while training), one logits matrix
+    product and one softmax cross-entropy, however long the window is.
+    """
 
     cfg: SeqModelConfig
     vocab_size: int
@@ -209,9 +216,21 @@ def lm_forward(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ):
-    xs = [column(model.embed, i) for i in ids]
-    trace = forward_stack(xs, model.layers, model.cfg, state=state, rng=rng, training=training)
-    return trace
+    x = gather_columns(model.embed, ids)
+    return forward_stack(x, model.layers, model.cfg, state=state, rng=rng, training=training)
+
+
+def lm_window_loss(
+    model: SeqLMModel,
+    window: Sequence[int],
+    state: StackState | None = None,
+    rng: np.random.Generator | None = None,
+    training: bool = False,
+) -> tuple[Tensor, StackState]:
+    """Loss of predicting ``window[1:]`` from ``window[:-1]``, and the state carried out."""
+    trace = lm_forward(model, window[:-1], state=state, rng=rng, training=training)
+    loss = lm_loss(trace.matrix(), window[1:], model.out_w, model.out_b)
+    return loss, trace.carry(model.cfg.layers)
 
 
 @dataclass
@@ -289,11 +308,9 @@ def eval_lm(model: SeqLMModel, ids: Sequence[int], unroll: int = 64) -> tuple[fl
     state = None
     for t0 in range(0, len(ids) - 1, unroll):
         window = ids[t0 : t0 + unroll + 1]
-        trace = lm_forward(model, window[:-1], state=state)
-        loss = lm_loss(trace.h[-1], window[1:], model.out_w, model.out_b)
+        loss, state = lm_window_loss(model, window, state)
         total += loss.item() * (len(window) - 1)
         count += len(window) - 1
-        state = trace.carry(model.cfg.layers)
     mean = total / count
     return mean, perplexity(mean)
 
@@ -326,9 +343,7 @@ def train_lm(
                 break
             params = model.parameters()
             with Tape() as tape:
-                trace = lm_forward(model, window[:-1], state=state, rng=rng, training=True)
-                loss = lm_loss(trace.h[-1], window[1:], model.out_w, model.out_b)
-            state = trace.carry(model.cfg.layers)
+                loss, state = lm_window_loss(model, window, state, rng=rng, training=True)
             grads = _grads_by_name(tape, loss, params)
             model = model.with_parameters(step(params, grads, opt))
             total += loss.item() * (len(window) - 1)
@@ -400,9 +415,8 @@ def train_graph_reg(
         rmse = eval_graph_reg(model, graphs, targets)
         records.append(MetricRecord(epoch, "train", total / len(order), rmse, "rmse"))
         if valid is not None:
-            records.append(
-                MetricRecord(epoch, "valid", float("nan"), eval_graph_reg(model, *valid), "rmse")
-            )
+            vrmse = eval_graph_reg(model, *valid)
+            records.append(MetricRecord(epoch, "valid", vrmse * vrmse, vrmse, "rmse"))
         opt.end_epoch()
         if tc.max_steps is not None and steps >= tc.max_steps:
             break

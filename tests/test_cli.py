@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,16 @@ def test_train_and_eval_graph_round_trip(tmp_path, capsys):
     code, eval_out, _ = run(capsys, "eval", "--bundle", str(out), "--data", str(data))
     assert code == EXIT_OK
     assert "rmse=" in eval_out
+    # held-out lines report the mean squared error, like the train lines
+    code, valid_out, _ = run(
+        capsys, "train", "--task", "graph-reg", "--config", str(config),
+        "--data", str(data), "--valid", str(data), "--out", str(out),
+    )
+    assert code == EXIT_OK
+    for line in [l for l in valid_out.splitlines() if "split=valid" in l] + [eval_out]:
+        loss = float(line.split("loss=")[1].split()[0])
+        rmse = float(line.split("rmse=")[1].split()[0])
+        assert math.isfinite(loss) and loss == pytest.approx(rmse * rmse, rel=1e-5, abs=2e-6)
 
 
 def test_eval_empty_data_is_input_error(tmp_path, capsys):
@@ -271,6 +282,46 @@ def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model):
     assert code == EXIT_INPUT
     assert "WL graph regressor" in err
     assert not out.exists()
+
+
+def test_train_lm_rejects_highway_with_combination_output(tmp_path, capsys):
+    vocab, corpus, _ = write_lm_inputs(tmp_path)
+    config = tmp_path / "highway.json"
+    config.write_text(json.dumps({
+        "model": {"n": 1, "hidden": 4, "highway": True, "output": "combination"},
+    }))
+    out = tmp_path / "x.bundle"
+    code, _, err = run(
+        capsys, "train", "--task", "lm", "--config", str(config),
+        "--data", str(corpus), "--vocab", str(vocab), "--out", str(out),
+    )
+    assert code == EXIT_INPUT
+    assert "combination" in err
+    assert not out.exists()
+
+
+MISSING_INPUTS = {
+    "eval-bundle": lambda d, missing: ["eval", "--bundle", missing, "--data", d["corpus"],
+                                       "--vocab", d["vocab"]],
+    "kernel-file": lambda d, missing: ["kernel", "--task", "graph", "--file", missing],
+    "train-data": lambda d, missing: ["train", "--task", "lm", "--config", d["config"],
+                                      "--data", missing, "--vocab", d["vocab"],
+                                      "--out", d["out"]],
+    "train-vocab": lambda d, missing: ["train", "--task", "lm", "--config", d["config"],
+                                       "--data", d["corpus"], "--vocab", missing,
+                                       "--out", d["out"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_file_is_input_error(tmp_path, capsys, case):
+    vocab, corpus, config = write_lm_inputs(tmp_path)
+    paths = {"vocab": str(vocab), "corpus": str(corpus), "config": str(config),
+             "out": str(tmp_path / "x.bundle")}
+    missing = str(tmp_path / "no-such-file.txt")
+    code, _, err = run(capsys, *MISSING_INPUTS[case](paths, missing))
+    assert code == EXIT_INPUT
+    assert missing in err
 
 
 def _bad_payload(doc):

@@ -21,7 +21,17 @@ from kernelnn.seq_nn import (
     init_seq_stack,
     logit,
 )
-from kernelnn.tensor import Activation, Tape, Tensor, dot, accumulate, finite_diff_grad, rel_error
+from kernelnn.tensor import (
+    Activation,
+    Tape,
+    Tensor,
+    accumulate,
+    dot,
+    finite_diff_grad,
+    mul,
+    rel_error,
+    tsum,
+)
 
 
 def rand_seq(rng, length, dim):
@@ -375,3 +385,87 @@ def test_dropout_is_deterministic_under_fixed_seed_and_off_at_eval():
     ev2 = forward_stack(x, params, cfg)
     for t in range(5):
         assert np.array_equal(ev1.h[0][t].data, ev2.h[0][t].data)
+
+
+# ---------------------------------------------------------------------------
+# the whole-window scan node
+# ---------------------------------------------------------------------------
+
+
+def scan_gradient_error(cfg, seed, d, length=4):
+    """Worst tape-vs-finite-difference error of one layer over its parameters and input.
+
+    The layer starts from a carried (nonzero) state and the loss reads the
+    (T, hidden) output matrix, so every gradient flows through the scan node.
+    """
+    rng = np.random.default_rng(seed)
+    p = init_seq_layer(cfg, d, rng)
+    p = p.with_named({name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape))
+                      for name, t in p.named().items()})
+    x = Tensor(rng.normal(size=(length, d)))
+    init_c = [rng.uniform(-0.5, 0.5, size=cfg.hidden) for _ in range(cfg.n)]
+    init_h = rng.uniform(-0.5, 0.5, size=cfg.hidden)
+    probe = Tensor(rng.normal(size=(length, cfg.hidden)))
+
+    def run(params, inputs):
+        trace = forward_layer(inputs, params, cfg, init_c=init_c, init_h=init_h)
+        return tsum(mul(probe, trace.matrix()))
+
+    with Tape() as tape:
+        loss = run(p, x)
+    assert len(tape) == 3  # scan, probe product, sum
+    grads = tape.backward(loss)
+    named = p.named("L")
+    checks = {name: (t, lambda v, name=name: run(p.with_named({name: v}, "L"), x).item())
+              for name, t in named.items()}
+    checks["x"] = (x, lambda v: run(p, v).item())
+    worst = 0.0
+    for t, f in checks.values():
+        got = grads.get(t, Tensor(np.zeros(t.shape)))
+        worst = max(worst, rel_error(got, finite_diff_grad(f, t)))
+    return worst
+
+
+@pytest.mark.parametrize("output", ["last-state", "combination"])
+@pytest.mark.parametrize("variant", ["mult-unnorm", "mult-norm", "add-norm"])
+@pytest.mark.parametrize("decay", ["constant", "learned", "gated-input", "gated-input-state"])
+def test_scan_gradients_match_finite_differences(variant, decay, output):
+    cfg = SeqModelConfig(n=3, hidden=3, lam=0.4, variant=variant, decay=decay,
+                         activation=Activation.SIGMOID, output=output)
+    assert scan_gradient_error(cfg, seed=21, d=2) <= 1e-5
+
+
+@pytest.mark.parametrize("variant", ["mult-unnorm", "add-norm"])
+@pytest.mark.parametrize("decay", ["gated-input", "gated-input-state"])
+def test_highway_scan_gradients_match_finite_differences(variant, decay):
+    cfg = SeqModelConfig(n=2, hidden=3, lam=0.4, variant=variant, decay=decay, highway=True)
+    assert scan_gradient_error(cfg, seed=22, d=3) <= 1e-5
+
+
+def test_highway_layers_hold_only_the_parameters_they_read():
+    for decay in ("constant", "learned"):
+        cfg = SeqModelConfig(n=1, hidden=3, lam=0.5, decay=decay, highway=True)
+        p = init_seq_layer(cfg, 3, np.random.default_rng(0))
+        assert p.gate_u is None and p.gate_b is None and p.comb is None
+    with pytest.raises(ConfigError):
+        SeqModelConfig(n=1, hidden=3, highway=True, output="combination")
+
+
+def test_dropout_masks_match_per_token_draws():
+    rng_data = np.random.default_rng(4)
+    cfg = SeqModelConfig(n=2, hidden=3, layers=2, lam=0.5, dropout=0.4)
+    params = init_seq_stack(cfg, 2, rng_data)
+    x = rand_seq(rng_data, 6, 2)
+    rng = np.random.default_rng(9)
+    got = forward_stack(x, params, cfg, rng=rng, training=True)
+    # reference: one mask draw per token, layer by layer, as separate vectors
+    ref_rng = np.random.default_rng(9)
+    keep = 1.0 - cfg.dropout
+    inputs = [np.array(t) for t in x.tokens]
+    for l, p in enumerate(params):
+        masks = [(ref_rng.random(v.shape[0]) < keep).astype(np.float64) / keep for v in inputs]
+        layer = forward_layer([Tensor(v * mk) for v, mk in zip(inputs, masks)], p, cfg)
+        for t in range(6):
+            assert np.array_equal(got.h[l][t].data, layer.h[0][t].data)
+        inputs = [h.data for h in layer.h[0]]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -7,7 +7,7 @@ from kernelnn.errors import ConfigError, DataError, EvaluationError
 from kernelnn.graph_kernel import FeatureGraph
 from kernelnn.graph_nn import GraphModelConfig
 from kernelnn.seq_nn import SeqModelConfig
-from kernelnn.tensor import Activation, Tensor
+from kernelnn.tensor import Activation, Tape, Tensor
 from kernelnn.train import (
     MetricRecord,
     OptimizerState,
@@ -18,6 +18,7 @@ from kernelnn.train import (
     init_graph_model,
     init_lm_model,
     lm_loss,
+    lm_window_loss,
     perplexity,
     regression_loss,
     step,
@@ -170,6 +171,21 @@ def test_lm_training_is_deterministic():
         return [(r.epoch, r.split, r.loss, r.metric) for r in records]
 
     assert run() == run()
+
+
+def test_lm_window_tape_nodes_do_not_grow_with_unroll():
+    # a window is a gather, a dropout mask and a scan per layer, the logits
+    # and the loss, however many tokens it holds
+    cfg = SeqModelConfig(n=2, hidden=4, layers=2, variant="mult-norm",
+                         decay="gated-input-state", dropout=0.2)
+    model = init_lm_model(cfg, vocab_size=5, rng=np.random.default_rng(0))
+    ids = [int(i) for i in np.random.default_rng(1).integers(0, 5, size=33)]
+    counts = []
+    for unroll in (8, 32):
+        with Tape() as tape:
+            lm_window_loss(model, ids[: unroll + 1], rng=np.random.default_rng(2), training=True)
+        counts.append(len(tape))
+    assert counts[0] == counts[1] <= 12
 
 
 def synthetic_graph_task(rng, count=50, dim=3):
