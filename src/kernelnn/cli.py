@@ -249,19 +249,12 @@ def cmd_train(args) -> int:
         model, records = train_lm(model, ids, tc, opt, valid_ids=valid_ids)
         kio.save_bundle(kio.bundle_from_lm(model, tc.seed), args.out)
     else:
-        items = kio.load_graphs(args.data)
-        targets = [t for _, t in items]
-        if any(t is None for t in targets):
-            raise DataError(f"{args.data}: graph regression needs a target on every record")
-        graphs = [g for g, _ in items]
+        graphs, targets = kio.load_graph_targets(args.data)
         model_doc = dict(doc.get("model", {}))
         model_doc["in_dim"] = graphs[0].dim
         cfg, in_dim = kio.graph_config_from_dict(model_doc)
         model = init_graph_model(cfg, in_dim, rng=np.random.default_rng(tc.seed))
-        valid = None
-        if args.valid:
-            vitems = kio.load_graphs(args.valid)
-            valid = ([g for g, _ in vitems], [t for _, t in vitems])
+        valid = kio.load_graph_targets(args.valid, in_dim) if args.valid else None
         model, records = train_graph_reg(model, graphs, targets, tc, opt, valid=valid)
         kio.save_bundle(kio.bundle_from_graph(model, in_dim, tc.seed), args.out)
     _emit_metrics(records, metrics_path)
@@ -287,11 +280,8 @@ def cmd_eval(args) -> int:
         loss, ppl = eval_lm(model, ids)
         records = [MetricRecord(0, "eval", loss, ppl, "ppl")]
     else:
-        items = kio.load_graphs(args.data)
-        targets = [t for _, t in items]
-        if any(t is None for t in targets):
-            raise DataError(f"{args.data}: evaluation needs a target on every record")
-        rmse = eval_graph_reg(model, [g for g, _ in items], targets)
+        graphs, targets = kio.load_graph_targets(args.data, model.in_dim)
+        rmse = eval_graph_reg(model, graphs, targets)
         records = [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse")]
     _emit_metrics(records, args.metrics)
     return EXIT_OK

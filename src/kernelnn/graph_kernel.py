@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,6 +81,21 @@ class FeatureGraph:
     @property
     def dim(self) -> int:
         return self.features[0].shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The read-only (num_nodes, dim) feature matrix, built on first use."""
+        x = np.stack(self.features)
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` of every walk step u -> v, sorted by v and then by u."""
+        counts = [len(preds) for preds in self.neighbors]
+        dst = np.repeat(np.arange(self.num_nodes), counts)
+        src = np.array([u for preds in self.neighbors for u in preds], dtype=np.intp)
+        return src, dst
 
     def successors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_nodes)]

@@ -4,28 +4,40 @@ State j at node v scores j-node walks ending at v against reference walks
 built from the weight rows.  Variants: plain decay, generalized composition
 with nonlinear neighbor aggregation, stacked layers with per-layer readouts,
 relabeling iterations with shared transforms, and per-edge sigmoid gates.
+
+Every module runs on whole node matrices: the states of order j are one
+(N, hidden) matrix, ``C_j = lam * (A C_{j-1}) * (X W_j^T)`` with the
+neighbor sum ``A C`` taken over an edge list.  A minibatch is one disjoint
+union of graphs (a block-diagonal A), and a single graph is a union of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 from .graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from .tensor import (
     Activation,
+    LazyList,
     NamedParams,
+    Segments,
     Tensor,
     accumulate,
     add,
-    concat,
+    gather_rows,
+    linear,
     matvec,
     mul,
+    neighbor_sum,
+    row,
     scale,
+    segment_sum,
     sigmoid,
 )
 
@@ -70,22 +82,86 @@ class WLParams(NamedParams):
     v: Tensor
 
 
-@dataclass
-class GraphStateTrace:
-    """States per layer: c[l][j][v], relabeled/readout node vectors, readouts."""
+class GraphUnion:
+    """Disjoint union of graphs as one graph with a block-diagonal adjacency.
 
-    c: list[list[list[Tensor]]] = field(default_factory=list)
-    h_node: list[list[Tensor]] = field(default_factory=list)
-    h_layer: list[Tensor] = field(default_factory=list)
-    h_graph: Tensor | None = None
+    ``x`` stacks the node feature matrices; the walk steps u -> v of every
+    member, shifted by its node offset, are grouped by destination (``dst``)
+    and by source (``src``); ``members`` maps each node to its graph.
+    """
+
+    def __init__(self, graphs: Sequence[FeatureGraph]) -> None:
+        if not graphs:
+            raise ContractError("a graph union needs at least one graph")
+        dims = sorted({g.dim for g in graphs})
+        if len(dims) > 1:
+            raise ShapeError(f"graphs in one union must share a feature width, got {dims}")
+        sizes = [g.num_nodes for g in graphs]
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.num_graphs = len(graphs)
+        self.num_nodes = int(sum(sizes))
+        self.x = np.concatenate([g.matrix for g in graphs])
+        edges = [g.edge_arrays for g in graphs]
+        self.src = Segments(np.concatenate([s + o for (s, _), o in zip(edges, self.offsets)]),
+                            self.num_nodes)
+        self.dst = Segments(np.concatenate([d + o for (_, d), o in zip(edges, self.offsets)]),
+                            self.num_nodes)
+        self.members = Segments(np.repeat(np.arange(self.num_graphs), sizes), self.num_graphs)
+
+
+def as_union(g: FeatureGraph | GraphUnion) -> GraphUnion:
+    return g if isinstance(g, GraphUnion) else GraphUnion([g])
+
+
+class GraphStateTrace:
+    """Everything a forward pass over a graph union produced, layer by layer.
+
+    ``states[l][j-1]`` is the (N, hidden) matrix of cell state j, one row per
+    node of the union; ``nodes[l]`` holds the node vectors of layer l (the
+    input features for single-layer modules, the readout or relabeled
+    vectors for stacks); ``readouts[l]`` the (B, hidden) per-graph readouts
+    and ``out`` the (B, hidden) module output.
+
+    The per-node views ``c[l][j][v]`` and ``h_node[l][v]`` index union
+    nodes, and the single-graph views ``h_layer[l]`` and ``h_graph`` need a
+    union of one.  Views are built on first access; read while a tape is
+    open they are differentiable rows of the matrices.
+    """
+
+    def __init__(self, union: GraphUnion, states: list[list[Tensor]], nodes: list[Tensor],
+                 readouts: list[Tensor], out: Tensor) -> None:
+        self.union = union
+        self.states = states
+        self.nodes = nodes
+        self.readouts = readouts
+        self.out = out
+        n = union.num_nodes
+        self.c = [[LazyList(n, lambda v, s=s: row(s, v)) for s in layer] for layer in states]
+        self.h_node = [LazyList(n, lambda v, x=x: row(x, v)) for x in nodes]
+
+    def _single(self, what: str) -> None:
+        if self.union.num_graphs != 1:
+            raise ContractError(f"{what} needs a single graph; this trace holds "
+                                f"{self.union.num_graphs}, read readouts or out instead")
+
+    @cached_property
+    def h_layer(self) -> LazyList:
+        self._single("h_layer")
+        return LazyList(len(self.readouts), lambda l: row(self.readouts[l], 0))
+
+    @cached_property
+    def h_graph(self) -> Tensor:
+        self._single("h_graph")
+        return row(self.out, 0)
 
     def state(self, j: int, v: int, layer: int = 0) -> Tensor:
         """Cell state c_j at node v (j is 1-based, matching the math)."""
         return self.c[layer][j - 1][v]
 
     def state_sum(self, j: int, layer: int = 0) -> np.ndarray:
-        vecs = [t.data for t in self.c[layer][j - 1]]
-        return np.sum(vecs, axis=0)
+        """Cell state c_j summed over the nodes of a single graph."""
+        self._single("state_sum")
+        return self.states[layer][j - 1].data.sum(axis=0)
 
 
 def init_graph_layer(
@@ -126,65 +202,60 @@ def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
 
 
 def _walk_states(
-    g: FeatureGraph, feats: list[Tensor], ws: Sequence[Tensor], join
-) -> list[list[Tensor]]:
-    """The walk recursion: c_1[v] = W_1 f_v, and c_j[v] = join(c_{j-1}, v, W_j f_v)."""
-    proj = [[matvec(w, feats[v]) for v in range(g.num_nodes)] for w in ws]
-    states: list[list[Tensor]] = [proj[0]]
-    for j in range(1, len(ws)):
+    u: GraphUnion,
+    x: Tensor,
+    ws: Sequence[Tensor],
+    lam: float,
+    composition: str = MULTIPLICATIVE,
+    act: Activation = Activation.IDENTITY,
+    gate: Tensor | None = None,
+) -> list[Tensor]:
+    """The walk recursion over node matrices, one (N, hidden) state matrix per order.
+
+    ``C_1 = X W_1^T``; ``C_j`` joins the projection ``X W_j^T`` with the
+    neighbor aggregate ``lam * sum over u -> v of act(C_{j-1}[u])``, by
+    product or (additive composition) by sum.  With a (E, hidden) edge gate
+    the aggregate is ``sum over u -> v of gate[u -> v] * C_{j-1}[u]`` instead.
+    A node without predecessors aggregates zero.
+    """
+    proj = [matvec(w, x) for w in ws]
+    states = [proj[0]]
+    for p in proj[1:]:
         prev = states[-1]
-        states.append([join(prev, v, proj[j][v]) for v in range(g.num_nodes)])
+        if gate is None:
+            agg = scale(neighbor_sum(act(prev), u.src, u.dst), lam)
+        else:
+            agg = segment_sum(mul(gate, gather_rows(prev, u.src)), u.dst)
+        states.append(add(agg, p) if composition == ADDITIVE else mul(agg, p))
     return states
 
 
-def _sum_join(g: FeatureGraph, lam: float, m: int, composition: str = MULTIPLICATIVE,
-              act: Activation = Activation.IDENTITY):
-    """Aggregate lam * sum of act(neighbor states), multiplied into or added to the projection.
-
-    An edgeless node keeps the projection under additive composition and is
-    zero under multiplicative composition.
-    """
-    zeros = Tensor(np.zeros(m))
-
-    def join(prev: list[Tensor], v: int, proj: Tensor) -> Tensor:
-        nbrs = g.neighbors[v]
-        if not nbrs:
-            return proj if composition == ADDITIVE else zeros
-        agg = scale(accumulate([act(prev[u]) for u in nbrs]), lam)
-        return add(agg, proj) if composition == ADDITIVE else mul(agg, proj)
-
-    return join
-
-
-def _gated_join(g: FeatureGraph, gates: dict[tuple[int, int], Tensor], m: int):
-    """Aggregate sum over neighbors u of gate(u, v) * c_{j-1}[u] * proj."""
-    zeros = Tensor(np.zeros(m))
-
-    def join(prev: list[Tensor], v: int, proj: Tensor) -> Tensor:
-        terms = [mul(mul(gates[(u, v)], prev[u]), proj) for u in g.neighbors[v]]
-        return accumulate(terms) if terms else zeros
-
-    return join
-
-
 def _single_layer(
-    g: FeatureGraph, feats: list[Tensor], p: GraphLayerParams, cfg: GraphModelConfig, join
+    g: FeatureGraph | GraphUnion,
+    p: GraphLayerParams,
+    cfg: GraphModelConfig,
+    composition: str = MULTIPLICATIVE,
+    act: Activation = Activation.IDENTITY,
+    gate: Tensor | None = None,
 ) -> GraphStateTrace:
-    """Project, recurse, sum the final states over nodes, activate."""
-    _check_weights(p.W, cfg.hidden, g.dim)
-    states = _walk_states(g, feats, p.W, join)
-    pre = accumulate(states[-1])
-    return GraphStateTrace(c=[states], h_node=[feats], h_layer=[pre], h_graph=cfg.activation(pre))
+    """Project, recurse, sum the final states per graph, activate."""
+    u = as_union(g)
+    x = Tensor(u.x)
+    _check_weights(p.W, cfg.hidden, x.shape[1])
+    states = _walk_states(u, x, p.W, cfg.lam, composition, act, gate)
+    pre = segment_sum(states[-1], u.members)
+    return GraphStateTrace(u, [states], [x], [pre], cfg.activation(pre))
 
 
-def rw_forward(g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig) -> GraphStateTrace:
-    """Single-layer walk module: h_G = act(sum of final node states)."""
-    feats = [Tensor(f) for f in g.features]
-    return _single_layer(g, feats, p, cfg, _sum_join(g, cfg.lam, cfg.hidden))
+def rw_forward(
+    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
+) -> GraphStateTrace:
+    """Single-layer walk module: per graph, act(sum of final node states)."""
+    return _single_layer(g, p, cfg)
 
 
 def generalized_forward(
-    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
+    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Composition-switch module: project the node, then join aggregated neighbors.
 
@@ -192,71 +263,64 @@ def generalized_forward(
     :func:`rw_forward`; the additive branch keeps the projected feature alive
     on edgeless nodes.
     """
-    feats = [Tensor(f) for f in g.features]
-    join = _sum_join(g, cfg.lam, cfg.hidden, cfg.composition, cfg.activation)
-    return _single_layer(g, feats, p, cfg, join)
+    return _single_layer(g, p, cfg, cfg.composition, cfg.activation)
 
 
 def deep_forward(
-    g: FeatureGraph, params: Sequence[GraphLayerParams], cfg: GraphModelConfig
+    g: FeatureGraph | GraphUnion, params: Sequence[GraphLayerParams], cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Stack of generalized layers with per-layer readout of the final width state."""
     if len(params) != cfg.layers:
         raise ConfigError(f"got {len(params)} layer params for {cfg.layers} layers")
-    trace = GraphStateTrace()
-    node_vecs = [Tensor(f) for f in g.features]
+    u = as_union(g)
+    x = Tensor(u.x)
+    states, nodes, readouts = [], [], []
     for p in params:
         if p.readout is None:
             raise ConfigError("deep layers need a readout matrix")
-        _check_weights(p.W, cfg.hidden, node_vecs[0].shape[0])
-        join = _sum_join(g, cfg.lam, cfg.hidden, cfg.composition, cfg.activation)
-        states = _walk_states(g, node_vecs, p.W, join)
-        node_vecs = [cfg.activation(matvec(p.readout, states[-1][v])) for v in range(g.num_nodes)]
-        trace.c.append(states)
-        trace.h_node.append(node_vecs)
-        trace.h_layer.append(accumulate(node_vecs))
-    trace.h_graph = trace.h_layer[-1]
-    return trace
+        _check_weights(p.W, cfg.hidden, x.shape[1])
+        layer = _walk_states(u, x, p.W, cfg.lam, cfg.composition, cfg.activation)
+        x = cfg.activation(matvec(p.readout, layer[-1]))
+        states.append(layer)
+        nodes.append(x)
+        readouts.append(segment_sum(x, u.members))
+    return GraphStateTrace(u, states, nodes, readouts, readouts[-1])
 
 
-def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
+def wl_forward(g: FeatureGraph | GraphUnion, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Relabeling iterations with walk readouts, summed across layers.
 
     Per-layer readouts are pre-activation sums of the final walk states; the
-    relabeling transforms u1, u2, v are the same tensors at every layer.
+    relabeling ``act(H u1^T + (A act(H v^T)) u2^T)`` uses the same u1, u2, v
+    at every layer.
     """
     if len(p.layer_W) != cfg.layers:
         raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
-    trace = GraphStateTrace()
-    node_vecs = [Tensor(f) for f in g.features]
+    u = as_union(g)
+    x = Tensor(u.x)
     act = cfg.activation
+    states, nodes, readouts = [], [], []
     for ws in p.layer_W:
-        _check_weights(ws, cfg.hidden, node_vecs[0].shape[0])
-        states = _walk_states(g, node_vecs, ws, _sum_join(g, cfg.lam, cfg.hidden))
-        trace.c.append(states)
-        trace.h_layer.append(accumulate(states[-1]))
-        inner = [act(matvec(p.v, node_vecs[u])) for u in range(g.num_nodes)]
-        relabeled: list[Tensor] = []
-        for v_idx in range(g.num_nodes):
-            own = matvec(p.u1, node_vecs[v_idx])
-            nbr = [inner[u] for u in g.neighbors[v_idx]]
-            if nbr:
-                own = add(own, matvec(p.u2, accumulate(nbr)))
-            relabeled.append(act(own))
-        trace.h_node.append(relabeled)
-        node_vecs = relabeled
-    trace.h_graph = accumulate(trace.h_layer)
-    return trace
+        _check_weights(ws, cfg.hidden, x.shape[1])
+        layer = _walk_states(u, x, ws, cfg.lam)
+        states.append(layer)
+        readouts.append(segment_sum(layer[-1], u.members))
+        inner = act(matvec(p.v, x))
+        x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, u.src, u.dst))))
+        nodes.append(x)
+    return GraphStateTrace(u, states, nodes, readouts, accumulate(readouts))
 
 
-def gated_rw_forward(g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig) -> GraphStateTrace:
-    """Walk module with a learned per-edge decay instead of the constant."""
+def gated_rw_forward(
+    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
+) -> GraphStateTrace:
+    """Walk module with a learned per-edge decay instead of the constant.
+
+    The (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``.
+    """
     if p.gate_u is None or p.gate_b is None:
         raise ConfigError("gated walk module needs gate_u and gate_b parameters")
-    feats = [Tensor(f) for f in g.features]
-    gates: dict[tuple[int, int], Tensor] = {}
-    for v in range(g.num_nodes):
-        for u in g.neighbors[v]:
-            if (u, v) not in gates:
-                gates[(u, v)] = sigmoid(add(matvec(p.gate_u, concat(feats[u], feats[v])), p.gate_b))
-    return _single_layer(g, feats, p, cfg, _gated_join(g, gates, cfg.hidden))
+    u = as_union(g)
+    pairs = Tensor(np.hstack([u.x[u.src.ids], u.x[u.dst.ids]]))
+    gate = sigmoid(linear(pairs, p.gate_u, p.gate_b))
+    return _single_layer(u, p, cfg, gate=gate)

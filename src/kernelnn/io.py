@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,8 @@ def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]
         count = int(parts[0])
     except ValueError:
         raise DataError(f"{where}: bad node count {parts[0]!r}") from None
+    if count < 1:
+        raise DataError(f"{where}: a graph needs at least one node, got count {count}")
     groups = [g for g in (s.strip() for s in parts[1].split(";")) if g]
     if len(groups) != count:
         raise DataError(f"{where}: {len(groups)} feature groups for {count} nodes")
@@ -152,6 +154,19 @@ def load_graphs(path) -> list[tuple[FeatureGraph, float | None]]:
     if not out:
         raise DataError(f"{path}:1: no graphs found")
     return out
+
+
+def load_graph_targets(path, in_dim: int | None = None) -> tuple[list[FeatureGraph], list[float]]:
+    """A graph-regression file: a target on every record and, if given, features of width in_dim."""
+    items = load_graphs(path)
+    untargeted = [i + 1 for i, (_, t) in enumerate(items) if t is None]
+    if untargeted:
+        raise DataError(f"{path}: graph regression needs a target on every record; "
+                        f"graph {untargeted[0]} has none")
+    width = items[0][0].dim
+    if in_dim is not None and width != in_dim:
+        raise DataError(f"{path}: node features have width {width}, the model expects {in_dim}")
+    return [g for g, _ in items], [t for _, t in items]
 
 
 def format_graph_line(g: FeatureGraph, target: float | None = None) -> str:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, EvaluationError, ShapeError
 from .seq_kernel import FeatureSequence
-from .tensor import Activation, NamedParams, Tensor, emit, mul, row, stack
+from .tensor import Activation, LazyList, NamedParams, Tensor, emit, mul, row, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -109,28 +109,8 @@ def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -
     return params
 
 
-class _Steps(Sequence):
-    """Per-token view of one window; item t is built on first access and kept."""
-
-    def __init__(self, count: int, make: Callable[[int], object]) -> None:
-        self._make = make
-        self._items: list = [None] * count
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self[i] for i in range(*t.indices(len(self)))]
-        item = self._items[t]
-        if item is None:
-            t = range(len(self))[t]
-            item = self._items[t] = self._make(t)
-        return item
-
-
-def _constant_rows(arr: np.ndarray) -> _Steps:
-    return _Steps(len(arr), lambda t: Tensor(arr[t]))
+def _constant_rows(arr: np.ndarray) -> LazyList:
+    return LazyList(len(arr), lambda t: Tensor(arr[t]))
 
 
 @dataclass
@@ -164,7 +144,7 @@ class StateTrace:
         self.scans = scans
         self.c = [[_constant_rows(s.c[:, j]) for j in range(s.c.shape[1])] for s in scans]
         self.pre = [_constant_rows(s.pre) for s in scans]
-        self.h = [_Steps(len(s.pre), lambda t, s=s: row(s.h, t)) for s in scans]
+        self.h = [LazyList(len(s.pre), lambda t, s=s: row(s.h, t)) for s in scans]
         self.decays = [[s.decay] * len(s.pre) if isinstance(s.decay, float)
                        else _constant_rows(s.decay) for s in scans]
 

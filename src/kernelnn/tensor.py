@@ -28,11 +28,14 @@ class Tensor:
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise EvaluationError("tensor holds non-finite entries")
-        arr.flags.writeable = False
-        self.data = arr
+        self.data = _frozen(np.array(data, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, arr: Array) -> "Tensor":
+        """Wrap a float64 array nothing else holds, without copying it."""
+        out = cls.__new__(cls)
+        out.data = _frozen(arr)
+        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,6 +72,13 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
+
+
+def _frozen(arr: Array) -> Array:
+    if not np.isfinite(arr).all():
+        raise EvaluationError("tensor holds non-finite entries")
+    arr.flags.writeable = False
+    return arr
 
 
 def _coerce(value) -> Tensor:
@@ -131,13 +141,14 @@ class Tape:
                 by_id[key] = parent
                 acc = adjoints.get(key)
                 if acc is None:
+                    # a copy: a backward may hand back its own input, such as add's g
                     adjoints[key] = np.array(contrib, dtype=np.float64)
                 else:
                     acc += contrib
         grads: dict[Tensor, Tensor] = {}
         for key, adj in adjoints.items():
             if key not in produced:
-                grads[by_id[key]] = Tensor(adj)
+                grads[by_id[key]] = Tensor._adopt(adj)
         return grads
 
 
@@ -164,15 +175,19 @@ def emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
 
 
 def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product ``w @ x`` for w of shape (m, d) and x of shape (d,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec needs (m,d) @ (d,), got {w.shape} @ {x.shape}")
+    """``w`` applied to a vector or to every row of a matrix: ``x @ w.T``.
+
+    ``w`` is (m, d) and ``x`` is (d,) or (N, d).
+    """
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or w.shape[1] != x.shape[-1]:
+        raise ShapeError(f"matvec needs (m,d) @ (d,) or rows (N,d), got {w.shape} @ {x.shape}")
     wd, xd = w.data, x.data
 
     def bwd(g: Array):
-        return np.outer(g, xd), wd.T @ g
+        gw = np.outer(g, xd) if xd.ndim == 1 else g.T @ xd
+        return gw, g @ wd
 
-    return emit(wd @ xd, "matvec", (w, x), bwd)
+    return emit(xd @ wd.T, "matvec", (w, x), bwd)
 
 
 def add(a, b) -> Tensor:
@@ -186,11 +201,13 @@ def add(a, b) -> Tensor:
     if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.isscalar(a):
         return add(b, a)
     ta, tb = _coerce(a), _coerce(b)
-    if ta.shape != tb.shape:
-        raise ShapeError(f"add needs equal shapes, got {ta.shape} and {tb.shape}")
+    if ta.shape != tb.shape and tb.shape != ():
+        raise ShapeError(f"add needs equal shapes or a 0-d second term, got {ta.shape} and "
+                         f"{tb.shape}")
+    broadcast = ta.shape != tb.shape
 
     def bwd(g: Array):
-        return g, g
+        return g, (np.sum(g) if broadcast else g)
 
     return emit(ta.data + tb.data, "add", (ta, tb), bwd)
 
@@ -240,19 +257,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return emit(a.data * c, "scale", (a,), bwd)
 
 
-def smul(s: Tensor, a: Tensor) -> Tensor:
-    """Broadcast a scalar tensor over ``a`` (both factors differentiable)."""
-    if s.size != 1:
-        raise ShapeError(f"smul needs a scalar first factor, got shape {s.shape}")
-    sv = float(s.data.reshape(()))
-    ad = a.data
-
-    def bwd(g: Array):
-        return np.sum(g * ad).reshape(s.shape), g * sv
-
-    return emit(ad * sv, "smul", (s, a), bwd)
-
-
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
         raise ShapeError(f"dot needs equal 1-d shapes, got {a.shape} and {b.shape}")
@@ -271,17 +275,6 @@ def tsum(a: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return emit(np.sum(a.data), "sum", (a,), bwd)
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(f"concat needs 1-d inputs, got {a.shape} and {b.shape}")
-    na = a.shape[0]
-
-    def bwd(g: Array):
-        return g[:na], g[na:]
-
-    return emit(np.concatenate([a.data, b.data]), "concat", (a, b), bwd)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -312,6 +305,74 @@ def stack(rows: Sequence[Tensor]) -> Tensor:
         return tuple(g)
 
     return emit(np.stack([r.data for r in rows]), "stack", tuple(rows), bwd)
+
+
+class Segments:
+    """Row i of a (rows, ...) array belongs to segment ``ids[i]`` of ``count``.
+
+    ``sum`` adds the rows of each segment in row order with one
+    ``np.add.reduceat``: O(rows), no (count, rows) matrix, and an empty
+    segment sums to zero.
+    """
+
+    def __init__(self, ids, count: int) -> None:
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if ids.size and (ids.min() < 0 or ids.max() >= count):
+            raise ContractError(f"segment ids out of range for {count} segments")
+        self.ids = ids
+        self.count = count
+        self.order = np.argsort(ids, kind="stable") if np.any(ids[1:] < ids[:-1]) else None
+        sizes = np.bincount(ids, minlength=count)
+        self.present = np.flatnonzero(sizes)
+        self.starts = (np.cumsum(sizes) - sizes)[self.present]
+
+    def sum(self, rows: Array) -> Array:
+        out = np.zeros((self.count, *rows.shape[1:]))
+        if self.ids.size:
+            src = rows if self.order is None else rows[self.order]
+            out[self.present] = np.add.reduceat(src, self.starts, axis=0)
+        return out
+
+
+def _check_rows(op: str, a: Tensor, rows: int) -> None:
+    if a.data.ndim != 2 or a.shape[0] != rows:
+        raise ShapeError(f"{op} needs a 2-d input with {rows} rows, got {a.shape}")
+
+
+def gather_rows(a: Tensor, seg: Segments) -> Tensor:
+    """Rows ``seg.ids`` of a (seg.count, m) tensor; the gradient adds each row back."""
+    _check_rows("gather_rows", a, seg.count)
+
+    def bwd(g: Array):
+        return (seg.sum(g),)
+
+    return emit(a.data[seg.ids], "gather_rows", (a,), bwd)
+
+
+def segment_sum(a: Tensor, seg: Segments) -> Tensor:
+    """The (seg.count, m) sums of the rows of ``a`` per segment; the gradient gathers rows."""
+    _check_rows("segment_sum", a, seg.ids.size)
+
+    def bwd(g: Array):
+        return (g[seg.ids],)
+
+    return emit(seg.sum(a.data), "segment_sum", (a,), bwd)
+
+
+def neighbor_sum(a: Tensor, src: Segments, dst: Segments) -> Tensor:
+    """Row v sums the rows ``src.ids[e]`` of ``a`` over the edges e with ``dst.ids[e] == v``.
+
+    One edge list, two groupings: the forward pass sums along the edges and
+    the backward pass along the reversed edges.
+    """
+    _check_rows("neighbor_sum", a, src.count)
+    if src.ids.size != dst.ids.size:
+        raise ShapeError(f"{src.ids.size} edge sources vs {dst.ids.size} destinations")
+
+    def bwd(g: Array):
+        return (src.sum(g[dst.ids]),)
+
+    return emit(dst.sum(a.data[src.ids]), "neighbor_sum", (a,), bwd)
 
 
 def gather_columns(a: Tensor, ids: Sequence[int]) -> Tensor:
@@ -371,35 +432,6 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     return emit(np.sum(per_row) * inv, "softmax_cross_entropy", (logits,), bwd)
 
 
-def pick(a: Tensor, index: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ShapeError(f"pick needs a 1-d input, got {a.shape}")
-    if not 0 <= index < a.shape[0]:
-        raise ContractError(f"pick index {index} out of range for shape {a.shape}")
-    shape = a.shape
-
-    def bwd(g: Array):
-        out = np.zeros(shape)
-        out[index] = float(g)
-        return (out,)
-
-    return emit(a.data[index], "pick", (a,), bwd)
-
-
-def logsumexp(a: Tensor) -> Tensor:
-    if a.data.ndim != 1:
-        raise ShapeError(f"logsumexp needs a 1-d input, got {a.shape}")
-    m = np.max(a.data)
-    ez = np.exp(a.data - m)
-    z = np.sum(ez)
-    soft = ez / z
-
-    def bwd(g: Array):
-        return (float(g) * soft,)
-
-    return emit(m + np.log(z), "logsumexp", (a,), bwd)
-
-
 def accumulate(tensors: Sequence[Tensor]) -> Tensor:
     """Sum a non-empty list of same-shaped tensors in list order."""
     if not tensors:
@@ -408,6 +440,30 @@ def accumulate(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors[1:]:
         out = add(out, t)
     return out
+
+
+class LazyList(Sequence):
+    """A read-only list whose item i is ``make(i)``, built on first access and kept.
+
+    Traces use it for per-position views of their matrices, so a row costs
+    nothing until it is read.
+    """
+
+    def __init__(self, count: int, make: Callable[[int], object]) -> None:
+        self._make = make
+        self._items: list = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        item = self._items[i]
+        if item is None:
+            i = range(len(self))[i]
+            item = self._items[i] = self._make(i)
+        return item
 
 
 # ---------------------------------------------------------------------------

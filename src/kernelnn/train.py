@@ -15,17 +15,16 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError
 from .graph_kernel import MULTIPLICATIVE, FeatureGraph
-from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
+from .graph_nn import GraphModelConfig, GraphUnion, WLParams, init_wl_params, wl_forward
 from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
 from .tensor import (
     Tape,
     Tensor,
-    accumulate,
     add,
     dot,
     gather_columns,
     linear,
-    mul,
+    matvec,
     scale,
     softmax_cross_entropy,
     stack,
@@ -151,11 +150,19 @@ def perplexity(loss: float) -> float:
     return math.exp(loss)
 
 
-def regression_loss(h_g: Tensor, target: float, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """Squared error of the linear readout against a scalar target."""
-    pred = add(dot(head_w, h_g), head_b)
-    diff = sub(pred, float(target))
-    return mul(diff, diff)
+def _head(readout: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
+    """One scalar prediction per row of a (B, hidden) readout: ``readout @ head_w + head_b``."""
+    return add(matvec(readout, head_w), head_b)
+
+
+def regression_loss(readout: Tensor, targets: Sequence[float], head_w: Tensor,
+                    head_b: Tensor) -> Tensor:
+    """Mean squared error of the linear head over a (B, hidden) readout against B targets."""
+    ys = np.asarray(targets, dtype=np.float64).reshape(-1)
+    if readout.data.ndim != 2 or ys.shape != readout.shape[:1]:
+        raise ContractError(f"readout of shape {readout.shape} vs {ys.size} targets")
+    diff = sub(_head(readout, head_w, head_b), Tensor(ys))
+    return scale(dot(diff, diff), 1.0 / ys.size)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +249,10 @@ class GraphRegModel:
     head_w: Tensor
     head_b: Tensor
 
+    @property
+    def in_dim(self) -> int:
+        return self.wl.v.shape[1]
+
     def parameters(self) -> dict[str, Tensor]:
         out = self.wl.named("wl")
         out["head_w"] = self.head_w
@@ -269,9 +280,9 @@ def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generato
     return GraphRegModel(cfg=cfg, wl=wl, head_w=head_w, head_b=head_b)
 
 
-def graph_predict(model: GraphRegModel, g: FeatureGraph) -> Tensor:
-    trace = wl_forward(g, model.wl, model.cfg)
-    return add(dot(model.head_w, trace.h_graph), model.head_b)
+def graph_predict(model: GraphRegModel, g: FeatureGraph | GraphUnion) -> Tensor:
+    """The head's prediction for every graph of a union, in member order."""
+    return _head(wl_forward(g, model.wl, model.cfg).out, model.head_w, model.head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +307,7 @@ class MetricRecord:
 
 def _grads_by_name(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     grads = tape.backward(loss)
-    return {name: np.array(grads[t].data) if t in grads else np.zeros(t.shape)
+    return {name: grads[t].data if t in grads else np.zeros(t.shape)
             for name, t in params.items()}
 
 
@@ -365,14 +376,11 @@ def train_lm(
 def eval_graph_reg(
     model: GraphRegModel, graphs: Sequence[FeatureGraph], targets: Sequence[float]
 ) -> float:
-    """Root mean squared error of the scalar head over a graph set."""
+    """Root mean squared error of the scalar head over a graph set, one forward pass."""
     if len(graphs) != len(targets) or not graphs:
         raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
-    se = 0.0
-    for g, y in zip(graphs, targets):
-        pred = graph_predict(model, g).item()
-        se += (pred - float(y)) ** 2
-    return math.sqrt(se / len(graphs))
+    pred = graph_predict(model, GraphUnion(graphs)).data
+    return math.sqrt(float(np.mean((pred - np.asarray(targets, dtype=np.float64)) ** 2)))
 
 
 def train_graph_reg(
@@ -383,7 +391,11 @@ def train_graph_reg(
     opt: OptimizerState,
     valid: tuple[Sequence[FeatureGraph], Sequence[float]] | None = None,
 ) -> tuple[GraphRegModel, list[MetricRecord]]:
-    """Mini-batch regression training; batches are re-shuffled each epoch."""
+    """Mini-batch regression training; batches are re-shuffled each epoch.
+
+    A minibatch runs as one disjoint union of its graphs, so a step records
+    the same few tape nodes whatever the batch or graph sizes.
+    """
     if len(graphs) != len(targets) or not graphs:
         raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
     rng = np.random.default_rng(tc.seed)
@@ -391,29 +403,24 @@ def train_graph_reg(
     steps = 0
     for epoch in range(1, tc.epochs + 1):
         order = rng.permutation(len(graphs))
-        total = 0.0
+        total, seen = 0.0, 0
         for b0 in range(0, len(order), tc.batch):
             batch = order[b0 : b0 + tc.batch]
+            union = GraphUnion([graphs[i] for i in batch])
             params = model.parameters()
             with Tape() as tape:
-                terms = [
-                    regression_loss(
-                        wl_forward(graphs[i], model.wl, model.cfg).h_graph,
-                        targets[i],
-                        model.head_w,
-                        model.head_b,
-                    )
-                    for i in batch
-                ]
-                loss = scale(accumulate(terms), 1.0 / len(batch))
+                readout = wl_forward(union, model.wl, model.cfg).out
+                loss = regression_loss(readout, [targets[i] for i in batch],
+                                       model.head_w, model.head_b)
             grads = _grads_by_name(tape, loss, params)
             model = model.with_parameters(step(params, grads, opt))
             total += loss.item() * len(batch)
+            seen += len(batch)
             steps += 1
             if tc.max_steps is not None and steps >= tc.max_steps:
                 break
         rmse = eval_graph_reg(model, graphs, targets)
-        records.append(MetricRecord(epoch, "train", total / len(order), rmse, "rmse"))
+        records.append(MetricRecord(epoch, "train", total / seen, rmse, "rmse"))
         if valid is not None:
             vrmse = eval_graph_reg(model, *valid)
             records.append(MetricRecord(epoch, "valid", vrmse * vrmse, vrmse, "rmse"))

@@ -20,7 +20,6 @@ from .graph_kernel import (
     WLRelabelParams,
     deep_graph_kernel,
     deep_local_kernel,
-    gated_walk_state_sum,
     random_walk_kernel,
     reference_walk,
     wl_kernel,

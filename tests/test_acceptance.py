@@ -5,7 +5,6 @@ import time
 
 from kernelnn.verify import (
     check_cnn_degeneration,
-    check_decay_ordering,
     check_deep_rkhs,
     check_gated_degeneration,
     check_gradcheck,

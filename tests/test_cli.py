@@ -363,3 +363,36 @@ def test_eval_bad_bundle_is_input_error(tmp_path, capsys, case):
                        "--vocab", str(vocab))
     assert code == EXIT_INPUT
     assert str(path) in err and fragment in err
+
+
+BAD_GRAPH_REG_INPUTS = {
+    # (which file is bad, its contents, what the error names besides the file)
+    "valid-without-targets": ("valid", "2 | 1,0 ; 0,1 | 0-1\n", "target"),
+    "valid-other-width": ("valid", "2 | 1,0,2 ; 0,1,2 | 0-1 | 1.0\n", "width 3"),
+    "eval-other-width": ("eval", "1 | 1,0,2 | | 1.0\n", "width 3"),
+    "eval-without-targets": ("eval", "1 | 1,0 |\n", "target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRAPH_REG_INPUTS))
+def test_graph_reg_input_files_are_checked_before_training(tmp_path, capsys, case):
+    which, text, fragment = BAD_GRAPH_REG_INPUTS[case]
+    data = tmp_path / "graphs.txt"
+    data.write_text("2 | 1,0 ; 0,1 | 0-1 | 1.5\n3 | 1,1 ; 0,1 ; 2,0 | 0-1 1-2 | -0.5\n")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 2, "hidden": 3}, "train": {"epochs": 1}}))
+    out = tmp_path / "graph.bundle"
+    train = ["train", "--task", "graph-reg", "--config", str(config), "--data", str(data),
+             "--out", str(out)]
+    if which == "valid":
+        code, stdout, err = run(capsys, *train, "--valid", str(bad))
+        assert not out.exists() and "epoch=" not in stdout
+    else:
+        assert run(capsys, *train)[0] == EXIT_OK
+        code, _, err = run(capsys, "eval", "--bundle", str(out), "--data", str(bad))
+    assert code == EXIT_INPUT
+    assert str(bad) in err and fragment in err
+    if "width" in case:
+        assert "expects 2" in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelnn.errors import ConfigError
+from kernelnn.errors import ConfigError, ContractError
 from kernelnn.graph_kernel import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -18,7 +18,7 @@ from kernelnn.graph_kernel import (
 from kernelnn.graph_nn import (
     GraphLayerParams,
     GraphModelConfig,
-    WLParams,
+    GraphUnion,
     deep_forward,
     gated_rw_forward,
     generalized_forward,
@@ -28,7 +28,16 @@ from kernelnn.graph_nn import (
     wl_forward,
 )
 from kernelnn.seq_nn import logit
-from kernelnn.tensor import Activation, Tape, Tensor, dot, finite_diff_grad, rel_error
+from kernelnn.tensor import (
+    Activation,
+    Tape,
+    Tensor,
+    dot,
+    finite_diff_grad,
+    mul,
+    rel_error,
+    tsum,
+)
 
 from test_graph_kernel import random_graph
 
@@ -410,3 +419,98 @@ def test_deep_and_wl_gradients():
         fd = finite_diff_grad(lambda t: run_wl(wl.with_named({name: t})).item(), tensor)
         got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
         assert rel_error(got, fd) <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# disjoint unions
+# ---------------------------------------------------------------------------
+
+
+def union_members(rng, d):
+    """An edgeless node inside a triangle graph, a directed chain, a random graph, one node."""
+    feats = [rng.normal(size=d) for _ in range(5)]
+    return [
+        FeatureGraph.undirected(feats, [(0, 1), (1, 2), (2, 0)]),
+        FeatureGraph.chain([rng.normal(size=d) for _ in range(4)]),
+        random_graph(rng, 6, d),
+        FeatureGraph((rng.normal(size=d),), ((),)),
+    ]
+
+
+def module_setup(kind, rng, d, m, act=Activation.TANH, composition=MULTIPLICATIVE):
+    layers = 2 if kind in ("deep", "wl") else 1
+    cfg = GraphModelConfig(n=3, hidden=m, lam=0.6, composition=composition, activation=act,
+                           layers=layers, gated=(kind == "gated"))
+    if kind == "wl":
+        params = init_wl_params(cfg, d, rng)
+        return cfg, params, wl_forward, params.named(), lambda name, t: params.with_named({name: t})
+    if kind == "deep":
+        params = [init_graph_layer(cfg, d if l == 0 else m, rng, with_readout=True)
+                  for l in range(layers)]
+        named = {k: t for l, p in enumerate(params) for k, t in p.named(f"D{l}").items()}
+
+        def swap(name, t):
+            return [p.with_named({name: t}, f"D{l}") for l, p in enumerate(params)]
+
+        return cfg, params, deep_forward, named, swap
+    params = init_graph_layer(cfg, d, rng)
+    if kind == "gated":
+        params.gate_b = Tensor(rng.normal(size=m))
+    fwd = {"rw": rw_forward, "generalized": generalized_forward, "gated": gated_rw_forward}[kind]
+    return cfg, params, fwd, params.named("G"), lambda name, t: params.with_named({name: t}, "G")
+
+
+@pytest.mark.parametrize(
+    "kind,composition",
+    [("rw", MULTIPLICATIVE), ("generalized", MULTIPLICATIVE), ("generalized", ADDITIVE),
+     ("deep", MULTIPLICATIVE), ("deep", ADDITIVE), ("wl", MULTIPLICATIVE),
+     ("gated", MULTIPLICATIVE)],
+)
+def test_union_members_match_their_solo_forward(kind, composition):
+    rng = np.random.default_rng(20)
+    d, m = 3, 4
+    graphs = union_members(rng, d)
+    cfg, params, fwd, _, _ = module_setup(kind, rng, d, m, composition=composition)
+    union = fwd(GraphUnion(graphs), params, cfg)
+    assert union.out.shape == (len(graphs), m)
+    for b, g in enumerate(graphs):
+        solo = fwd(g, params, cfg)
+        rows = slice(int(union.union.offsets[b]), int(union.union.offsets[b]) + g.num_nodes)
+        for l in range(len(solo.states)):
+            for j in range(cfg.n):
+                assert rel_error(union.states[l][j].data[rows], solo.states[l][j].data) <= 1e-12
+            assert rel_error(union.nodes[l].data[rows], solo.nodes[l].data) <= 1e-12
+            assert rel_error(union.readouts[l].data[b], solo.h_layer[l].data) <= 1e-12
+        assert rel_error(union.out.data[b], solo.h_graph.data) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["wl", "gated"])
+def test_union_gradients_match_finite_differences(kind):
+    rng = np.random.default_rng(21)
+    d, m = 2, 3
+    union = GraphUnion([random_graph(rng, 4, d), FeatureGraph.chain([rng.normal(size=d)] * 3),
+                        FeatureGraph((np.ones(d), -np.ones(d)), ((), ()))])
+    cfg, params, fwd, named, swap = module_setup(kind, rng, d, m)
+    probe = Tensor(rng.normal(size=(3, m)))
+
+    def run(ps):
+        return tsum(mul(probe, fwd(union, ps, cfg).out))
+
+    with Tape() as tape:
+        loss = run(params)
+    grads = tape.backward(loss)
+    for name, tensor in named.items():
+        fd = finite_diff_grad(lambda t: run(swap(name, t)).item(), tensor)
+        assert rel_error(grads[tensor], fd) <= 1e-5, name
+
+
+def test_single_graph_views_need_a_union_of_one():
+    rng = np.random.default_rng(22)
+    graphs = [random_graph(rng, 3, 2), random_graph(rng, 4, 2)]
+    cfg = GraphModelConfig(n=2, hidden=3)
+    trace = rw_forward(GraphUnion(graphs), init_graph_layer(cfg, 2, rng), cfg)
+    for read in (lambda t: t.h_graph, lambda t: t.h_layer, lambda t: t.state_sum(2)):
+        with pytest.raises(ContractError):
+            read(trace)
+    # node views index union nodes: the second graph starts at node 3
+    assert np.array_equal(trace.state(2, 3).data, trace.states[0][1].data[3])

@@ -68,6 +68,7 @@ def test_graph_line_round_trip():
     "line,fragment",
     [
         ("x | 1,2 |", "bad node count"),
+        ("0 | |", "at least one node"),
         ("2 | 1,2 |", "feature groups"),
         ("1 | 1,q |", "malformed feature"),
         ("2 | 1,2 ; 3 |", "dimensions differ"),

@@ -14,7 +14,6 @@ from kernelnn.seq_kernel import (
 from kernelnn.seq_nn import (
     SeqLayerParams,
     SeqModelConfig,
-    StateTrace,
     forward_layer,
     forward_stack,
     init_seq_layer,

@@ -6,20 +6,20 @@ from kernelnn.tensor import (
     Activation,
     Tape,
     Tensor,
+    Segments,
     accumulate,
     add,
     backward,
-    concat,
     dot,
     finite_diff_grad,
-    logsumexp,
+    gather_rows,
     matvec,
     mul,
-    pick,
+    neighbor_sum,
     rel_error,
     scale,
+    segment_sum,
     sigmoid,
-    smul,
     sub,
     tanh,
     tsum,
@@ -145,30 +145,61 @@ def test_scalar_arithmetic_and_sugar():
     assert np.allclose(scale(a, 0.5).data, [0.5, 1.0])
 
 
-def test_concat_pick_logsumexp_grads():
-    a = Tensor([0.3, -0.2])
-    b = Tensor([1.5])
+def test_matvec_applies_to_every_row():
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.normal(size=(3, 2)))
+    x = Tensor(rng.normal(size=(5, 2)))
+    out = matvec(w, x).data
+    for i in range(5):
+        assert np.allclose(out[i], matvec(w, Tensor(x.data[i])).data)
+
+
+def test_add_broadcasts_a_scalar_tensor():
+    a = Tensor([1.0, 2.0, 3.0])
+    b = Tensor(0.5)
     with Tape() as tape:
-        z = concat(a, b)
-        root = add(logsumexp(z), pick(z, 1))
+        root = tsum(mul(add(a, b), a))
     grads = tape.backward(root)
-
-    def f_a(t):
-        z = concat(t, b)
-        return add(logsumexp(z), pick(z, 1)).item()
-
-    fd = finite_diff_grad(f_a, a)
-    assert rel_error(grads[a], fd) < 1e-6
+    assert np.allclose(grads[b].data, np.sum(a.data))
+    assert np.allclose(grads[a].data, 2.0 * a.data + 0.5)
+    with pytest.raises(ShapeError):
+        add(b, a)
 
 
-def test_smul_grads():
-    s = Tensor(0.7)
-    a = Tensor([1.0, -2.0, 3.0])
+def test_segments_sum_rows_in_any_id_order():
+    rows = np.arange(12.0).reshape(6, 2)
+    for ids in ([0, 0, 2, 2, 2, 3], [3, 0, 2, 0, 2, 2], []):
+        seg = Segments(ids, 5)
+        want = np.zeros((5, 2))
+        for r, i in zip(rows, ids):
+            want[i] += r
+        assert np.array_equal(seg.sum(rows[: len(ids)]), want)
+    with pytest.raises(ContractError):
+        Segments([0, 5], 5)
+
+
+def test_gather_segment_and_neighbor_sums_match_finite_differences():
+    rng = np.random.default_rng(5)
+    # walk steps u -> v of a directed graph on 4 nodes; node 3 has no predecessor
+    src = Segments([1, 2, 0, 0, 1], 4)
+    dst = Segments([0, 0, 1, 2, 2], 4)
+    graph_of = Segments([0, 0, 1, 1], 2)
+    a = Tensor(rng.normal(size=(4, 3)))
+    gate = Tensor(rng.normal(size=(5, 3)))
+    probe = Tensor(rng.normal(size=(2, 3)))
+
+    def run(t):
+        nb = neighbor_sum(tanh(t), src, dst)
+        gated = segment_sum(mul(gate, gather_rows(t, src)), dst)
+        return tsum(mul(probe, segment_sum(mul(nb, gated), graph_of)))
+
     with Tape() as tape:
-        root = tsum(smul(s, a))
+        root = run(a)
     grads = tape.backward(root)
-    assert np.allclose(grads[s].data, 2.0)
-    assert np.allclose(grads[a].data, 0.7)
+    assert rel_error(grads[a], finite_diff_grad(lambda t: run(t).item(), a)) < 1e-6
+    assert np.array_equal(neighbor_sum(a, src, dst).data,
+                          segment_sum(gather_rows(a, src), dst).data)
+    assert np.array_equal(neighbor_sum(a, src, dst).data[3], np.zeros(3))
 
 
 def test_accumulate_orders_sum():

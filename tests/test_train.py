@@ -5,11 +5,10 @@ import pytest
 
 from kernelnn.errors import ConfigError, DataError, EvaluationError
 from kernelnn.graph_kernel import FeatureGraph
-from kernelnn.graph_nn import GraphModelConfig
+from kernelnn.graph_nn import GraphModelConfig, GraphUnion, wl_forward
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation, Tape, Tensor
 from kernelnn.train import (
-    MetricRecord,
     OptimizerState,
     TrainConfig,
     clip_gradients,
@@ -19,7 +18,6 @@ from kernelnn.train import (
     init_lm_model,
     lm_loss,
     lm_window_loss,
-    perplexity,
     regression_loss,
     step,
     step_adam,
@@ -27,6 +25,17 @@ from kernelnn.train import (
     train_graph_reg,
     train_lm,
 )
+
+
+def test_optimizer_steps_never_write_into_gradients():
+    # the tape hands its read-only gradient arrays to the optimizer uncopied;
+    # a write into one would raise
+    g = np.array([3.0, -4.0])
+    g.flags.writeable = False
+    for state in (OptimizerState(lr=0.1, clip=1.0), OptimizerState(kind="adam", lr=0.1, clip=1.0)):
+        for _ in range(2):
+            step({"w": Tensor([1.0, 2.0])}, {"w": g}, state)
+    assert np.array_equal(g, [3.0, -4.0])
 
 
 def test_sgd_zero_gradient_keeps_params():
@@ -130,10 +139,10 @@ def test_lm_loss_target_out_of_vocab():
 
 
 def test_regression_loss_zero_at_exact_prediction():
-    h = Tensor([1.0, 2.0])
+    h = Tensor([[1.0, 2.0]])
     w = Tensor([0.5, 0.25])
     b = Tensor(0.0)
-    assert regression_loss(h, 1.0, w, b).item() == 0.0
+    assert regression_loss(h, [1.0], w, b).item() == 0.0
 
 
 def test_mean_predictor_rmse_is_std():
@@ -237,3 +246,36 @@ def test_eval_lm_is_deterministic():
     cfg = SeqModelConfig(n=1, hidden=4, lam=0.5, dropout=0.5)
     model = init_lm_model(cfg, vocab_size=3, rng=np.random.default_rng(0))
     assert eval_lm(model, ids) == eval_lm(model, ids)
+
+
+def test_graph_train_loss_of_a_cut_short_epoch_is_a_mean_over_seen_graphs():
+    rng = np.random.default_rng(12)
+    graphs, targets = synthetic_graph_task(rng, count=12)
+    cfg = GraphModelConfig(n=2, hidden=4, lam=0.5, layers=2, activation=Activation.TANH)
+    model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(1))
+    # the one step trains on the first batch of the seed's shuffle, before its update
+    first = np.random.default_rng(2).permutation(len(graphs))[:4]
+    want = eval_graph_reg(model, [graphs[i] for i in first], [targets[i] for i in first]) ** 2
+    _, records = train_graph_reg(model, graphs, targets,
+                                 TrainConfig(epochs=1, batch=4, seed=2, max_steps=1),
+                                 OptimizerState(kind="adam", lr=0.01))
+    assert records[0].loss == pytest.approx(want, rel=1e-12)
+
+
+def test_graph_step_tape_nodes_do_not_grow_with_batch_or_graph_size():
+    # a step is a fixed set of whole-union ops, however many graphs or nodes it holds
+    cfg = GraphModelConfig(n=3, hidden=4, lam=0.5, layers=2, activation=Activation.TANH)
+    model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(0))
+    counts = []
+    for size in (3, 30):
+        rng = np.random.default_rng(size)
+        for batch in (4, 16):
+            graphs = []
+            for _ in range(batch):
+                edges = [(int(rng.integers(0, v)), v) for v in range(1, size)]
+                graphs.append(FeatureGraph.undirected(rng.normal(size=(size, 3)), edges))
+            with Tape() as tape:
+                readout = wl_forward(GraphUnion(graphs), model.wl, cfg).out
+                regression_loss(readout, rng.normal(size=batch), model.head_w, model.head_b)
+            counts.append(len(tape))
+    assert len(set(counts)) == 1 and counts[0] <= 100
