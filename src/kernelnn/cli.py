@@ -32,7 +32,9 @@ from .graph_kernel import (
     random_walk_kernel,
     wl_kernel,
 )
+from .graph_nn import GraphModelConfig
 from .seq_kernel import FeatureSequence, SeqKernelConfig, deep_sequence_kernel, string_kernel
+from .seq_nn import SeqModelConfig
 from .tensor import Activation
 from .train import (
     OptimizerState,
@@ -210,16 +212,15 @@ def _load_json(path) -> dict:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON") from None
 
 
-def _train_parts(doc: dict, seed_override) -> tuple[TrainConfig, OptimizerState]:
-    tdoc = dict(doc.get("train", {}))
+def _configs(doc, task: str, seed_override):
+    """The model, train and optimizer sections of a train config, each as its dataclass."""
+    kio.check_keys(doc, ("model", "train", "optimizer"), "top-level")
+    model_cls = SeqModelConfig if task == "lm" else GraphModelConfig
+    cfg = kio.config_from_dict(model_cls, doc.get("model", {}), "model")
+    tc = kio.config_from_dict(TrainConfig, doc.get("train", {}), "train")
     if seed_override is not None:
-        tdoc["seed"] = seed_override
-    try:
-        tc = TrainConfig(**tdoc)
-        opt = OptimizerState(**doc.get("optimizer", {}))
-    except TypeError as exc:
-        raise ConfigError(f"bad train/optimizer config: {exc}") from None
-    return tc, opt
+        tc.seed = seed_override
+    return cfg, tc, kio.config_from_dict(OptimizerState, doc.get("optimizer", {}), "optimizer")
 
 
 def _emit_metrics(records, metrics_path) -> None:
@@ -232,7 +233,7 @@ def _emit_metrics(records, metrics_path) -> None:
 
 def cmd_train(args) -> int:
     doc = _load_json(args.config)
-    tc, opt = _train_parts(doc, args.seed)
+    cfg, tc, opt = _configs(doc, args.task, args.seed)
     metrics_path = args.metrics or (args.out + ".metrics")
     if args.task == "lm":
         if not args.vocab:
@@ -242,17 +243,12 @@ def cmd_train(args) -> int:
         valid_ids = None
         if args.valid:
             valid_ids = kio.flatten_corpus(kio.load_corpus(args.valid, vocab))
-        model_doc = dict(doc.get("model", {}))
-        model_doc["vocab_size"] = len(tokens)
-        cfg, vocab_size = kio.seq_config_from_dict(model_doc)
-        model = init_lm_model(cfg, vocab_size, rng=np.random.default_rng(tc.seed))
+        model = init_lm_model(cfg, len(tokens), rng=np.random.default_rng(tc.seed))
         model, records = train_lm(model, ids, tc, opt, valid_ids=valid_ids)
         kio.save_bundle(kio.bundle_from_lm(model, tc.seed), args.out)
     else:
         graphs, targets = kio.load_graph_targets(args.data)
-        model_doc = dict(doc.get("model", {}))
-        model_doc["in_dim"] = graphs[0].dim
-        cfg, in_dim = kio.graph_config_from_dict(model_doc)
+        in_dim = graphs[0].dim
         model = init_graph_model(cfg, in_dim, rng=np.random.default_rng(tc.seed))
         valid = kio.load_graph_targets(args.valid, in_dim) if args.valid else None
         model, records = train_graph_reg(model, graphs, targets, tc, opt, valid=valid)

@@ -20,11 +20,10 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_fields
 from .graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from .tensor import (
     Activation,
-    LazyList,
     NamedParams,
     Segments,
     Tensor,
@@ -53,6 +52,7 @@ class GraphModelConfig:
     gated: bool = False
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.n < 1 or self.hidden < 1 or self.layers < 1:
             raise ConfigError(f"n, hidden and layers must be positive, got {self}")
         if self.lam < 0.0:
@@ -113,6 +113,7 @@ def as_union(g: FeatureGraph | GraphUnion) -> GraphUnion:
     return g if isinstance(g, GraphUnion) else GraphUnion([g])
 
 
+@dataclass(eq=False)
 class GraphStateTrace:
     """Everything a forward pass over a graph union produced, layer by layer.
 
@@ -121,23 +122,13 @@ class GraphStateTrace:
     input features for single-layer modules, the readout or relabeled
     vectors for stacks); ``readouts[l]`` the (B, hidden) per-graph readouts
     and ``out`` the (B, hidden) module output.
-
-    The per-node views ``c[l][j][v]`` and ``h_node[l][v]`` index union
-    nodes, and the single-graph views ``h_layer[l]`` and ``h_graph`` need a
-    union of one.  Views are built on first access; read while a tape is
-    open they are differentiable rows of the matrices.
     """
 
-    def __init__(self, union: GraphUnion, states: list[list[Tensor]], nodes: list[Tensor],
-                 readouts: list[Tensor], out: Tensor) -> None:
-        self.union = union
-        self.states = states
-        self.nodes = nodes
-        self.readouts = readouts
-        self.out = out
-        n = union.num_nodes
-        self.c = [[LazyList(n, lambda v, s=s: row(s, v)) for s in layer] for layer in states]
-        self.h_node = [LazyList(n, lambda v, x=x: row(x, v)) for x in nodes]
+    union: GraphUnion
+    states: list[list[Tensor]]
+    nodes: list[Tensor]
+    readouts: list[Tensor]
+    out: Tensor
 
     def _single(self, what: str) -> None:
         if self.union.num_graphs != 1:
@@ -145,18 +136,13 @@ class GraphStateTrace:
                                 f"{self.union.num_graphs}, read readouts or out instead")
 
     @cached_property
-    def h_layer(self) -> LazyList:
-        self._single("h_layer")
-        return LazyList(len(self.readouts), lambda l: row(self.readouts[l], 0))
-
-    @cached_property
     def h_graph(self) -> Tensor:
         self._single("h_graph")
         return row(self.out, 0)
 
     def state(self, j: int, v: int, layer: int = 0) -> Tensor:
-        """Cell state c_j at node v (j is 1-based, matching the math)."""
-        return self.c[layer][j - 1][v]
+        """Cell state c_j at union node v (j is 1-based, matching the math)."""
+        return row(self.states[layer][j - 1], v)
 
     def state_sum(self, j: int, layer: int = 0) -> np.ndarray:
         """Cell state c_j summed over the nodes of a single graph."""

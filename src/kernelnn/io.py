@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,8 @@ def flatten_corpus(sentences: list[list[int]]) -> list[int]:
 #
 # Feature vectors are comma-separated decimals, one ';'-separated group per
 # node; edges are dash-separated index pairs; the trailing target field is
-# optional.  Blank lines and lines starting with '#' are skipped.
+# optional.  Edges are undirected and a self-loop u-u is kept.  Blank lines
+# and lines starting with '#' are skipped.
 
 
 def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]:
@@ -174,7 +175,7 @@ def format_graph_line(g: FeatureGraph, target: float | None = None) -> str:
     edges = []
     for v in range(g.num_nodes):
         for u in g.neighbors[v]:
-            if u < v:
+            if u <= v:
                 edges.append(f"{u}-{v}")
     line = f"{g.num_nodes} | {feats} | {' '.join(edges)}"
     if target is not None:
@@ -269,33 +270,48 @@ def load_bundle(path) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def _seq_config_dict(cfg: SeqModelConfig, vocab_size: int) -> dict:
-    return {
-        "n": cfg.n, "hidden": cfg.hidden, "layers": cfg.layers, "variant": cfg.variant,
-        "decay": cfg.decay, "lam": cfg.lam, "activation": cfg.activation.value,
-        "output": cfg.output, "highway": cfg.highway, "dropout": cfg.dropout,
-        "vocab_size": vocab_size,
-    }
+def config_dict(cfg, **widths: int) -> dict:
+    """A model config as a bundle's JSON object: its fields plus the data widths."""
+    return {**asdict(cfg), "activation": cfg.activation.value, **widths}
 
 
-def seq_config_from_dict(doc: dict) -> tuple[SeqModelConfig, int]:
+def check_keys(doc, known, section: str) -> None:
+    """Raise ConfigError unless ``doc`` is a JSON object whose keys are all ``known``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"the {section} config must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {section} config key {unknown[0]!r}; "
+                          f"known keys are {', '.join(sorted(known))}")
+
+
+def config_from_dict(cls, doc, section: str):
+    """A config dataclass from a JSON object whose keys are some of its init fields.
+
+    ``section`` names the object in error messages; an unknown key, a missing
+    required field or a value of the wrong type is a ConfigError.
+    """
+    check_keys(doc, [f.name for f in fields(cls) if f.init], section)
     try:
-        cfg = SeqModelConfig(
-            n=doc["n"], hidden=doc["hidden"], layers=doc.get("layers", 1),
-            variant=doc.get("variant", "mult-unnorm"), decay=doc.get("decay", "constant"),
-            lam=doc.get("lam", 0.5), activation=Activation(doc.get("activation", "tanh")),
-            output=doc.get("output", "last-state"), highway=doc.get("highway", False),
-            dropout=doc.get("dropout", 0.0),
-        )
-        return cfg, int(doc["vocab_size"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad sequence model config: {exc!r}") from None
+        if "activation" in doc:
+            doc = {**doc, "activation": Activation(doc["activation"])}
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} config: {exc}") from None
+
+
+def _bundle_config(cls, doc: dict, width_key: str):
+    """A bundle's model config and the data width stored beside its fields."""
+    width = doc.get(width_key)
+    if not isinstance(width, int) or isinstance(width, bool) or width < 1:
+        raise ConfigError(f"model config needs a positive integer {width_key!r}, got {width!r}")
+    return config_from_dict(cls, {k: v for k, v in doc.items() if k != width_key}, "model"), width
 
 
 def bundle_from_lm(model: SeqLMModel, seed: int) -> ModelBundle:
     params = {name: np.array(t.data) for name, t in model.parameters().items()}
     return ModelBundle(
-        kind="seq-lm", config=_seq_config_dict(model.cfg, model.vocab_size),
+        kind="seq-lm", config=config_dict(model.cfg, vocab_size=model.vocab_size),
         params=params, seed=seed,
     )
 
@@ -318,35 +334,14 @@ def _restore(model, params: dict[str, np.ndarray]):
 def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
     if bundle.kind != "seq-lm":
         raise DataError(f"bundle kind {bundle.kind!r} is not a language model")
-    cfg, vocab_size = seq_config_from_dict(bundle.config)
+    cfg, vocab_size = _bundle_config(SeqModelConfig, bundle.config, "vocab_size")
     return _restore(init_lm_model(cfg, vocab_size, np.random.default_rng(0)), bundle.params)
-
-
-def _graph_config_dict(cfg: GraphModelConfig, in_dim: int) -> dict:
-    return {
-        "n": cfg.n, "hidden": cfg.hidden, "lam": cfg.lam, "composition": cfg.composition,
-        "activation": cfg.activation.value, "layers": cfg.layers, "gated": cfg.gated,
-        "in_dim": in_dim,
-    }
-
-
-def graph_config_from_dict(doc: dict) -> tuple[GraphModelConfig, int]:
-    try:
-        cfg = GraphModelConfig(
-            n=doc["n"], hidden=doc["hidden"], lam=doc.get("lam", 0.5),
-            composition=doc.get("composition", "multiplicative"),
-            activation=Activation(doc.get("activation", "identity")),
-            layers=doc.get("layers", 1), gated=doc.get("gated", False),
-        )
-        return cfg, int(doc["in_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad graph model config: {exc!r}") from None
 
 
 def bundle_from_graph(model: GraphRegModel, in_dim: int, seed: int) -> ModelBundle:
     params = {name: np.array(t.data) for name, t in model.parameters().items()}
     return ModelBundle(
-        kind="graph-reg", config=_graph_config_dict(model.cfg, in_dim),
+        kind="graph-reg", config=config_dict(model.cfg, in_dim=in_dim),
         params=params, seed=seed,
     )
 
@@ -354,5 +349,5 @@ def bundle_from_graph(model: GraphRegModel, in_dim: int, seed: int) -> ModelBund
 def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
     if bundle.kind != "graph-reg":
         raise DataError(f"bundle kind {bundle.kind!r} is not a graph regressor")
-    cfg, in_dim = graph_config_from_dict(bundle.config)
+    cfg, in_dim = _bundle_config(GraphModelConfig, bundle.config, "in_dim")
     return _restore(init_graph_model(cfg, in_dim, np.random.default_rng(0)), bundle.params)

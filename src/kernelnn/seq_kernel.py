@@ -61,11 +61,6 @@ class FeatureSequence:
         object.__setattr__(self, "dim", int(dim))
 
     @classmethod
-    def from_array(cls, rows) -> "FeatureSequence":
-        arr = np.asarray(rows, dtype=np.float64)
-        return cls(tuple(arr[i] for i in range(arr.shape[0])), dim=arr.shape[1])
-
-    @classmethod
     def empty(cls, dim: int) -> "FeatureSequence":
         return cls((), dim=dim)
 

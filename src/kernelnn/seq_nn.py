@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, EvaluationError, ShapeError
+from .errors import ConfigError, ContractError, EvaluationError, ShapeError, check_fields
 from .seq_kernel import FeatureSequence
-from .tensor import Activation, LazyList, NamedParams, Tensor, emit, mul, row, stack
+from .tensor import Activation, NamedParams, Tensor, emit, mul, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -44,6 +44,7 @@ class SeqModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.n < 1 or self.hidden < 1 or self.layers < 1:
             raise ConfigError(f"n, hidden and layers must be positive, got {self}")
         if self.variant not in VARIANTS:
@@ -109,10 +110,6 @@ def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -
     return params
 
 
-def _constant_rows(arr: np.ndarray) -> LazyList:
-    return LazyList(len(arr), lambda t: Tensor(arr[t]))
-
-
 @dataclass
 class LayerScan:
     """What one layer's scan computed over a window of T tokens.
@@ -129,37 +126,25 @@ class LayerScan:
     h: Tensor
 
 
+@dataclass(eq=False)
 class StateTrace:
-    """Everything a forward pass produced, layer by layer.
+    """Everything a forward pass produced: one :class:`LayerScan` per layer."""
 
-    ``c[l][j][t]`` is cell state j+1 after token t (index 0 holds the initial
-    state), ``pre[l][t-1]`` the pre-activation output, ``h[l][t-1]`` the
-    output, and ``decays[l][t-1]`` the decay applied at step t (a float for
-    constant decay, a tensor otherwise).  These per-token tensors are built on
-    first access.  A row of ``h`` read while a tape is open is a
-    differentiable slice of ``matrix(l)``; the others are constants.
-    """
-
-    def __init__(self, scans: list[LayerScan]) -> None:
-        self.scans = scans
-        self.c = [[_constant_rows(s.c[:, j]) for j in range(s.c.shape[1])] for s in scans]
-        self.pre = [_constant_rows(s.pre) for s in scans]
-        self.h = [LazyList(len(s.pre), lambda t, s=s: row(s.h, t)) for s in scans]
-        self.decays = [[s.decay] * len(s.pre) if isinstance(s.decay, float)
-                       else _constant_rows(s.decay) for s in scans]
+    scans: list[LayerScan]
 
     def matrix(self, layer: int = -1) -> Tensor:
         """The (T, hidden) output of a layer, one row per token."""
         return self.scans[layer].h
 
     def state(self, j: int, t: int, layer: int = -1) -> Tensor:
-        """Cell state c_j at position t (both 1-based, matching the math)."""
-        return self.c[layer][j - 1][t]
+        """Cell state c_j after token t (both 1-based, matching the math; t = 0 is the start)."""
+        return Tensor(self.scans[layer].c[t, j - 1])
 
     def decay_arrays(self, hidden: int, layer: int = -1) -> list[np.ndarray]:
+        """The decay applied at each step, one (hidden,) array per token."""
         decay = self.scans[layer].decay
         if isinstance(decay, float):
-            return [np.full(hidden, decay) for _ in range(len(self.pre[layer]))]
+            return [np.full(hidden, decay) for _ in range(len(self.scans[layer].pre))]
         return [np.array(d) for d in decay]
 
     def carry(self, layer_count: int) -> "StackState":

@@ -442,30 +442,6 @@ def accumulate(tensors: Sequence[Tensor]) -> Tensor:
     return out
 
 
-class LazyList(Sequence):
-    """A read-only list whose item i is ``make(i)``, built on first access and kept.
-
-    Traces use it for per-position views of their matrices, so a row costs
-    nothing until it is read.
-    """
-
-    def __init__(self, count: int, make: Callable[[int], object]) -> None:
-        self._make = make
-        self._items: list = [None] * count
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        item = self._items[i]
-        if item is None:
-            i = range(len(self))[i]
-            item = self._items[i] = self._make(i)
-        return item
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -534,14 +510,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def tanh(a: Tensor) -> Tensor:
     return Activation.TANH(a)
-
-
-def relu(a: Tensor) -> Tensor:
-    return Activation.RELU(a)
-
-
-def quadratic(a: Tensor) -> Tensor:
-    return Activation.QUADRATIC(a)
 
 
 # ---------------------------------------------------------------------------

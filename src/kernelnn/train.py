@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError, EvaluationError
+from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
 from .graph_kernel import MULTIPLICATIVE, FeatureGraph
 from .graph_nn import GraphModelConfig, GraphUnion, WLParams, init_wl_params, wl_forward
 from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
@@ -27,7 +27,6 @@ from .tensor import (
     matvec,
     scale,
     softmax_cross_entropy,
-    stack,
     sub,
 )
 
@@ -41,11 +40,12 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.kind!r}")
         if self.lr <= 0:
@@ -64,6 +64,7 @@ class TrainConfig:
     max_steps: int | None = None
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.unroll < 1 or self.batch < 1:
             raise ConfigError(f"unroll and batch must be >= 1, got {self.unroll} and {self.batch}")
 
@@ -130,13 +131,12 @@ def step(params, grads, state: OptimizerState):
 # ---------------------------------------------------------------------------
 
 
-def lm_loss(hs, targets: Sequence[int], out_w: Tensor, out_b: Tensor) -> Tensor:
+def lm_loss(h: Tensor, targets: Sequence[int], out_w: Tensor, out_b: Tensor) -> Tensor:
     """Mean token-level cross-entropy of softmax(out_w h_t + out_b) against targets.
 
-    ``hs`` is the (T, hidden) output matrix of the top layer, or a list of its
-    rows; the logits are one matrix product and the loss one fused node.
+    ``h`` is the (T, hidden) output matrix of the top layer; the logits are
+    one matrix product and the loss one fused node.
     """
-    h = hs if isinstance(hs, Tensor) else stack(list(hs))
     if h.shape[0] != len(targets):
         raise ContractError(f"{h.shape[0]} states vs {len(targets)} targets")
     vocab = out_w.shape[0]

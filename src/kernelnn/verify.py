@@ -51,7 +51,7 @@ from .seq_nn import (
     init_seq_stack,
     logit,
 )
-from .tensor import Activation, Tape, Tensor, dot, finite_diff_grad, rel_error
+from .tensor import Activation, Tape, Tensor, dot, finite_diff_grad, rel_error, row
 from .train import (
     OptimizerState,
     TrainConfig,
@@ -129,8 +129,9 @@ def check_seq_state_kernel(seed: int, tol: float) -> list[CheckResult]:
         ws = [w.data for w in p.W]
         kcfg = SeqKernelConfig(n=n, lam=lam)
         for t in range(1, length + 1):
+            state = trace.state(n, t).data
             for i in range(m):
-                got = trace.state(n, t).data[i]
+                got = state[i]
                 want = string_kernel(x.prefix(t), reference_sequence(ws, i), kcfg)
                 worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
     return [CheckResult("seq-state-kernel", seed, worst, worst <= tol)]
@@ -170,7 +171,7 @@ def check_cnn_degeneration(seed: int, tol: float) -> list[CheckResult]:
             tok = t - n + j
             if tok >= 1:
                 pre += p.W[j - 1].data @ x.tokens[tok - 1]
-        worst = max(worst, float(np.max(np.abs(trace.h[0][t - 1].data - np.tanh(pre)))))
+        worst = max(worst, float(np.max(np.abs(trace.matrix(0).data[t - 1] - np.tanh(pre)))))
     return [CheckResult("cnn-degeneration", seed, worst, worst <= tol)]
 
 
@@ -248,7 +249,7 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
     worst = 0.0
     for i in range(m):
         values = np.array(
-            [forward_stack(s, sparams, scfg).c[1][1][len(s)].data[i] for s in seqs]
+            [forward_stack(s, sparams, scfg).state(2, len(s), 1).data[i] for s in seqs]
         )
         worst = max(worst, gram_range_residual(gram, values))
     out.append(CheckResult("deep-rkhs", seed, worst, worst <= tol, detail="sequence"))
@@ -268,7 +269,7 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
     traces = [deep_forward(g, gparams, gcfg) for g in graphs]
     worst_g = 0.0
     for i in range(m):
-        values = np.array([traces[gi].h_node[-1][v].data[i] for gi, v in points])
+        values = np.array([traces[gi].nodes[-1].data[v, i] for gi, v in points])
         worst_g = max(worst_g, gram_range_residual(gram_g, values))
     out.append(CheckResult("deep-rkhs", seed, worst_g, worst_g <= tol, detail="graph"))
     return out
@@ -316,10 +317,10 @@ def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
     probes = [rng.normal(size=cfg.hidden) for _ in range(length)]
 
     def run(params):
-        trace = forward_layer(x, params, cfg)
+        h = forward_layer(x, params, cfg).matrix(0)
         loss = None
-        for r, h in zip(probes, trace.h[0]):
-            term = dot(Tensor(r), h)
+        for t, r in enumerate(probes):
+            term = dot(Tensor(r), row(h, t))
             loss = term if loss is None else loss + term
         return loss
 

@@ -1,0 +1,41 @@
+"""The benchmark's contract with the program, read from perfbench/ without changing it.
+
+perfbench wraps kernelnn callables by name from outside and gates its runs on
+trace reads of trained models.  A renamed or deleted callee would otherwise
+show only as a ``missing`` span or a failed gate in a benchmark run.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's modules by name; sys.path is restored afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module
+
+
+def test_every_callable_the_benchmark_wraps_exists(perfbench):
+    tracer = perfbench("spans").Tracer()
+    tracer.install(perfbench("layers").TARGETS)
+    try:
+        assert tracer.missing == set()
+    finally:
+        tracer.uninstall()
+
+
+@pytest.mark.parametrize("kind", ["lm_train", "graph_train"])
+def test_training_calls_pass_the_benchmark_state_gates(perfbench, tmp_path, kind):
+    # the gates run forward_stack on a list of 1-d tensors, trace.state and
+    # trace.decay_arrays against the gated string kernel (lm), and
+    # wl_forward(...).state_sum against the walk kernel (graph)
+    worker = perfbench("worker")
+    worker.wl.write_inputs(worker.wl.SMALL, 7, 0, tmp_path)
+    runner = worker.Runner(tmp_path, 7)
+    _, ok = runner.invoke(kind)
+    assert ok, runner.errors

@@ -267,6 +267,37 @@ def test_train_lm_rejects_dead_train_knobs(tmp_path, capsys, train):
     assert not out.exists()
 
 
+MODEL = {"n": 1, "hidden": 4}
+BAD_CONFIGS = {
+    "model-key": ({"model": {**MODEL, "decay_mode": "gated-input"}}, "'decay_mode'"),
+    "model-key-typo": ({"model": {**MODEL, "layer": 3}}, "'layer'"),
+    "top-level-key": ({"model": MODEL, "optimiser": {"lr": 0.1}}, "'optimiser'"),
+    "optimizer-state": ({"model": MODEL, "optimizer": {"step": 3}}, "'step'"),
+    "fractional-order": ({"model": {**MODEL, "n": 1.5}}, "n must be an integer"),
+    "float-width": ({"model": {**MODEL, "hidden": 4.0}}, "hidden must be an integer"),
+    "fractional-epochs": ({"model": MODEL, "train": {"epochs": 1.5}}, "epochs"),
+    "string-flag": ({"model": {**MODEL, "decay": "gated-input", "highway": "no"}}, "highway"),
+    "nan-rate": ({"model": MODEL, "optimizer": {"lr": float("nan")}}, "lr must be"),
+    "section-not-object": ({"model": [1]}, "model config"),
+    "config-not-object": ([MODEL], "JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_train_rejects_unknown_keys_and_mistyped_values(tmp_path, capsys, case):
+    doc, named = BAD_CONFIGS[case]
+    vocab, corpus, config = write_lm_inputs(tmp_path)
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "x.bundle"
+    code, _, err = run(
+        capsys, "train", "--task", "lm", "--config", str(config),
+        "--data", str(corpus), "--vocab", str(vocab), "--out", str(out),
+    )
+    assert code == EXIT_INPUT
+    assert named in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", [{"gated": True}, {"composition": "additive"}],
                          ids=["gated", "additive"])
 def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model):

@@ -164,7 +164,7 @@ def test_deep_single_layer_identity_readout_matches_generalized():
     p.readout = Tensor(np.eye(3))
     a = deep_forward(g, [p], cfg)
     b = generalized_forward(g, p, cfg)
-    assert np.allclose(a.h_graph.data, b.h_layer[0].data, rtol=1e-12)
+    assert np.allclose(a.h_graph.data, b.readouts[0].data[0], rtol=1e-12)
 
 
 def test_deep_two_layer_reparameterization_identity():
@@ -188,7 +188,7 @@ def test_deep_two_layer_reparameterization_identity():
         )
         relabeled = wl_relabel(FeatureGraph(tuple(node_feats), g.neighbors), fused)
         for v in range(g.num_nodes):
-            assert np.allclose(trace.h_node[l][v].data, relabeled.features[v], rtol=1e-10, atol=1e-12)
+            assert np.allclose(trace.nodes[l].data[v], relabeled.features[v], rtol=1e-10, atol=1e-12)
         node_feats = [np.array(f) for f in relabeled.features]
 
 
@@ -212,7 +212,7 @@ def test_deep_states_lie_in_deep_local_kernel_gram_range():
     )
     traces = [deep_forward(g, params, cfg) for g in graphs]
     for i in range(m):
-        values = np.array([traces[gi].h_node[-1][v].data[i] for gi, v in points])
+        values = np.array([traces[gi].nodes[-1].data[v, i] for gi, v in points])
         assert range_residual(gram, values) <= 1e-6
 
 
@@ -228,7 +228,7 @@ def test_wl_single_layer_matches_plain_readout():
     wl = init_wl_params(cfg, 2, rng)
     trace = wl_forward(g, wl, cfg)
     plain = rw_forward(g, GraphLayerParams(W=wl.layer_W[0]), cfg)
-    assert np.allclose(trace.h_layer[0].data, plain.h_layer[0].data, rtol=1e-12)
+    assert np.allclose(trace.readouts[0].data, plain.readouts[0].data, rtol=1e-12)
 
 
 def test_wl_identity_relabel_scales_readout_by_depth():
@@ -241,7 +241,7 @@ def test_wl_identity_relabel_scales_readout_by_depth():
     wl.u2 = Tensor(np.zeros((d, d)))
     wl.layer_W = [wl.layer_W[0]] * 3
     trace = wl_forward(g, wl, cfg)
-    assert np.allclose(trace.h_graph.data, 3.0 * trace.h_layer[0].data, rtol=1e-12)
+    assert np.allclose(trace.h_graph.data, 3.0 * trace.readouts[0].data[0], rtol=1e-12)
 
 
 @pytest.mark.parametrize("act", [Activation.IDENTITY, Activation.TANH])
@@ -480,7 +480,7 @@ def test_union_members_match_their_solo_forward(kind, composition):
             for j in range(cfg.n):
                 assert rel_error(union.states[l][j].data[rows], solo.states[l][j].data) <= 1e-12
             assert rel_error(union.nodes[l].data[rows], solo.nodes[l].data) <= 1e-12
-            assert rel_error(union.readouts[l].data[b], solo.h_layer[l].data) <= 1e-12
+            assert rel_error(union.readouts[l].data[b], solo.readouts[l].data[0]) <= 1e-12
         assert rel_error(union.out.data[b], solo.h_graph.data) <= 1e-12
 
 
@@ -509,7 +509,7 @@ def test_single_graph_views_need_a_union_of_one():
     graphs = [random_graph(rng, 3, 2), random_graph(rng, 4, 2)]
     cfg = GraphModelConfig(n=2, hidden=3)
     trace = rw_forward(GraphUnion(graphs), init_graph_layer(cfg, 2, rng), cfg)
-    for read in (lambda t: t.h_graph, lambda t: t.h_layer, lambda t: t.state_sum(2)):
+    for read in (lambda t: t.h_graph, lambda t: t.state_sum(2)):
         with pytest.raises(ContractError):
             read(trace)
     # node views index union nodes: the second graph starts at node 3

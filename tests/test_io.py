@@ -144,8 +144,8 @@ def test_lm_model_bundle_round_trip(tmp_path):
     for name, t in model.parameters().items():
         assert np.array_equal(t.data, restored.parameters()[name].data), name
     ids = [1, 2, 3, 4]
-    a = lm_forward(model, ids).h[-1][-1].data
-    b = lm_forward(restored, ids).h[-1][-1].data
+    a = lm_forward(model, ids).matrix().data
+    b = lm_forward(restored, ids).matrix().data
     assert np.array_equal(a, b)
 
 

@@ -1,12 +1,31 @@
-"""Property tests: any text given to the graph-file parser parses or raises DataError."""
+"""Property tests: any text given to the graph-file parser parses or raises DataError,
+and what parses survives a format/parse round trip; any config object builds or
+raises ConfigError, and a model config survives a bundle round trip."""
+
+import dataclasses
+import typing
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelnn.errors import DataError
-from kernelnn.graph_kernel import FeatureGraph
-from kernelnn.io import load_graphs, parse_graph_line
+from kernelnn.errors import ConfigError, DataError
+from kernelnn.graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
+from kernelnn.graph_nn import GraphModelConfig
+from kernelnn.io import (
+    ModelBundle,
+    config_dict,
+    config_from_dict,
+    format_graph_line,
+    load_bundle,
+    load_graphs,
+    parse_graph_line,
+    save_bundle,
+)
+from kernelnn.seq_nn import DECAYS, OUTPUTS, VARIANTS, SeqModelConfig
+from kernelnn.tensor import Activation
+from kernelnn.train import OptimizerState, TrainConfig
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,
@@ -45,6 +64,9 @@ def parses_or_data_error(line: str) -> None:
     assert isinstance(g, FeatureGraph) and g.num_nodes >= 1
     assert np.isfinite(g.matrix).all()
     assert target is None or np.isfinite(target)
+    again, again_target = parse_graph_line(format_graph_line(g, target), "mem:2")
+    assert again.neighbors == g.neighbors and np.array_equal(again.matrix, g.matrix)
+    assert again_target == target
 
 
 @given(st.one_of(st.text(max_size=60), st.text(GRAMMAR, max_size=60)))
@@ -53,6 +75,7 @@ def test_random_text_parses_or_raises_data_error(line):
 
 
 @given(near_graph_lines())
+@example("2 | 1,0 ; 0,1 | 0-0 0-1")  # a self-loop
 def test_near_graph_lines_parse_or_raise_data_error(line):
     parses_or_data_error(line)
 
@@ -68,3 +91,64 @@ def test_graph_files_load_or_raise_data_error(tmp_path_factory, lines):
         assert str(exc).startswith(f"{path}:")
         return
     assert graphs and len({g.dim for g, _ in graphs}) == 1
+
+
+# ---------------------------------------------------------------------------
+# config objects
+# ---------------------------------------------------------------------------
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**20),
+                 st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+                 st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
+NAMES = {"variant": VARIANTS, "decay": DECAYS, "output": OUTPUTS, "kind": ("sgd", "adam"),
+         "composition": (MULTIPLICATIVE, ADDITIVE), "activation": [a.value for a in Activation]}
+BY_TYPE = {int: st.integers(1, 4), float: st.floats(-0.1, 1.1), bool: st.booleans(),
+           type(None): st.none()}
+
+
+def plausible(name, hint):
+    if name in NAMES:
+        return st.sampled_from(NAMES[name])
+    return st.one_of([BY_TYPE[k] for k in typing.get_args(hint) or (hint,)])
+
+
+@st.composite
+def config_docs(draw, cls):
+    """JSON objects for ``cls``: each field present or not, well formed or junk, plus junk keys.
+
+    Required fields are mostly present, so that some objects build.
+    """
+    hints = typing.get_type_hints(cls)
+    doc = {}
+    for f in dataclasses.fields(cls):
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.init and (draw(st.integers(0, 9)) < 9 if required else draw(st.booleans())):
+            junk = draw(st.integers(0, 7)) == 7
+            doc[f.name] = draw(JUNK if junk else plausible(f.name, hints[f.name]))
+    if draw(st.integers(0, 4)) == 4:
+        doc[draw(st.text(max_size=8))] = draw(JUNK)
+    return doc
+
+
+CONFIGS = [(SeqModelConfig, "model"), (GraphModelConfig, "model"), (TrainConfig, "train"),
+           (OptimizerState, "optimizer")]
+
+
+@pytest.mark.parametrize("cls,section", CONFIGS, ids=[c.__name__ for c, _ in CONFIGS])
+@given(data=st.data())
+def test_config_objects_build_or_raise_config_error(tmp_path_factory, cls, section, data):
+    doc = data.draw(config_docs(cls))
+    try:
+        cfg = config_from_dict(cls, doc, section)
+    except ConfigError as exc:
+        assert str(exc)
+        return
+    assert isinstance(cfg, cls)
+    if section == "model":
+        # a model config written to a bundle reads back equal
+        path = tmp_path_factory.getbasetemp() / "fuzzed.bundle"
+        save_bundle(ModelBundle("any", config_dict(cfg, width=3), {}, 0), path)
+        written = load_bundle(path).config
+        assert written.pop("width") == 3
+        assert config_from_dict(cls, written, section) == cfg

@@ -29,6 +29,7 @@ from kernelnn.tensor import (
     finite_diff_grad,
     mul,
     rel_error,
+    row,
     tsum,
 )
 
@@ -82,7 +83,7 @@ def test_cnn_degeneration_at_lambda_zero():
             tok = t - n + j
             if tok >= 1:
                 pre += p.W[j - 1].data @ x.tokens[tok - 1]
-        assert np.max(np.abs(trace.h[0][t - 1].data - np.tanh(pre))) <= 1e-12
+        assert np.max(np.abs(trace.matrix(0).data[t - 1] - np.tanh(pre))) <= 1e-12
 
 
 def test_all_zero_input_gives_sigma_of_zero():
@@ -92,7 +93,7 @@ def test_all_zero_input_gives_sigma_of_zero():
     trace = forward_layer(x, p, cfg)
     for t in range(1, 5):
         assert np.allclose(trace.state(2, t).data, 0.0)
-        assert np.allclose(trace.h[0][t - 1].data, 0.5)
+        assert np.allclose(trace.matrix(0).data[t - 1], 0.5)
 
 
 @pytest.mark.parametrize("variant", ["mult-unnorm", "mult-norm", "add-norm"])
@@ -198,7 +199,7 @@ def test_causality_future_edits_do_not_touch_past_states():
     t2 = forward_layer(edited, p, cfg)
     for j in (1, 2):
         for t in range(0, 4):
-            assert np.array_equal(t1.c[0][j - 1][t].data, t2.c[0][j - 1][t].data)
+            assert np.array_equal(t1.state(j, t, 0).data, t2.state(j, t, 0).data)
 
 
 def test_combination_output_is_weighted_state_sum():
@@ -210,15 +211,15 @@ def test_combination_output_is_weighted_state_sum():
     trace = forward_layer(x, p, cfg)
     for t in range(1, 5):
         want = sum(p.comb.data[j] * trace.state(j + 1, t).data for j in range(3))
-        assert np.allclose(trace.pre[0][t - 1].data, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(trace.scans[0].pre[t - 1], want, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_init_state():
     cfg = SeqModelConfig(n=2, hidden=3, lam=0.5)
     p = init_seq_layer(cfg, 2, np.random.default_rng(0))
     trace = forward_layer(rand_seq(np.random.default_rng(1), 3, 2), p, cfg)
-    for j in range(2):
-        assert np.array_equal(trace.c[0][j][0].data, np.zeros(3))
+    for j in (1, 2):
+        assert np.array_equal(trace.state(j, 0).data, np.zeros(3))
 
 
 def test_empty_sequence_rejected():
@@ -254,8 +255,7 @@ def test_single_layer_stack_matches_forward_layer():
     x = rand_seq(rng, 4, 2)
     stacked = forward_stack(x, params, cfg)
     single = forward_layer(x, params[0], cfg)
-    for t in range(4):
-        assert np.array_equal(stacked.h[0][t].data, single.h[0][t].data)
+    assert np.array_equal(stacked.matrix(0).data, single.matrix(0).data)
 
 
 def test_highway_transform_gate_zero_passes_input_through():
@@ -270,8 +270,7 @@ def test_highway_transform_gate_zero_passes_input_through():
         p.hw_b = Tensor(np.full(m, -1000.0))
     x = rand_seq(rng, 4, m)
     trace = forward_stack(x, params, cfg)
-    for t in range(4):
-        assert np.array_equal(trace.h[1][t].data, x.tokens[t])
+    assert np.array_equal(trace.matrix(1).data, np.array(x.tokens))
 
 
 def test_highway_needs_matching_dims():
@@ -296,7 +295,7 @@ def test_two_layer_states_lie_in_deep_kernel_gram_range():
     )
     for i in range(m):
         values = np.array(
-            [forward_stack(s, params, cfg).c[1][1][len(s)].data[i] for s in seqs]
+            [forward_stack(s, params, cfg).state(2, len(s), 1).data[i] for s in seqs]
         )
         assert range_residual(gram, values) <= 1e-6
 
@@ -313,10 +312,8 @@ def layer_gradient_error(cfg, seed, d=2, length=4):
     probes = [rng.normal(size=cfg.hidden) for _ in range(length)]
 
     def run(params):
-        trace = forward_layer(x, params, cfg)
-        return accumulate(
-            [dot(Tensor(r), h) for r, h in zip(probes, trace.h[0])]
-        )
+        h = forward_layer(x, params, cfg).matrix(0)
+        return accumulate([dot(Tensor(r), row(h, t)) for t, r in enumerate(probes)])
 
     with Tape() as tape:
         loss = run(p)
@@ -353,8 +350,8 @@ def test_highway_stack_gradients():
     probe = rng.normal(size=m)
 
     def run(ps):
-        trace = forward_stack(x, ps, cfg)
-        return dot(Tensor(probe), trace.h[-1][-1])
+        h = forward_stack(x, ps, cfg).matrix()
+        return dot(Tensor(probe), row(h, len(x) - 1))
 
     with Tape() as tape:
         loss = run(params)
@@ -378,12 +375,10 @@ def test_dropout_is_deterministic_under_fixed_seed_and_off_at_eval():
     x = rand_seq(rng_data, 5, 2)
     out1 = forward_stack(x, params, cfg, rng=np.random.default_rng(7), training=True)
     out2 = forward_stack(x, params, cfg, rng=np.random.default_rng(7), training=True)
-    for t in range(5):
-        assert np.array_equal(out1.h[0][t].data, out2.h[0][t].data)
+    assert np.array_equal(out1.matrix(0).data, out2.matrix(0).data)
     ev1 = forward_stack(x, params, cfg)
     ev2 = forward_stack(x, params, cfg)
-    for t in range(5):
-        assert np.array_equal(ev1.h[0][t].data, ev2.h[0][t].data)
+    assert np.array_equal(ev1.matrix(0).data, ev2.matrix(0).data)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +459,6 @@ def test_dropout_masks_match_per_token_draws():
     for l, p in enumerate(params):
         masks = [(ref_rng.random(v.shape[0]) < keep).astype(np.float64) / keep for v in inputs]
         layer = forward_layer([Tensor(v * mk) for v, mk in zip(inputs, masks)], p, cfg)
-        for t in range(6):
-            assert np.array_equal(got.h[l][t].data, layer.h[0][t].data)
-        inputs = [h.data for h in layer.h[0]]
+        assert np.array_equal(got.matrix(l).data, layer.matrix(0).data)
+        inputs = list(layer.matrix(0).data)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

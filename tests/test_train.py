@@ -117,25 +117,25 @@ def test_unknown_optimizer_rejected():
 
 
 def test_lm_loss_uniform_logits_is_log_vocab():
-    hs = [Tensor(np.zeros(3))]
+    h = Tensor(np.zeros((1, 3)))
     out_w = Tensor(np.zeros((5, 3)))
     out_b = Tensor(np.zeros(5))
-    loss = lm_loss(hs, [2], out_w, out_b)
+    loss = lm_loss(h, [2], out_w, out_b)
     assert loss.item() == pytest.approx(math.log(5))
 
 
 def test_lm_loss_confident_correct_logits_vanishes():
-    hs = [Tensor(np.array([1.0]))]
+    h = Tensor([[1.0]])
     out_w = Tensor(np.array([[50.0], [-50.0]]))
     out_b = Tensor(np.zeros(2))
-    loss = lm_loss(hs, [0], out_w, out_b)
+    loss = lm_loss(h, [0], out_w, out_b)
     assert loss.item() < 1e-20
 
 
 def test_lm_loss_target_out_of_vocab():
-    hs = [Tensor(np.zeros(2))]
+    h = Tensor(np.zeros((1, 2)))
     with pytest.raises(DataError):
-        lm_loss(hs, [7], Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        lm_loss(h, [7], Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
 
 
 def test_regression_loss_zero_at_exact_prediction():
