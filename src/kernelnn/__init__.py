@@ -14,13 +14,12 @@ from .graph_kernel import FeatureGraph, GraphKernelConfig, random_walk_kernel, w
 from .graph_nn import GraphModelConfig, rw_forward, wl_forward
 from .seq_kernel import FeatureSequence, SeqKernelConfig, gram_matrix, string_kernel
 from .seq_nn import SeqModelConfig, forward_layer, forward_stack
-from .tensor import Activation, Tape, Tensor, backward, finite_diff_grad, rel_error
+from .tensor import Activation, Tape, Tensor, finite_diff_grad, rel_error
 
 __all__ = [
     "Activation",
     "Tape",
     "Tensor",
-    "backward",
     "finite_diff_grad",
     "rel_error",
     "FeatureSequence",

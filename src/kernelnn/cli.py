@@ -14,16 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as kio
-from .errors import (
-    ConfigError,
-    ContractError,
-    DataError,
-    EvaluationError,
-    GuardError,
-    KernelNNError,
-    ShapeError,
-    UnsupportedActivationError,
-)
+from .errors import ConfigError, DataError, EvaluationError, GuardError, KernelNNError
 from .graph_kernel import (
     GraphKernelConfig,
     WLRelabelParams,
@@ -252,7 +243,7 @@ def cmd_train(args) -> int:
         model = init_graph_model(cfg, in_dim, rng=np.random.default_rng(tc.seed))
         valid = kio.load_graph_targets(args.valid, in_dim) if args.valid else None
         model, records = train_graph_reg(model, graphs, targets, tc, opt, valid=valid)
-        kio.save_bundle(kio.bundle_from_graph(model, in_dim, tc.seed), args.out)
+        kio.save_bundle(kio.bundle_from_graph(model, tc.seed), args.out)
     _emit_metrics(records, metrics_path)
     return EXIT_OK
 
@@ -305,9 +296,6 @@ def main(argv=None) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, ConfigError, ContractError, ShapeError, UnsupportedActivationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except KernelNNError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -37,7 +37,6 @@ from .tensor import (
     row,
     scale,
     segment_sum,
-    sigmoid,
 )
 
 
@@ -308,5 +307,5 @@ def gated_rw_forward(
         raise ConfigError("gated walk module needs gate_u and gate_b parameters")
     u = as_union(g)
     pairs = Tensor(np.hstack([u.x[u.src.ids], u.x[u.dst.ids]]))
-    gate = sigmoid(linear(pairs, p.gate_u, p.gate_b))
+    gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
     return _single_layer(u, p, cfg, gate=gate)

@@ -199,7 +199,6 @@ class ModelBundle:
     config: dict
     params: dict[str, np.ndarray]
     seed: int
-    version: int = BUNDLE_VERSION
 
 
 def _encode_array(arr: np.ndarray) -> dict:
@@ -224,7 +223,7 @@ def _decode_array(obj, where: str) -> np.ndarray:
 
 def save_bundle(bundle: ModelBundle, path) -> None:
     doc = {
-        "format_version": bundle.version,
+        "format_version": BUNDLE_VERSION,
         "kind": bundle.kind,
         "config": bundle.config,
         "seed": bundle.seed,
@@ -260,9 +259,7 @@ def load_bundle(path) -> ModelBundle:
         name: _decode_array(obj, f"{path}: param {name!r}")
         for name, obj in doc.get("params", {}).items()
     }
-    return ModelBundle(
-        kind=doc["kind"], config=doc["config"], params=params, seed=seed, version=version,
-    )
+    return ModelBundle(kind=doc["kind"], config=doc["config"], params=params, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +305,22 @@ def _bundle_config(cls, doc: dict, width_key: str):
     return config_from_dict(cls, {k: v for k, v in doc.items() if k != width_key}, "model"), width
 
 
+def _bundle(kind: str, model, seed: int, **widths: int) -> ModelBundle:
+    params = {name: np.array(t.data) for name, t in model.named().items()}
+    return ModelBundle(kind=kind, config=config_dict(model.cfg, **widths), params=params, seed=seed)
+
+
 def bundle_from_lm(model: SeqLMModel, seed: int) -> ModelBundle:
-    params = {name: np.array(t.data) for name, t in model.parameters().items()}
-    return ModelBundle(
-        kind="seq-lm", config=config_dict(model.cfg, vocab_size=model.vocab_size),
-        params=params, seed=seed,
-    )
+    return _bundle("seq-lm", model, seed, vocab_size=model.vocab_size)
+
+
+def bundle_from_graph(model: GraphRegModel, seed: int) -> ModelBundle:
+    return _bundle("graph-reg", model, seed, in_dim=model.in_dim)
 
 
 def _restore(model, params: dict[str, np.ndarray]):
     """``model`` with every tensor replaced by the bundle's, which must match name for name."""
-    expected = model.parameters()
+    expected = model.named()
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
     if missing or extra:
@@ -328,7 +330,7 @@ def _restore(model, params: dict[str, np.ndarray]):
             raise DataError(
                 f"bundle param {name!r} has shape {params[name].shape}, expected {t.shape}"
             )
-    return model.with_parameters({name: Tensor(params[name]) for name in expected})
+    return model.with_named({name: Tensor(params[name]) for name in expected})
 
 
 def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
@@ -336,14 +338,6 @@ def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
         raise DataError(f"bundle kind {bundle.kind!r} is not a language model")
     cfg, vocab_size = _bundle_config(SeqModelConfig, bundle.config, "vocab_size")
     return _restore(init_lm_model(cfg, vocab_size, np.random.default_rng(0)), bundle.params)
-
-
-def bundle_from_graph(model: GraphRegModel, in_dim: int, seed: int) -> ModelBundle:
-    params = {name: np.array(t.data) for name, t in model.parameters().items()}
-    return ModelBundle(
-        kind="graph-reg", config=config_dict(model.cfg, in_dim=in_dim),
-        params=params, seed=seed,
-    )
 
 
 def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:

@@ -53,26 +53,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor({self.data!r})"
 
-    # arithmetic sugar; all shape checks live in the op functions
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _frozen(arr: Array) -> Array:
     if not np.isfinite(arr).all():
@@ -152,11 +132,6 @@ class Tape:
         return grads
 
 
-def backward(tape: Tape, root: Tensor) -> dict[Tensor, Tensor]:
-    """Functional alias for :meth:`Tape.backward`."""
-    return tape.backward(root)
-
-
 def emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
     """Wrap ``out_data`` as a tensor and record it on the open tape, if any.
 
@@ -191,15 +166,6 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.isscalar(b):
-        av = a
-
-        def bwd_s(g: Array):
-            return (g,)
-
-        return emit(av.data + float(b), "add_scalar", (av,), bwd_s)
-    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.isscalar(a):
-        return add(b, a)
     ta, tb = _coerce(a), _coerce(b)
     if ta.shape != tb.shape and tb.shape != ():
         raise ShapeError(f"add needs equal shapes or a 0-d second term, got {ta.shape} and "
@@ -213,15 +179,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.isscalar(a):
-        tb = b
-
-        def bwd_s(g: Array):
-            return (-g,)
-
-        return emit(float(a) - tb.data, "rsub_scalar", (tb,), bwd_s)
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.isscalar(b):
-        return add(a, -float(b))
     ta, tb = _coerce(a), _coerce(b)
     if ta.shape != tb.shape:
         raise ShapeError(f"sub needs equal shapes, got {ta.shape} and {tb.shape}")
@@ -233,10 +190,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if isinstance(a, Tensor) and not isinstance(b, Tensor) and np.isscalar(b):
-        return scale(a, float(b))
-    if isinstance(b, Tensor) and not isinstance(a, Tensor) and np.isscalar(a):
-        return scale(b, float(a))
     ta, tb = _coerce(a), _coerce(b)
     if ta.shape != tb.shape:
         raise ShapeError(f"mul needs equal shapes, got {ta.shape} and {tb.shape}")
@@ -504,59 +457,59 @@ class Activation(Enum):
         return emit(self.f(zd), self.value, (a,), bwd)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    return Activation.SIGMOID(a)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Activation.TANH(a)
-
-
 # ---------------------------------------------------------------------------
 # parameter naming
 # ---------------------------------------------------------------------------
 
 
 def _map_nested(value, head: str, template: str, idx: tuple[int, ...], fn):
-    """``value`` with every tensor in its nested lists replaced by fn(name, tensor).
+    """``value`` with every tensor in it replaced by fn(name, tensor).
 
     A module-level function on purpose: a recursive closure would form a
     reference cycle that keeps ``fn`` and everything it holds alive until the
     cyclic garbage collector runs.
     """
     if isinstance(value, list):
-        return [_map_nested(v, head, template, (*idx, i + 1), fn) for i, v in enumerate(value)]
-    return None if value is None else fn(head + template.format(*idx), value)
+        return [_map_nested(v, head, template, (*idx, i if isinstance(v, NamedParams) else i + 1),
+                            fn) for i, v in enumerate(value)]
+    if isinstance(value, NamedParams):
+        return value._map(f"{head}{template.format(*idx)}.", fn)
+    return fn(head + template.format(*idx), value) if isinstance(value, Tensor) else value
 
 
 class NamedParams:
     """Flat ``prefix.name -> Tensor`` view of a dataclass of parameter tensors.
 
     A tensor field is named after the field and skipped while it is None.  A
-    field listed in ``LISTS`` holds (nested) lists of tensors, named by its
-    template with one 1-based index per nesting level, e.g. ``W{}`` gives
-    ``W1, W2, ...``.  Names follow field order, then list order.
+    field listed in ``LISTS`` holds (nested) lists, named by its template with
+    one index per nesting level, e.g. ``W{}`` gives ``W1, W2, ...``.  A field
+    holding a NamedParams names its tensors ``field.child_name`` (the child's
+    ``PREFIX`` is not applied); a list of them is numbered from 0, a list of
+    tensors from 1.  Other fields pass through unnamed.  Names follow field
+    order, then list order.
     """
 
     LISTS: ClassVar[dict[str, str]] = {"W": "W{}"}
     PREFIX: ClassVar[str] = ""
 
-    def _map(self, prefix: str | None, fn: Callable[[str, Tensor], Tensor]) -> dict:
-        """Field values with every tensor t replaced by fn(name, t)."""
+    def _map(self, head: str, fn: Callable[[str, Tensor], Tensor]):
+        """A copy with every tensor t, named ``head`` + its own name, replaced by fn(name, t)."""
+        return type(self)(**{f.name: _map_nested(getattr(self, f.name), head,
+                                                 self.LISTS.get(f.name, f.name), (), fn)
+                             for f in fields(self)})
+
+    def _head(self, prefix: str | None) -> str:
         prefix = self.PREFIX if prefix is None else prefix
-        head = f"{prefix}." if prefix else ""
-        return {f.name: _map_nested(getattr(self, f.name), head, self.LISTS.get(f.name, f.name),
-                                    (), fn)
-                for f in fields(self)}
+        return f"{prefix}." if prefix else ""
 
     def named(self, prefix: str | None = None) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        self._map(prefix, lambda name, t: out.setdefault(name, t))
+        self._map(self._head(prefix), lambda name, t: out.setdefault(name, t))
         return out
 
     def with_named(self, updates: dict[str, Tensor], prefix: str | None = None):
         """A copy with the named tensors replaced; names it does not hold are ignored."""
-        return type(self)(**self._map(prefix, lambda name, t: updates.get(name, t)))
+        return self._map(self._head(prefix), lambda name, t: updates.get(name, t))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .graph_kernel import MULTIPLICATIVE, FeatureGraph
 from .graph_nn import GraphModelConfig, GraphUnion, WLParams, init_wl_params, wl_forward
 from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
 from .tensor import (
+    NamedParams,
     Tape,
     Tensor,
     add,
@@ -48,8 +49,13 @@ class OptimizerState:
         check_fields(self)
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.kind!r}")
-        if self.lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        for name, ok, rule in (
+                ("lr", self.lr > 0, "> 0"), ("lr_decay", self.lr_decay > 0, "> 0"),
+                ("eps", self.eps > 0, "> 0"), ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("clip", self.clip is None or self.clip > 0, "null or > 0")):
+            if not ok:
+                raise ConfigError(f"optimizer {name} must be {rule}, got {getattr(self, name)}")
 
     def end_epoch(self) -> None:
         self.lr *= self.lr_decay
@@ -65,8 +71,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.unroll < 1 or self.batch < 1:
-            raise ConfigError(f"unroll and batch must be >= 1, got {self.unroll} and {self.batch}")
+        for name in ("epochs", "batch", "unroll", "max_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"train {name} must be >= 1, got {value}")
 
 
 def _check_finite(name: str, g: np.ndarray) -> None:
@@ -171,7 +179,7 @@ def regression_loss(readout: Tensor, targets: Sequence[float], head_w: Tensor,
 
 
 @dataclass
-class SeqLMModel:
+class SeqLMModel(NamedParams):
     """Recurrent language model: embedding columns -> stack -> softmax.
 
     A window runs as a few whole-window tape nodes: one embedding gather, one
@@ -179,29 +187,17 @@ class SeqLMModel:
     product and one softmax cross-entropy, however long the window is.
     """
 
+    LISTS: ClassVar[dict[str, str]] = {"layers": "layer{}"}
+
     cfg: SeqModelConfig
-    vocab_size: int
     embed: Tensor
-    layers: list[SeqLayerParams]
     out_w: Tensor
     out_b: Tensor
+    layers: list[SeqLayerParams]
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {"embed": self.embed, "out_w": self.out_w, "out_b": self.out_b}
-        for l, p in enumerate(self.layers):
-            out.update(p.named(f"layer{l}"))
-        return out
-
-    def with_parameters(self, updates: dict[str, Tensor]) -> "SeqLMModel":
-        layers = [p.with_named(updates, f"layer{l}") for l, p in enumerate(self.layers)]
-        return SeqLMModel(
-            cfg=self.cfg,
-            vocab_size=self.vocab_size,
-            embed=updates.get("embed", self.embed),
-            layers=layers,
-            out_w=updates.get("out_w", self.out_w),
-            out_b=updates.get("out_b", self.out_b),
-        )
+    @property
+    def vocab_size(self) -> int:
+        return self.embed.shape[1]
 
 
 def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator) -> SeqLMModel:
@@ -212,8 +208,7 @@ def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator
     oa = 1.0 / math.sqrt(cfg.hidden)
     out_w = Tensor(rng.uniform(-oa, oa, size=(vocab_size, cfg.hidden)))
     out_b = Tensor(np.zeros(vocab_size))
-    return SeqLMModel(cfg=cfg, vocab_size=vocab_size, embed=embed, layers=layers,
-                      out_w=out_w, out_b=out_b)
+    return SeqLMModel(cfg, embed, out_w, out_b, layers)
 
 
 def lm_forward(
@@ -241,7 +236,7 @@ def lm_window_loss(
 
 
 @dataclass
-class GraphRegModel:
+class GraphRegModel(NamedParams):
     """Relabeling-iteration graph model with a scalar linear head."""
 
     cfg: GraphModelConfig
@@ -253,20 +248,6 @@ class GraphRegModel:
     def in_dim(self) -> int:
         return self.wl.v.shape[1]
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = self.wl.named("wl")
-        out["head_w"] = self.head_w
-        out["head_b"] = self.head_b
-        return out
-
-    def with_parameters(self, updates: dict[str, Tensor]) -> "GraphRegModel":
-        return GraphRegModel(
-            cfg=self.cfg,
-            wl=self.wl.with_named(updates, "wl"),
-            head_w=updates.get("head_w", self.head_w),
-            head_b=updates.get("head_b", self.head_b),
-        )
-
 
 def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> GraphRegModel:
     if cfg.gated or cfg.composition != MULTIPLICATIVE:
@@ -277,7 +258,7 @@ def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generato
     a = 1.0 / math.sqrt(cfg.hidden)
     head_w = Tensor(rng.uniform(-a, a, size=cfg.hidden))
     head_b = Tensor(0.0)
-    return GraphRegModel(cfg=cfg, wl=wl, head_w=head_w, head_b=head_b)
+    return GraphRegModel(cfg, wl, head_w, head_b)
 
 
 def graph_predict(model: GraphRegModel, g: FeatureGraph | GraphUnion) -> Tensor:
@@ -352,11 +333,11 @@ def train_lm(
             window = train_ids[t0 : t0 + tc.unroll + 1]
             if len(window) < 2:
                 break
-            params = model.parameters()
+            params = model.named()
             with Tape() as tape:
                 loss, state = lm_window_loss(model, window, state, rng=rng, training=True)
             grads = _grads_by_name(tape, loss, params)
-            model = model.with_parameters(step(params, grads, opt))
+            model = model.with_named(step(params, grads, opt))
             total += loss.item() * (len(window) - 1)
             count += len(window) - 1
             steps += 1
@@ -407,13 +388,13 @@ def train_graph_reg(
         for b0 in range(0, len(order), tc.batch):
             batch = order[b0 : b0 + tc.batch]
             union = GraphUnion([graphs[i] for i in batch])
-            params = model.parameters()
+            params = model.named()
             with Tape() as tape:
                 readout = wl_forward(union, model.wl, model.cfg).out
                 loss = regression_loss(readout, [targets[i] for i in batch],
                                        model.head_w, model.head_b)
             grads = _grads_by_name(tape, loss, params)
-            model = model.with_parameters(step(params, grads, opt))
+            model = model.with_named(step(params, grads, opt))
             total += loss.item() * len(batch)
             seen += len(batch)
             steps += 1

@@ -51,7 +51,7 @@ from .seq_nn import (
     init_seq_stack,
     logit,
 )
-from .tensor import Activation, Tape, Tensor, dot, finite_diff_grad, rel_error, row
+from .tensor import Activation, Tape, Tensor, add, dot, finite_diff_grad, rel_error, row
 from .train import (
     OptimizerState,
     TrainConfig,
@@ -321,7 +321,7 @@ def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
         loss = None
         for t, r in enumerate(probes):
             term = dot(Tensor(r), row(h, t))
-            loss = term if loss is None else loss + term
+            loss = term if loss is None else add(loss, term)
         return loss
 
     return _tape_vs_fd(run, p, p.named("L"), lambda name, t: p.with_named({name: t}, "L"))

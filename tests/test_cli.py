@@ -280,6 +280,13 @@ BAD_CONFIGS = {
     "nan-rate": ({"model": MODEL, "optimizer": {"lr": float("nan")}}, "lr must be"),
     "section-not-object": ({"model": [1]}, "model config"),
     "config-not-object": ([MODEL], "JSON object"),
+    "adam-beta1-one": ({"model": MODEL, "optimizer": {"kind": "adam", "beta1": 1.0}}, "beta1"),
+    "adam-beta2-one": ({"model": MODEL, "optimizer": {"kind": "adam", "beta2": 1.0}}, "beta2"),
+    "adam-eps-zero": ({"model": MODEL, "optimizer": {"kind": "adam", "eps": 0.0}}, "eps"),
+    "negative-clip": ({"model": MODEL, "optimizer": {"clip": -1.0}}, "clip"),
+    "negative-lr-decay": ({"model": MODEL, "optimizer": {"lr_decay": -1.0}}, "lr_decay"),
+    "zero-epochs": ({"model": MODEL, "train": {"epochs": 0}}, "epochs"),
+    "zero-max-steps": ({"model": MODEL, "train": {"max_steps": 0}}, "max_steps"),
 }
 
 

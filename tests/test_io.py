@@ -141,8 +141,8 @@ def test_lm_model_bundle_round_trip(tmp_path):
     save_bundle(bundle_from_lm(model, seed=3), path)
     restored = lm_from_bundle(load_bundle(path))
     assert restored.cfg == model.cfg
-    for name, t in model.parameters().items():
-        assert np.array_equal(t.data, restored.parameters()[name].data), name
+    for name, t in model.named().items():
+        assert np.array_equal(t.data, restored.named()[name].data), name
     ids = [1, 2, 3, 4]
     a = lm_forward(model, ids).matrix().data
     b = lm_forward(restored, ids).matrix().data
@@ -153,13 +153,56 @@ def test_graph_model_bundle_round_trip(tmp_path):
     cfg = GraphModelConfig(n=2, hidden=3, lam=0.5, layers=2, activation=Activation.TANH)
     model = init_graph_model(cfg, in_dim=2, rng=np.random.default_rng(4))
     path = tmp_path / "graph.bundle"
-    save_bundle(bundle_from_graph(model, in_dim=2, seed=4), path)
+    save_bundle(bundle_from_graph(model, seed=4), path)
     restored = graph_from_bundle(load_bundle(path))
     assert restored.cfg == model.cfg
-    for name, t in model.parameters().items():
-        assert np.array_equal(t.data, restored.parameters()[name].data), name
+    for name, t in model.named().items():
+        assert np.array_equal(t.data, restored.named()[name].data), name
     g = FeatureGraph.undirected([np.ones(2), -np.ones(2), np.array([0.5, 2.0])], [(0, 1), (1, 2)])
     assert graph_predict(model, g).item() == graph_predict(restored, g).item()
+
+
+def _layer_names(layer, names):
+    return [f"layer{layer}.{name}" for name in names]
+
+
+NAMED_MODELS = {
+    "lm-gated-combination": (
+        lambda: init_lm_model(SeqModelConfig(n=2, hidden=3, layers=2, decay="gated-input-state",
+                                             output="combination"),
+                              vocab_size=5, rng=np.random.default_rng(0)),
+        ["embed", "out_w", "out_b",
+         *_layer_names(0, ["W1", "W2", "gate_u", "gate_b", "comb"]),
+         *_layer_names(1, ["W1", "W2", "gate_u", "gate_b", "comb"])],
+    ),
+    "lm-learned-highway": (
+        lambda: init_lm_model(SeqModelConfig(n=1, hidden=3, layers=2, decay="learned",
+                                             highway=True),
+                              vocab_size=5, rng=np.random.default_rng(0)),
+        ["embed", "out_w", "out_b",
+         *_layer_names(0, ["W1", "decay_logit", "hw_u", "hw_b"]),
+         *_layer_names(1, ["W1", "decay_logit", "hw_u", "hw_b"])],
+    ),
+    "graph-reg": (
+        lambda: init_graph_model(GraphModelConfig(n=2, hidden=3, layers=2), in_dim=2,
+                                 rng=np.random.default_rng(0)),
+        ["wl.l1.W1", "wl.l1.W2", "wl.l2.W1", "wl.l2.W2", "wl.u1", "wl.u2", "wl.v",
+         "head_w", "head_b"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMED_MODELS))
+def test_parameter_names_and_order_are_fixed(tmp_path, case):
+    # gradient clipping sums the squared gradients in this order, and bundles
+    # store the tensors under these names
+    make, names = NAMED_MODELS[case]
+    model = make()
+    assert list(model.named()) == names
+    path = tmp_path / "model.bundle"
+    to_bundle = bundle_from_lm if case.startswith("lm") else bundle_from_graph
+    save_bundle(to_bundle(model, seed=0), path)
+    assert sorted(load_bundle(path).params) == sorted(names)
 
 
 def test_kind_mismatch_raises():
