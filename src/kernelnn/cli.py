@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from .graph_kernel import (
     wl_kernel,
 )
 from .graph_nn import GraphModelConfig
-from .seq_kernel import FeatureSequence, SeqKernelConfig, deep_sequence_kernel, string_kernel
+from .seq_dp import deep_sequence_kernel, string_kernel
+from .seq_kernel import SeqKernelConfig
 from .seq_nn import SeqModelConfig
 from .tensor import Activation
 from .train import (
@@ -44,6 +46,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_NUMERIC = 4
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
 
 SEQ_VARIANTS = {
     "mult-unnorm": ("multiplicative", "unnormalized"),
@@ -52,6 +55,8 @@ SEQ_VARIANTS = {
     "add-norm": ("additive", "normalized"),
 }
 GRAPH_VARIANTS = ("walk", "wl", "deep")
+# (smallest, default) --depth of each kernel that has one
+KERNEL_DEPTHS = {"seq": (1, 1), "wl": (0, 1), "deep": (1, 2)}
 
 
 def format_value(v: float) -> str:
@@ -112,40 +117,56 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _seq_pairs(args) -> list[tuple[FeatureSequence, FeatureSequence]]:
+def _seq_pairs(args) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive lines of the corpus as pairs of token-id arrays."""
     if not args.vocab:
-        raise DataError("seq kernels need --vocab to map tokens to one-hot vectors")
-    vocab, tokens = kio.load_vocab(args.vocab)
-    sents = kio.load_corpus(args.file, vocab)
+        raise DataError("seq kernels need --vocab to map tokens to ids")
+    vocab, _ = kio.load_vocab(args.vocab)
+    sents = [np.array(s) for s in kio.load_corpus(args.file, vocab)]
     if len(sents) % 2 != 0:
         raise DataError(f"{args.file}: need an even number of lines, got {len(sents)}")
-    dim = len(tokens)
+    return list(zip(sents[0::2], sents[1::2]))
 
-    def onehot(ids):
-        return FeatureSequence([np.eye(dim)[i] for i in ids], dim=dim)
 
-    return [(onehot(sents[i]), onehot(sents[i + 1])) for i in range(0, len(sents), 2)]
+def _kernel_depth(kernel: str, depth: int | None) -> int | None:
+    """The depth the kernel runs at; a depth it cannot take is a config error."""
+    low, default = KERNEL_DEPTHS.get(kernel, (None, None))
+    if depth is None:
+        return default
+    if low is None:
+        raise ConfigError(f"--depth does not apply to the {kernel} kernel")
+    if depth < low:
+        raise ConfigError(f"the {kernel} kernel needs --depth >= {low}, got {depth}")
+    return depth
 
 
 def cmd_kernel(args) -> int:
     if args.task == "seq":
+        if args.gated:
+            raise ConfigError("--gated applies to --task graph only")
         variant = args.variant or "mult-unnorm"
         if variant not in SEQ_VARIANTS:
             raise ConfigError(f"unknown sequence variant {variant!r}")
+        depth = _kernel_depth("seq", args.depth)
         composition, normalization = SEQ_VARIANTS[variant]
         cfg = SeqKernelConfig(n=args.n, lam=args.lam, composition=composition,
                               normalization=normalization)
-        depth = args.depth or 1
         for x, y in _seq_pairs(args):
+            # one-hot tokens: the inner product of two tokens is whether their ids match
+            sim = (x[:, None] == y[None, :]).astype(np.float64)
             if depth > 1:
-                value = deep_sequence_kernel(x, y, depth, cfg)
+                value = deep_sequence_kernel(sim, depth, cfg)
             else:
-                value = string_kernel(x, y, cfg)
+                value = string_kernel(sim, cfg)
             print(format_value(value))
         return EXIT_OK
     variant = args.variant or "walk"
     if variant not in GRAPH_VARIANTS:
         raise ConfigError(f"unknown graph variant {variant!r}")
+    if args.gated and args.variant is not None:
+        raise ConfigError("--gated takes no --variant")
+    kernel = "gated" if args.gated else variant
+    depth = _kernel_depth(kernel, args.depth)
     graphs = [g for g, _ in kio.load_graphs(args.file)]
     if len(graphs) % 2 != 0:
         raise DataError(f"{args.file}: need an even number of graphs, got {len(graphs)}")
@@ -153,22 +174,20 @@ def cmd_kernel(args) -> int:
     rng = np.random.default_rng(args.seed)
     for i in range(0, len(graphs), 2):
         g1, g2 = graphs[i], graphs[i + 1]
-        if args.gated:
+        if kernel == "gated":
             u = rng.normal(size=(1, 2 * d))
             b = rng.normal(size=1)
             value = float(gated_random_walk_kernel(g1, g2, u, b, args.n)[0])
-        elif variant == "walk":
+        elif kernel == "walk":
             value = random_walk_kernel(g1, g2, GraphKernelConfig(n=args.n, lam=args.lam))
-        elif variant == "wl":
+        elif kernel == "wl":
             relabel = WLRelabelParams(
                 u1=rng.normal(size=(d, d)), u2=rng.normal(size=(d, d)),
                 v=rng.normal(size=(d, d)), activation=Activation.TANH,
             )
-            value = wl_kernel(g1, g2, GraphKernelConfig(n=args.n, lam=args.lam),
-                              args.depth or 1, relabel)
+            value = wl_kernel(g1, g2, GraphKernelConfig(n=args.n, lam=args.lam), depth, relabel)
         else:
-            cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive",
-                                    depth=args.depth or 2)
+            cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive", depth=depth)
             value = deep_graph_kernel(g1, g2, cfg)
         print(format_value(value))
     return EXIT_OK
@@ -302,7 +321,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`kernelnn kernel ... | head -1`).  As the Python
+        # docs advise, point stdout at devnull so that the interpreter's own
+        # flush at exit does not fail a second time, and end without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seq_dp
 from .errors import ConfigError
 from .graph_kernel import (
     ADDITIVE,
@@ -35,6 +36,7 @@ from .graph_nn import (
     wl_forward,
 )
 from .seq_kernel import (
+    MAX_ORACLE_LEN,
     FeatureSequence,
     SeqKernelConfig,
     deep_sequence_kernel,
@@ -135,6 +137,51 @@ def check_seq_state_kernel(seed: int, tol: float) -> list[CheckResult]:
                 want = string_kernel(x.prefix(t), reference_sequence(ws, i), kcfg)
                 worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
     return [CheckResult("seq-state-kernel", seed, worst, worst <= tol)]
+
+
+SEQ_KERNEL_VARIANTS = tuple((c, z) for c in ("multiplicative", "additive")
+                            for z in ("unnormalized", "normalized"))
+
+
+def random_kernel_pair(rng, lx: int, ly: int, onehot: bool):
+    """Two feature sequences and their similarity matrix: one-hot, or real features that cancel."""
+    d = 3
+    if onehot:
+        xs, ys = (np.eye(d)[rng.integers(0, d, size=length)] for length in (lx, ly))
+    else:
+        xs, ys = rng.normal(size=(lx, d)), rng.normal(size=(ly, d))
+    return FeatureSequence(list(xs), dim=d), FeatureSequence(list(ys), dim=d), xs @ ys.T
+
+
+def check_fast_kernel(seed: int, tol: float) -> list[CheckResult]:
+    """The dynamic-programming kernels of ``kernel --task seq`` against the oracles."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in (1, 2, 3, 4):
+        # at order 4 and 16 tokens the oracle's gather alone takes about 100 MB
+        cap = 12 if n == 4 else MAX_ORACLE_LEN
+        for k, (composition, normalization) in enumerate(SEQ_KERNEL_VARIANTS):
+            cfg = SeqKernelConfig(n=n, lam=0.0 if k == seed % 4 else float(rng.uniform(0.0, 0.99)),
+                                  composition=composition, normalization=normalization)
+            # per order, one pair is as long as the oracle allows and one has an empty side
+            lx, ly = (int(v) for v in rng.integers(0, cap + 1, size=2))
+            lx = (cap, 0, lx, lx)[k]
+            for onehot in (False, True):
+                x, y, sim = random_kernel_pair(rng, lx, ly, onehot)
+                worst = max(worst, rel_error(seq_dp.string_kernel(sim, cfg),
+                                             string_kernel(x, y, cfg)))
+    out = [CheckResult("fast-kernel", seed, worst, worst <= tol, detail="string")]
+    worst = 0.0
+    for depth in (2, 3):
+        composition, normalization = SEQ_KERNEL_VARIANTS[(seed + depth) % 4]
+        n = int(rng.integers(1, 4))
+        cfg = SeqKernelConfig(n=n, lam=float(rng.uniform(0.0, 0.99)),
+                              composition=composition, normalization=normalization)
+        x, y, sim = random_kernel_pair(rng, int(rng.integers(n, 7)), int(rng.integers(n, 7)), False)
+        worst = max(worst, rel_error(seq_dp.deep_sequence_kernel(sim, depth, cfg),
+                                     deep_sequence_kernel(x, y, depth, cfg)))
+    out.append(CheckResult("fast-kernel", seed, worst, worst <= tol, detail="deep"))
+    return out
 
 
 def check_graph_state_kernel(seed: int, tol: float) -> list[CheckResult]:
@@ -520,6 +567,7 @@ def check_decay_ordering(seed: int, tol: float) -> list[CheckResult]:
 SUITES = {
     "seq-state-kernel": (check_seq_state_kernel, 20, 1e-10),
     "graph-state-kernel": (check_graph_state_kernel, 20, 1e-10),
+    "fast-kernel": (check_fast_kernel, 5, 1e-10),
     "cnn-degeneration": (check_cnn_degeneration, 5, 1e-12),
     "gated-degeneration": (check_gated_degeneration, 5, 1e-12),
     "variants": (check_variants, 10, 1e-10),

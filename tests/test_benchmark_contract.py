@@ -39,3 +39,16 @@ def test_training_calls_pass_the_benchmark_state_gates(perfbench, tmp_path, kind
     runner = worker.Runner(tmp_path, 7)
     _, ok = runner.invoke(kind)
     assert ok, runner.errors
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("seq", "small"), ("walk", "small"), ("wl", "small"), ("gated", "small"), ("seq", "oracle"),
+])
+def test_kernel_calls_pass_the_benchmark_value_gates(perfbench, tmp_path, kind, sizes):
+    # the first call is gated on the printed values against direct oracle calls
+    # (relative 1e-12), every later call on reproducing that output byte for byte
+    worker = perfbench("worker")
+    s = worker.wl.SMALL if sizes == "small" else worker.wl.WORKLOADS[sizes].sizes
+    worker.wl.write_inputs(s, 7, 0, tmp_path)
+    runner = worker.Runner(tmp_path, 7)
+    assert all(runner.invoke(kind)[1] for _ in range(2)), runner.errors

@@ -1,12 +1,16 @@
 import base64
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kernelnn.cli import (
+    EXIT_CLOSED_PIPE,
     EXIT_GUARD,
     EXIT_INPUT,
     EXIT_NUMERIC,
@@ -17,6 +21,7 @@ from kernelnn.cli import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -86,6 +91,66 @@ def test_kernel_guard_violation_exit_code(capsys):
     )
     assert code == EXIT_GUARD
     assert "refuses" in err
+
+
+SEQ_ARGS = ("--task", "seq", "--file", str(FIXTURES / "seq_pairs.txt"),
+            "--vocab", str(FIXTURES / "vocab.txt"))
+GRAPH_ARGS = ("--task", "graph", "--file", str(FIXTURES / "graphs.txt"))
+IGNORED_KERNEL_OPTIONS = {
+    "seq-depth-0": SEQ_ARGS + ("--depth", "0"),
+    "seq-depth-negative": SEQ_ARGS + ("--depth", "-3"),
+    "seq-gated": SEQ_ARGS + ("--gated",),
+    "walk-depth": GRAPH_ARGS + ("--variant", "walk", "--depth", "2"),
+    "default-walk-depth": GRAPH_ARGS + ("--depth", "1"),
+    "deep-depth-0": GRAPH_ARGS + ("--variant", "deep", "--depth", "0"),
+    "gated-depth": GRAPH_ARGS + ("--gated", "--depth", "2"),
+    "gated-variant": GRAPH_ARGS + ("--gated", "--variant", "wl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_KERNEL_OPTIONS))
+def test_kernel_rejects_options_it_would_ignore_or_misread(capsys, case):
+    code, out, err = run(capsys, "kernel", *IGNORED_KERNEL_OPTIONS[case])
+    assert code == EXIT_INPUT
+    assert out == "" and err.startswith("error: ")
+
+
+def test_kernel_wl_depth_zero_is_the_base_walk_kernel(capsys):
+    code, walk, _ = run(capsys, "kernel", *GRAPH_ARGS, "--variant", "walk")
+    assert code == EXIT_OK
+    code, wl0, _ = run(capsys, "kernel", *GRAPH_ARGS, "--variant", "wl", "--depth", "0")
+    assert code == EXIT_OK
+    assert wl0 == walk
+    code, wl1, _ = run(capsys, "kernel", *GRAPH_ARGS, "--variant", "wl", "--depth", "1")
+    assert code == EXIT_OK and wl1 != walk
+
+
+@pytest.mark.parametrize("extra", [("--n", "3"), ("--n", "5"), ("--n", "3", "--depth", "2")],
+                         ids=["n3", "n5", "depth2"])
+def test_kernel_seq_takes_thousand_token_pairs_at_any_order(tmp_path, capsys, extra):
+    rng = np.random.default_rng(5)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(["<unk>"] + [f"w{i}" for i in range(1, 50)]) + "\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("\n".join(" ".join(f"w{i}" for i in rng.integers(1, 50, size=1000))
+                               for _ in range(2)) + "\n")
+    code, out, err = run(capsys, "kernel", "--task", "seq", "--file", str(pairs),
+                         "--vocab", str(vocab), "--lambda", "0.5", "--variant", "mult-norm", *extra)
+    assert code == EXIT_OK, err
+    values = [float(v) for v in out.split()]
+    assert len(values) == 1 and math.isfinite(values[0]) and values[0] > 0
+
+
+def test_kernel_closed_stdout_ends_without_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kernelnn.cli", "kernel", *SEQ_ARGS, "--n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    proc.stdout.close()  # the reader is gone before the first value is written
+    _, err = proc.communicate(timeout=60)
+    assert err.decode() == ""
+    assert proc.returncode == EXIT_CLOSED_PIPE
 
 
 def test_verify_suite_passes(capsys):

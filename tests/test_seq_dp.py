@@ -1,0 +1,77 @@
+"""The dynamic-programming string kernels against the exhaustive oracles and closed forms."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kernelnn import seq_dp
+from kernelnn.errors import ContractError
+from kernelnn.seq_kernel import SeqKernelConfig, deep_sequence_kernel, string_kernel
+from kernelnn.tensor import rel_error
+from kernelnn.verify import SEQ_KERNEL_VARIANTS, random_kernel_pair
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    n=st.integers(1, 3),
+    lam=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    lx=st.integers(0, 16),
+    ly=st.integers(0, 16),
+    variant=st.sampled_from(SEQ_KERNEL_VARIANTS),
+    onehot=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, lam=0.0, lx=16, ly=16, variant=SEQ_KERNEL_VARIANTS[1], onehot=False, seed=0)
+@example(n=2, lam=0.5, lx=0, ly=5, variant=SEQ_KERNEL_VARIANTS[3], onehot=True, seed=0)
+def test_string_kernel_matches_oracle(n, lam, lx, ly, variant, onehot, seed):
+    cfg = SeqKernelConfig(n=n, lam=lam, composition=variant[0], normalization=variant[1])
+    x, y, sim = random_kernel_pair(np.random.default_rng(seed), lx, ly, onehot)
+    assert rel_error(seq_dp.string_kernel(sim, cfg), string_kernel(x, y, cfg)) <= 1e-10
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("variant", SEQ_KERNEL_VARIANTS, ids=lambda v: f"{v[0][:4]}-{v[1][:6]}")
+def test_deep_sequence_kernel_matches_oracle(depth, variant):
+    rng = np.random.default_rng(depth)
+    for n in (1, 2, 3):
+        cfg = SeqKernelConfig(n=n, lam=0.6, composition=variant[0], normalization=variant[1])
+        x, y, sim = random_kernel_pair(rng, 6, 5, onehot=False)
+        assert rel_error(seq_dp.deep_sequence_kernel(sim, depth, cfg),
+                         deep_sequence_kernel(x, y, depth, cfg)) <= 1e-10
+
+
+def test_table_holds_every_prefix_kernel():
+    rng = np.random.default_rng(3)
+    cfg = SeqKernelConfig(n=2, lam=0.7, composition="additive", normalization="normalized")
+    x, y, sim = random_kernel_pair(rng, 7, 6, onehot=False)
+    table = seq_dp.prefix_kernel_table(sim, cfg)
+    assert table.shape == (8, 7)
+    for i in range(8):
+        for k in range(7):
+            assert rel_error(table[i, k], string_kernel(x.prefix(i), y.prefix(k), cfg)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
+def test_order_one_closed_form_at_a_thousand_tokens(lam):
+    rng = np.random.default_rng(11)
+    x, y = rng.integers(0, 5, size=1000), rng.integers(0, 5, size=900)
+    match = (x[:, None] == y[None, :]).astype(np.float64)
+    # sum over a, b of lam**(Lx-1-a) lam**(Ly-1-b) [x_a = y_b], with 0**0 = 1
+    wx = lam ** np.arange(len(x) - 1, -1, -1.0)
+    wy = lam ** np.arange(len(y) - 1, -1, -1.0)
+    want = float(wx @ match @ wy)
+    got = seq_dp.string_kernel(match, SeqKernelConfig(n=1, lam=lam))
+    assert rel_error(got, want) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_repeated_token_normalizes_to_one_at_a_thousand_tokens(n):
+    sim = np.ones((1000, 1000))
+    cfg = SeqKernelConfig(n=n, lam=0.9, normalization="normalized")
+    assert abs(seq_dp.string_kernel(sim, cfg) - 1.0) <= 1e-12
+
+
+def test_deep_kernel_rejects_depth_below_one():
+    with pytest.raises(ContractError):
+        seq_dp.deep_sequence_kernel(np.ones((2, 2)), 0, SeqKernelConfig(n=1, lam=0.5))

@@ -17,7 +17,8 @@ def test_unknown_suite_rejected():
 
 def test_registry_covers_expected_suites():
     expected = {
-        "seq-state-kernel", "graph-state-kernel", "cnn-degeneration", "gated-degeneration", "variants",
+        "seq-state-kernel", "graph-state-kernel", "fast-kernel", "cnn-degeneration",
+        "gated-degeneration", "variants",
         "deep-rkhs", "wl-chain", "gradcheck", "psd", "smoke-train", "decay-ordering",
     }
     assert set(SUITES) == expected
