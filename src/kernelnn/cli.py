@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     k = sub.add_parser("kernel", help="print kernel values for consecutive input pairs")
     k.add_argument("--task", choices=("seq", "graph"), required=True)
     k.add_argument("--file", required=True)
-    k.add_argument("--vocab", help="vocabulary file (seq task; tokens become one-hot vectors)")
+    k.add_argument("--vocab", help="vocabulary file (seq task; tokens are compared by id)")
     k.add_argument("--n", type=int, default=2)
     k.add_argument("--lambda", dest="lam", type=float, default=0.5)
     k.add_argument("--variant", default=None,
@@ -118,11 +118,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _seq_pairs(args) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive lines of the corpus as pairs of token-id arrays."""
+    """Consecutive lines of the corpus as pairs of token-id arrays.
+
+    Each distinct out-of-vocabulary token has its own id, so it matches only
+    itself.
+    """
     if not args.vocab:
         raise DataError("seq kernels need --vocab to map tokens to ids")
     vocab, _ = kio.load_vocab(args.vocab)
-    sents = [np.array(s) for s in kio.load_corpus(args.file, vocab)]
+    sents = [np.array(s) for s in kio.load_corpus(args.file, vocab, distinct_unknowns=True)]
     if len(sents) % 2 != 0:
         raise DataError(f"{args.file}: need an even number of lines, got {len(sents)}")
     return list(zip(sents[0::2], sents[1::2]))
@@ -160,6 +164,8 @@ def cmd_kernel(args) -> int:
                 value = string_kernel(sim, cfg)
             print(format_value(value))
         return EXIT_OK
+    if args.vocab:
+        raise ConfigError("--vocab applies to --task seq only")
     variant = args.variant or "walk"
     if variant not in GRAPH_VARIANTS:
         raise ConfigError(f"unknown graph variant {variant!r}")

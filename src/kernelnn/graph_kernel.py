@@ -9,9 +9,10 @@ serve as ground truth for :mod:`kernelnn.graph_nn`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,68 +27,111 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 
-@dataclass(frozen=True)
 class FeatureGraph:
-    """Node feature vectors plus per-node predecessor lists.
+    """Node feature vectors plus the walk steps between nodes.
 
+    ``matrix`` is the read-only (num_nodes, dim) feature matrix and
+    ``features[v]`` its row v.  The walk steps come in two forms:
     ``neighbors[v]`` holds the nodes that may immediately precede v on a
-    walk; undirected graphs store symmetric lists.  Lists are kept sorted so
-    every aggregation accumulates in ascending node order.
+    walk, ascending, and ``edge_arrays`` is the ``(src, dst)`` of every step
+    u -> v, sorted by v and then by u, so every aggregation accumulates in
+    ascending node order.  A graph keeps the form it is built from (lists by
+    the constructor, which the oracles use on small graphs; arrays by
+    ``undirected`` and ``split``) and derives the other on first use.
+    Undirected graphs store both directions of every edge.
     """
 
-    features: tuple[np.ndarray, ...]
-    neighbors: tuple[tuple[int, ...], ...]
-    directed: bool = False
+    def __init__(self, features: Sequence, neighbors: Sequence[Sequence[int]],
+                 directed: bool = False) -> None:
+        x = _feature_matrix(features)
+        n = len(x)
+        if len(neighbors) != n:
+            raise ShapeError(f"{len(neighbors)} neighbor lists for {n} nodes")
+        bad = [u for preds in neighbors for u in preds if not 0 <= u < n]
+        if bad:
+            raise ContractError(f"neighbor index {bad[0]} out of range for {n} nodes")
+        self._set(x, directed, neighbors=tuple(tuple(sorted(preds)) for preds in neighbors))
 
-    def __post_init__(self) -> None:
-        feats = tuple(np.asarray(f, dtype=np.float64) for f in self.features)
-        if not feats:
-            raise ContractError("a FeatureGraph needs at least one node")
-        d = feats[0].shape
-        if any(f.shape != d or f.ndim != 1 for f in feats):
-            raise ShapeError(f"node features must share a 1-d shape, got {[f.shape for f in feats]}")
-        n = len(feats)
-        if len(self.neighbors) != n:
-            raise ShapeError(f"{len(self.neighbors)} neighbor lists for {n} nodes")
-        cleaned = []
-        for lst in self.neighbors:
-            for u in lst:
-                if not 0 <= u < n:
-                    raise ContractError(f"neighbor index {u} out of range for {n} nodes")
-            cleaned.append(tuple(sorted(lst)))
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "neighbors", tuple(cleaned))
+    def _set(self, x: np.ndarray, directed: bool, **steps) -> None:
+        """Adopt ``x`` read-only and one form of the steps, ``neighbors`` or ``edge_arrays``."""
+        x.flags.writeable = False
+        self.matrix = x
+        self.directed = directed
+        self.__dict__.update(steps)  # what the cached property would compute
 
     @classmethod
-    def undirected(cls, features: Iterable, edges: Iterable[tuple[int, int]]) -> "FeatureGraph":
-        feats = tuple(np.asarray(f, dtype=np.float64) for f in features)
-        nbrs: list[set[int]] = [set() for _ in feats]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(feats, tuple(tuple(sorted(s)) for s in nbrs), directed=False)
+    def _from_arrays(cls, x, src, dst, directed: bool) -> "FeatureGraph":
+        """A graph of checked arrays, ``(src, dst)`` already sorted by dst and then src."""
+        g = cls.__new__(cls)
+        g._set(x, directed, edge_arrays=(src, dst))
+        return g
 
     @classmethod
-    def chain(cls, features: Iterable) -> "FeatureGraph":
+    def undirected(cls, features: Sequence, edges) -> "FeatureGraph":
+        """Node features plus both directions of every edge ``(u, v)``.
+
+        ``features`` is a sequence of rows or an (N, d) array, ``edges`` a
+        sequence of pairs or an (E, 2) integer array.  A repeated edge counts
+        once, and so does a self-loop.
+        """
+        x = _feature_matrix(features)
+        n = len(x)
+        uv = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        bad = (uv < 0) | (uv >= n)
+        if bad.any():
+            raise ContractError(f"neighbor index {uv[bad][0]} out of range for {n} nodes")
+        u, v = uv.T
+        # as keys dst * n + src, sorted, the steps of both directions group by
+        # destination and then by source, and a repeated step is a repeated key
+        keys = np.sort(np.concatenate([v * n + u, u * n + v]))
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
+        dst = keys // n
+        src = keys - dst * n
+        return cls._from_arrays(x, src, dst, directed=False)
+
+    @classmethod
+    def chain(cls, features: Sequence) -> "FeatureGraph":
         """Directed path whose only maximal walk visits the features in order."""
-        feats = tuple(np.asarray(f, dtype=np.float64) for f in features)
-        nbrs = tuple((i - 1,) if i > 0 else () for i in range(len(feats)))
-        return cls(feats, nbrs, directed=True)
+        nbrs = tuple((i - 1,) if i > 0 else () for i in range(len(features)))
+        return cls(features, nbrs, directed=True)
+
+    def split(self, sizes: Sequence[int]) -> list["FeatureGraph"]:
+        """The graphs on consecutive node ranges of the given sizes.
+
+        Their matrices and edge arrays are views into this graph's; no walk
+        step may cross from one range to another.
+        """
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if len(sizes) == 0 or sizes.min() < 1 or sizes.sum() != self.num_nodes:
+            raise ContractError(f"node ranges of sizes {sizes.tolist()} do not partition "
+                                f"{self.num_nodes} nodes")
+        src, dst = self.edge_arrays
+        ends = np.cumsum(sizes)
+        steps = np.searchsorted(dst, ends)  # where each range's steps end
+        counts = np.diff(steps, prepend=0)
+        starts = np.repeat(ends - sizes, counts)
+        src, dst = src - starts, dst - starts
+        if ((src < 0) | (src >= np.repeat(sizes, counts))).any():
+            raise ContractError("a walk step crosses from one node range to another")
+        bounds = zip((ends - sizes).tolist(), ends.tolist(), (steps - counts).tolist(),
+                     steps.tolist())
+        return [self._from_arrays(self.matrix[a:b], src[i:j], dst[i:j], self.directed)
+                for a, b, i, j in bounds]
 
     @property
     def num_nodes(self) -> int:
-        return len(self.features)
+        return self.matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.features[0].shape[0]
+        return self.matrix.shape[1]
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """The read-only (num_nodes, dim) feature matrix, built on first use."""
-        x = np.stack(self.features)
-        x.flags.writeable = False
-        return x
+    def features(self) -> tuple[np.ndarray, ...]:
+        """Node v's feature vector, a read-only row view of the matrix."""
+        return tuple(self.matrix)
 
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -97,12 +141,33 @@ class FeatureGraph:
         src = np.array([u for preds in self.neighbors for u in preds], dtype=np.intp)
         return src, dst
 
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """``neighbors[v]``: the nodes that may immediately precede v on a walk, ascending."""
+        src, dst = (a.tolist() for a in self.edge_arrays)
+        ends = [bisect_right(dst, v) for v in range(self.num_nodes)]
+        return tuple(tuple(src[a:b]) for a, b in zip([0, *ends], ends))
+
     def successors(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.num_nodes)]
         for v, preds in enumerate(self.neighbors):
             for u in preds:
                 out[u].append(v)
         return [sorted(s) for s in out]
+
+
+def _feature_matrix(features: Sequence) -> np.ndarray:
+    """The (num_nodes, dim) matrix of node feature vectors that share one 1-d shape."""
+    if len(features) == 0:
+        raise ContractError("a FeatureGraph needs at least one node")
+    try:
+        x = np.array(features, dtype=np.float64)
+    except ValueError:  # rows of different lengths
+        x = None
+    if x is None or x.ndim != 2:
+        raise ShapeError(f"node features must share a 1-d shape, "
+                         f"got {[np.shape(f) for f in features]}")
+    return x
 
 
 def permute_graph(g: FeatureGraph, perm: Sequence[int]) -> FeatureGraph:

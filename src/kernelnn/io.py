@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -63,14 +64,23 @@ def save_vocab(tokens, path) -> None:
     Path(path).write_text("\n".join(tokens) + "\n")
 
 
-def load_corpus(path, vocab: dict[str, int]) -> list[list[int]]:
-    """Whitespace-tokenized sentences, one per line; unknown tokens map to id 0."""
+def load_corpus(path, vocab: dict[str, int], distinct_unknowns: bool = False) -> list[list[int]]:
+    """Whitespace-tokenized sentences, one per line.
+
+    Unknown tokens map to id 0, or, with ``distinct_unknowns``, each distinct
+    unknown token to its own id past the vocabulary.
+    """
     path = Path(path)
+    grown = dict(vocab) if distinct_unknowns else None
     out: list[list[int]] = []
     for raw in read_text(path).splitlines():
         toks = raw.split()
-        if toks:
+        if not toks:
+            continue
+        if grown is None:
             out.append([vocab.get(t, UNK_ID) for t in toks])
+        else:
+            out.append([grown.setdefault(t, len(grown)) for t in toks])
     if not out:
         raise DataError(f"{path}:1: corpus file holds no tokens")
     return out
@@ -94,67 +104,123 @@ def flatten_corpus(sentences: list[list[int]]) -> list[int]:
 # and lines starting with '#' are skipped.
 
 
+def _parse_graph_lines(numbered: list[tuple[str, str]]) -> list[tuple[FeatureGraph, float | None]]:
+    """The graph and target of each ``(where, line)``, checked as whole-file arrays.
+
+    All feature cells go through one float conversion and one finiteness
+    check, all edge endpoints through one integer conversion and one range
+    check, and the graphs are one disjoint union split by node count.  The
+    checks run in the order a reader of one line makes them, so a single line
+    fails with its first failing check; over several lines the DataError may
+    name any failing line.
+    """
+    counts, widths, cells, edges, targets = [], [], [], [], []
+    for where, line in numbered:
+        parts = [p.strip() for p in line.split("|")]
+        if len(parts) not in (3, 4):
+            raise DataError(f"{where}: expected 3 or 4 '|' fields, got {len(parts)}")
+        try:
+            count = int(parts[0])
+        except ValueError:
+            raise DataError(f"{where}: bad node count {parts[0]!r}") from None
+        if count < 1:
+            raise DataError(f"{where}: a graph needs at least one node, got count {count}")
+        groups = [g for g in (s.strip() for s in parts[1].split(";")) if g]
+        if len(groups) != count:
+            raise DataError(f"{where}: {len(groups)} feature groups for {count} nodes")
+        rows = [g.split(",") for g in groups]
+        for row in rows:
+            cells += row
+        counts.append(count)
+        widths.append({len(row) for row in rows})
+        edges.append(parts[2].split())
+        targets.append(parts[3] if len(parts) == 4 else "")
+    wheres = [where for where, _ in numbered]
+    try:
+        x = np.array(cells, dtype=np.float64)
+    except ValueError:
+        raise DataError(f"{wheres[0]}: malformed feature vector") from None
+    if not np.isfinite(x).all():
+        raise DataError(f"{wheres[0]}: non-finite feature value")
+    for where, w in zip(wheres, widths):
+        if len(w) > 1:
+            raise DataError(f"{where}: feature dimensions differ within the graph")
+    pairs = _edge_pairs(wheres, edges, counts)
+    targets = [_graph_target(where, text) for where, text in zip(wheres, targets)]
+    (dim,) = widths[0]
+    for where, (width,) in zip(wheres, widths):
+        if width != dim:
+            raise DataError(f"{where}: feature dim {width} differs from {dim}")
+    starts = np.cumsum(counts) - counts
+    union = FeatureGraph.undirected(
+        x.reshape(-1, dim), pairs + np.repeat(starts, [len(t) for t in edges])[:, None])
+    return list(zip(union.split(counts), targets))
+
+
+def _edge_pairs(wheres: list[str], edges: list[list[str]], counts: list[int]) -> np.ndarray:
+    """The (E, 2) endpoints of every edge token ``u-v``, each below its graph's node count."""
+    split = [token.split("-") for tokens in edges for token in tokens]
+    if set(map(len, split)) <= {2}:
+        try:
+            pairs = np.array(list(chain.from_iterable(split)), dtype=np.intp).reshape(-1, 2)
+        except (ValueError, OverflowError):
+            pairs = None
+        limit = np.repeat(counts, [len(tokens) for tokens in edges])[:, None]
+        if pairs is not None and ((pairs >= 0) & (pairs < limit)).all():
+            return pairs
+    # some token is bad: name the first, checking one token at a time
+    for where, tokens, count in zip(wheres, edges, counts):
+        for token in tokens:
+            try:
+                u, v = map(int, token.split("-"))
+            except ValueError:  # not two integers
+                raise DataError(f"{where}: malformed edge {token!r}") from None
+            if not (0 <= u < count and 0 <= v < count):
+                raise DataError(f"{where}: edge {token!r} out of range for {count} nodes")
+    raise AssertionError("the edge tokens failed together but pass one at a time")
+
+
+def _graph_target(where: str, text: str) -> float | None:
+    if not text:
+        return None
+    try:
+        target = float(text)
+    except ValueError:
+        raise DataError(f"{where}: malformed target {text!r}") from None
+    if not np.isfinite(target):
+        raise DataError(f"{where}: non-finite target {text!r}")
+    return target
+
+
 def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]:
-    parts = [p.strip() for p in line.split("|")]
-    if len(parts) not in (3, 4):
-        raise DataError(f"{where}: expected 3 or 4 '|' fields, got {len(parts)}")
-    try:
-        count = int(parts[0])
-    except ValueError:
-        raise DataError(f"{where}: bad node count {parts[0]!r}") from None
-    if count < 1:
-        raise DataError(f"{where}: a graph needs at least one node, got count {count}")
-    groups = [g for g in (s.strip() for s in parts[1].split(";")) if g]
-    if len(groups) != count:
-        raise DataError(f"{where}: {len(groups)} feature groups for {count} nodes")
-    try:
-        feats = [np.array([float(v) for v in g.split(",")]) for g in groups]
-    except ValueError:
-        raise DataError(f"{where}: malformed feature vector") from None
-    if not all(np.all(np.isfinite(f)) for f in feats):
-        raise DataError(f"{where}: non-finite feature value")
-    if len({f.shape[0] for f in feats}) > 1:
-        raise DataError(f"{where}: feature dimensions differ within the graph")
-    edges = []
-    for token in parts[2].split():
-        pair = token.split("-")
-        if len(pair) != 2:
-            raise DataError(f"{where}: malformed edge {token!r}")
-        try:
-            u, v = int(pair[0]), int(pair[1])
-        except ValueError:
-            raise DataError(f"{where}: malformed edge {token!r}") from None
-        if not (0 <= u < count and 0 <= v < count):
-            raise DataError(f"{where}: edge {token!r} out of range for {count} nodes")
-        edges.append((u, v))
-    target = None
-    if len(parts) == 4 and parts[3]:
-        try:
-            target = float(parts[3])
-        except ValueError:
-            raise DataError(f"{where}: malformed target {parts[3]!r}") from None
-        if not np.isfinite(target):
-            raise DataError(f"{where}: non-finite target {parts[3]!r}")
-    return FeatureGraph.undirected(feats, edges), target
+    """One graph-file line; a bad line is a DataError that starts with ``where``."""
+    return _parse_graph_lines([(where, line)])[0]
 
 
 def load_graphs(path) -> list[tuple[FeatureGraph, float | None]]:
+    """Every graph of a graph file; a bad file is a DataError naming its first bad line."""
     path = Path(path)
-    out = []
-    dim = None
-    for lineno, raw in enumerate(read_text(path).splitlines()):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        g, target = parse_graph_line(line, f"{path}:{lineno + 1}")
-        if dim is None:
-            dim = g.dim
-        elif g.dim != dim:
-            raise DataError(f"{path}:{lineno + 1}: feature dim {g.dim} differs from {dim}")
-        out.append((g, target))
-    if not out:
+    numbered = [(f"{path}:{i}", line)
+                for i, line in enumerate(map(str.strip, read_text(path).splitlines()), 1)
+                if line and not line.startswith("#")]
+    if not numbered:
         raise DataError(f"{path}:1: no graphs found")
-    return out
+    try:
+        return _parse_graph_lines(numbered)
+    except DataError as exc:
+        failure = exc
+    # Name the first bad line, as a reader of one line at a time would: the
+    # first line that fails alone, unless a line before it already differs
+    # in width from the first line.  If every line parses alone, the whole
+    # file failed on exactly that width check.
+    for k, item in enumerate(numbered):
+        try:
+            _parse_graph_lines([item])
+        except DataError:
+            if k:
+                _parse_graph_lines(numbered[:k])
+            raise
+    raise failure
 
 
 def load_graph_targets(path, in_dim: int | None = None) -> tuple[list[FeatureGraph], list[float]]:

@@ -77,11 +77,6 @@ class TrainConfig:
                 raise ConfigError(f"train {name} must be >= 1, got {value}")
 
 
-def _check_finite(name: str, g: np.ndarray) -> None:
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"non-finite gradient for parameter {name!r}")
-
-
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
     """Global-norm clipping: rescale so the joint norm is at most the threshold."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
@@ -94,39 +89,46 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, 
 def _prepare(params, grads, state) -> dict[str, np.ndarray]:
     out = {}
     for name in params:
-        g = np.asarray(grads.get(name, np.zeros(params[name].shape)), dtype=np.float64)
-        _check_finite(name, g)
-        out[name] = g
+        out[name] = np.asarray(grads.get(name, np.zeros(params[name].shape)), dtype=np.float64)
     if state.clip is not None:
         out = clip_gradients(out, state.clip)
     return out
+
+
+def _updated(name: str, data: np.ndarray) -> Tensor:
+    """A parameter after its step; a non-finite gradient gives a non-finite step, an error."""
+    try:
+        return Tensor(data)
+    except EvaluationError:
+        raise EvaluationError(f"non-finite step for parameter {name!r}") from None
 
 
 def step_sgd(
     params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState
 ) -> dict[str, Tensor]:
     gs = _prepare(params, grads, state)
-    return {name: Tensor(params[name].data - state.lr * gs[name]) for name in params}
+    return {name: _updated(name, params[name].data - state.lr * gs[name]) for name in params}
 
 
 def step_adam(
     params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState
 ) -> dict[str, Tensor]:
+    """One Adam step; the moments and step count change only if every parameter's step is finite."""
     gs = _prepare(params, grads, state)
-    state.step += 1
-    t = state.step
-    out = {}
+    t = state.step + 1
+    out, ms, vs = {}, {}, {}
     for name in params:
         g = gs[name]
         m = state.m.get(name, np.zeros_like(g))
         v = state.v.get(name, np.zeros_like(g))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
+        m = ms[name] = state.beta1 * m + (1.0 - state.beta1) * g
+        v = vs[name] = state.beta2 * v + (1.0 - state.beta2) * g * g
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
-        out[name] = Tensor(params[name].data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        out[name] = _updated(name, params[name].data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    state.step = t
+    state.m.update(ms)
+    state.v.update(vs)
     return out
 
 

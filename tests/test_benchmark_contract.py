@@ -52,3 +52,25 @@ def test_kernel_calls_pass_the_benchmark_value_gates(perfbench, tmp_path, kind, 
     worker.wl.write_inputs(s, 7, 0, tmp_path)
     runner = worker.Runner(tmp_path, 7)
     assert all(runner.invoke(kind)[1] for _ in range(2)), runner.errors
+
+
+def test_graph_file_loads_record_io_load_spans(perfbench, tmp_path):
+    # io.load_ms on the graph workload is the time in kernelnn.io.load_graphs,
+    # reached from cmd_eval through load_graph_targets and from cmd_kernel
+    worker, spans = perfbench("worker"), perfbench("spans")
+    worker.wl.write_inputs(worker.wl.SMALL, 7, 0, tmp_path)
+    runner = worker.Runner(tmp_path, 7)
+    assert runner.invoke("graph_train")[1], runner.errors  # writes the bundle graph_eval reads
+    tracer = spans.Tracer()
+    tracer.install(perfbench("layers").TARGETS)
+    try:
+        assert all(runner.invoke(kind)[1] for kind in ("graph_eval", "walk")), runner.errors
+    finally:
+        tracer.uninstall()
+    callers = {
+        name
+        for span, above in zip(tracer.spans, spans.ancestor_names(tracer.spans))
+        if span.name == "io.load" and span.tag == "load_graphs"
+        for name in above
+    }
+    assert {"cli.cmd_eval", "cli.cmd_kernel"} <= callers

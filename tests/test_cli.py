@@ -65,6 +65,15 @@ def test_kernel_identical_pair_prints_one(capsys):
     assert out.splitlines()[0] == "1.000000000000"
 
 
+def test_kernel_seq_unknown_tokens_match_only_themselves(tmp_path, capsys):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("x y\nz w\nx y\nx y\n")
+    code, out, _ = run(capsys, "kernel", "--task", "seq", "--file", str(pairs),
+                       "--vocab", str(FIXTURES / "vocab.txt"), "--n", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["0", "1.000000000000"]
+
+
 def test_kernel_odd_line_count_is_input_error(tmp_path, capsys):
     bad = tmp_path / "odd.txt"
     bad.write_text("a b\na b\nb a\n")
@@ -105,6 +114,7 @@ IGNORED_KERNEL_OPTIONS = {
     "deep-depth-0": GRAPH_ARGS + ("--variant", "deep", "--depth", "0"),
     "gated-depth": GRAPH_ARGS + ("--gated", "--depth", "2"),
     "gated-variant": GRAPH_ARGS + ("--gated", "--variant", "wl"),
+    "graph-vocab": GRAPH_ARGS + ("--vocab", str(FIXTURES / "vocab.txt")),
 }
 
 

@@ -1,9 +1,12 @@
 """Property tests: any text given to the graph-file parser parses or raises DataError,
-and what parses survives a format/parse round trip; any config object builds or
-raises ConfigError, and a model config survives a bundle round trip."""
+what parses survives a format/parse round trip, and a whole file loads as its
+lines parse one at a time; any config object builds or raises ConfigError, and a
+model config survives a bundle round trip."""
 
 import dataclasses
+import importlib
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +94,112 @@ def test_graph_files_load_or_raise_data_error(tmp_path_factory, lines):
         assert str(exc).startswith(f"{path}:")
         return
     assert graphs and len({g.dim for g, _ in graphs}) == 1
+
+
+def assert_loaded_as_undirected(loaded, lines: list[str]) -> None:
+    """Each loaded graph equals ``undirected`` of its line's rows and edges, read in plain Python."""
+    assert len(loaded) == len(lines)
+    for (got, target), line in zip(loaded, lines):
+        fields = [f.strip() for f in line.split("|")]
+        rows = [[float(v) for v in g.split(",")] for g in fields[1].split(";") if g.strip()]
+        edges = [tuple(int(e) for e in token.split("-")) for token in fields[2].split()]
+        assert target == (float(fields[3]) if len(fields) == 4 and fields[3] else None)
+        want = FeatureGraph.undirected(rows, edges)
+        assert np.array_equal(got.matrix, want.matrix) and got.matrix.shape == want.matrix.shape
+        for a, b in zip(got.edge_arrays, want.edge_arrays, strict=True):
+            assert np.array_equal(a, b)
+        assert len(got.features) == len(want.features)
+        for a, b in zip(got.features, want.features):
+            assert np.array_equal(a, b)
+        # and both equal the sorted neighbour sets of every edge taken both ways
+        preds = [set() for _ in rows]
+        for u, v in edges:
+            preds[u].add(v)
+            preds[v].add(u)
+        assert got.neighbors == want.neighbors == tuple(tuple(sorted(p)) for p in preds)
+
+
+def first_line_error(path: Path) -> str | None:
+    """The error of the first bad line, each line parsed alone, then its width checked."""
+    dim = None
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            g, _ = parse_graph_line(line, f"{path}:{lineno}")
+        except DataError as exc:
+            return str(exc)
+        dim = g.dim if dim is None else dim
+        if g.dim != dim:
+            return f"{path}:{lineno}: feature dim {g.dim} differs from {dim}"
+    return None if dim is not None else f"{path}:1: no graphs found"
+
+
+@st.composite
+def graph_lines(draw, dim: int):
+    """Well-formed lines of width ``dim``, repeated, reversed and self-loop edges included."""
+    n = draw(st.integers(1, 5))
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    feats = " ; ".join(",".join(repr(draw(floats)) for _ in range(dim)) for _ in range(n))
+    edges = " ".join(f"{draw(st.integers(0, n - 1))}-{draw(st.integers(0, n - 1))}"
+                     for _ in range(draw(st.integers(0, 6))))
+    line = f"{n} | {feats} | {edges}"
+    return line + f" | {draw(floats)!r}" if draw(st.booleans()) else line
+
+
+FILLER = st.sampled_from([None, "", "   ", "# a comment | 1 | 0-1"])
+
+
+@st.composite
+def graph_files(draw):
+    """1-6 graph lines, mostly well formed and of one width, with blank and comment lines."""
+    dim = draw(st.integers(1, 3))
+    lines = st.one_of(graph_lines(dim), graph_lines(dim), near_graph_lines())
+    return draw(st.lists(st.tuples(FILLER, lines), min_size=1, max_size=6))
+
+
+@settings(max_examples=150)
+@given(graph_files())
+@example([(None, "1 | q |"), (None, "x")])  # an earlier line fails a later check
+@example([(None, "1 | 1 |"), (None, "2 | 1 ; 2 | 0-2")])  # an edge past its own graph
+@example([(None, "1 | 1,2 |"), (None, "1 | 1 |"), (None, "x")])  # a width before a bad line
+def test_graph_files_load_as_their_lines_parse_one_at_a_time(tmp_path_factory, items):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_file.txt"
+    path.write_text("\n".join(x for pair in items for x in pair if x is not None),
+                    encoding="utf-8")
+    expected = first_line_error(path)
+    try:
+        graphs = load_graphs(path)
+    except DataError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    lines = [raw.strip() for raw in path.read_text(encoding="utf-8").splitlines()]
+    assert_loaded_as_undirected(graphs, [line for line in lines
+                                         if line and not line.startswith("#")])
+
+
+def perfbench_graph_file(tmp_path, monkeypatch) -> Path:
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    wl = importlib.import_module("workloads")
+    sizes = wl.WORKLOADS["graph"].sizes
+    path = tmp_path / "graph_valid.txt"
+    path.write_text(wl.regression_graph_text(np.random.default_rng(7), sizes.graph_eval,
+                                             sizes.graph_max_nodes))
+    return path
+
+
+@pytest.mark.parametrize("source", ["fixture", "perfbench"])
+def test_graph_files_load_as_undirected_graphs_of_their_rows_and_edges(tmp_path, monkeypatch,
+                                                                       source):
+    if source == "fixture":
+        path = Path(__file__).parent / "fixtures" / "graphs.txt"
+    else:
+        path = perfbench_graph_file(tmp_path, monkeypatch)
+    lines = [line for line in path.read_text().splitlines() if line.strip()]
+    assert lines
+    assert_loaded_as_undirected(load_graphs(path), lines)
 
 
 # ---------------------------------------------------------------------------

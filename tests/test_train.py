@@ -111,6 +111,16 @@ def test_non_finite_gradient_names_parameter():
     assert "bad_param" in str(err.value)
 
 
+@pytest.mark.parametrize("clip", [None, 1.0], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_nan_gradient_is_an_evaluation_error_and_leaves_the_state(kind, clip):
+    state = OptimizerState(kind=kind, clip=clip)
+    params = {"a": Tensor([1.0, 2.0]), "b": Tensor([3.0])}
+    with pytest.raises(EvaluationError):
+        step(params, {"a": np.array([0.5, 0.5]), "b": np.array([float("nan")])}, state)
+    assert state.step == 0 and not state.m and not state.v
+
+
 def test_unknown_optimizer_rejected():
     with pytest.raises(ConfigError):
         OptimizerState(kind="adagrad")
