@@ -31,14 +31,11 @@ class FeatureGraph:
     """Node feature vectors plus the walk steps between nodes.
 
     ``matrix`` is the read-only (num_nodes, dim) feature matrix and
-    ``features[v]`` its row v.  The walk steps come in two forms:
-    ``neighbors[v]`` holds the nodes that may immediately precede v on a
-    walk, ascending, and ``edge_arrays`` is the ``(src, dst)`` of every step
-    u -> v, sorted by v and then by u, so every aggregation accumulates in
-    ascending node order.  A graph keeps the form it is built from (lists by
-    the constructor, which the oracles use on small graphs; arrays by
-    ``undirected`` and ``split``) and derives the other on first use.
-    Undirected graphs store both directions of every edge.
+    ``features[v]`` its row v.  ``edge_arrays`` is the ``(src, dst)`` of every
+    walk step u -> v, sorted by v and then by u, so every aggregation
+    accumulates in ascending node order; ``neighbors[v]``, derived from it on
+    first use, holds the nodes that may immediately precede v on a walk,
+    ascending.  Undirected graphs store both directions of every edge.
     """
 
     def __init__(self, features: Sequence, neighbors: Sequence[Sequence[int]],
@@ -50,20 +47,22 @@ class FeatureGraph:
         bad = [u for preds in neighbors for u in preds if not 0 <= u < n]
         if bad:
             raise ContractError(f"neighbor index {bad[0]} out of range for {n} nodes")
-        self._set(x, directed, neighbors=tuple(tuple(sorted(preds)) for preds in neighbors))
+        src = np.array([u for preds in neighbors for u in sorted(preds)], dtype=np.intp)
+        dst = np.repeat(np.arange(n), [len(preds) for preds in neighbors])
+        self._set(x, directed, src, dst)
 
-    def _set(self, x: np.ndarray, directed: bool, **steps) -> None:
-        """Adopt ``x`` read-only and one form of the steps, ``neighbors`` or ``edge_arrays``."""
+    def _set(self, x: np.ndarray, directed: bool, src: np.ndarray, dst: np.ndarray) -> None:
+        """Adopt ``x`` read-only and the steps ``(src, dst)``, sorted by dst and then src."""
         x.flags.writeable = False
         self.matrix = x
         self.directed = directed
-        self.__dict__.update(steps)  # what the cached property would compute
+        self.edge_arrays = (src, dst)
 
     @classmethod
     def _from_arrays(cls, x, src, dst, directed: bool) -> "FeatureGraph":
         """A graph of checked arrays, ``(src, dst)`` already sorted by dst and then src."""
         g = cls.__new__(cls)
-        g._set(x, directed, edge_arrays=(src, dst))
+        g._set(x, directed, src, dst)
         return g
 
     @classmethod
@@ -94,8 +93,9 @@ class FeatureGraph:
     @classmethod
     def chain(cls, features: Sequence) -> "FeatureGraph":
         """Directed path whose only maximal walk visits the features in order."""
-        nbrs = tuple((i - 1,) if i > 0 else () for i in range(len(features)))
-        return cls(features, nbrs, directed=True)
+        x = _feature_matrix(features)
+        steps = np.arange(len(x) - 1)
+        return cls._from_arrays(x, steps, steps + 1, directed=True)
 
     def split(self, sizes: Sequence[int]) -> list["FeatureGraph"]:
         """The graphs on consecutive node ranges of the given sizes.
@@ -132,14 +132,6 @@ class FeatureGraph:
     def features(self) -> tuple[np.ndarray, ...]:
         """Node v's feature vector, a read-only row view of the matrix."""
         return tuple(self.matrix)
-
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` of every walk step u -> v, sorted by v and then by u."""
-        counts = [len(preds) for preds in self.neighbors]
-        dst = np.repeat(np.arange(self.num_nodes), counts)
-        src = np.array([u for preds in self.neighbors for u in preds], dtype=np.intp)
-        return src, dst
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -209,6 +201,18 @@ def _guard(g: FeatureGraph, n: int) -> None:
         raise GuardError(f"oracle refuses walk order above {MAX_ORACLE_WALK}, got {n}")
 
 
+def _check_local(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig, what: str) -> None:
+    """Refuse a pair the local recursions cannot score exactly or within the guards."""
+    if cfg.activation is not Activation.IDENTITY:
+        raise UnsupportedActivationError(
+            f"{what} is exact only for identity activation, got {cfg.activation.value}"
+        )
+    _guard(g1, cfg.n)
+    _guard(g2, cfg.n)
+    if g1.dim != g2.dim:
+        raise ShapeError(f"feature dims differ: {g1.dim} vs {g2.dim}")
+
+
 def enumerate_walks(g: FeatureGraph, n: int) -> list[tuple[int, ...]]:
     """All node-index tuples of n-node walks; nodes may repeat."""
     if n < 1:
@@ -249,14 +253,7 @@ def local_kernel(
     _memo: dict | None = None,
 ) -> float:
     """Per-node-pair recursive similarity; its double sum over nodes is the walk kernel."""
-    if cfg.activation is not Activation.IDENTITY:
-        raise UnsupportedActivationError(
-            f"local kernel is exact only for identity activation, got {cfg.activation.value}"
-        )
-    _guard(g1, cfg.n)
-    _guard(g2, cfg.n)
-    if g1.dim != g2.dim:
-        raise ShapeError(f"feature dims differ: {g1.dim} vs {g2.dim}")
+    _check_local(g1, g2, cfg, "local kernel")
     memo: dict = {} if _memo is None else _memo
 
     def rec(order: int, a: int, b: int) -> float:
@@ -307,14 +304,7 @@ class _DeepLocal:
     """
 
     def __init__(self, g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig) -> None:
-        if cfg.activation is not Activation.IDENTITY:
-            raise UnsupportedActivationError(
-                f"deep local kernel is exact only for identity activation, got {cfg.activation.value}"
-            )
-        _guard(g1, cfg.n)
-        _guard(g2, cfg.n)
-        if g1.dim != g2.dim:
-            raise ShapeError(f"feature dims differ: {g1.dim} vs {g2.dim}")
+        _check_local(g1, g2, cfg, "deep local kernel")
         self.g1, self.g2, self.cfg = g1, g2, cfg
         self.memo: dict = {}
         self.walk_memo1: dict = {}
@@ -388,7 +378,7 @@ def wl_relabel(g: FeatureGraph, params: WLRelabelParams) -> FeatureGraph:
         for u in g.neighbors[v_idx]:
             agg += inner[u]
         new_feats.append(act.f(u1 @ g.features[v_idx] + u2 @ agg))
-    return FeatureGraph(tuple(new_feats), g.neighbors, directed=g.directed)
+    return FeatureGraph._from_arrays(_feature_matrix(new_feats), *g.edge_arrays, g.directed)
 
 
 def wl_kernel(
@@ -434,8 +424,6 @@ def gated_random_walk_kernel(
                 fa, fb = g1.features[xi], g2.features[yi]
                 term = term * gate_values(fa, fb, u, b) * float(np.dot(fa, fb))
             terms.append(term)
-    if not terms:
-        return np.zeros(m)
     return np.array([math.fsum(t[k] for t in terms) for k in range(m)])
 
 
@@ -458,8 +446,6 @@ def gated_walk_state_sum(
             gate = gate_values(g.features[walk[i - 1]], g.features[walk[i]], u, b)
             term = term * gate * (ws[i] @ g.features[walk[i]])
         terms.append(term)
-    if not terms:
-        return np.zeros(m)
     return np.array([math.fsum(t[k] for t in terms) for k in range(m)])
 
 

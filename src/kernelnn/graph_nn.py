@@ -13,7 +13,6 @@ union of graphs (a block-diagonal A), and a single graph is a union of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Sequence
@@ -30,6 +29,7 @@ from .tensor import (
     accumulate,
     add,
     gather_rows,
+    init_params,
     linear,
     matvec,
     mul,
@@ -156,28 +156,20 @@ def init_graph_layer(
     with_readout: bool = False,
 ) -> GraphLayerParams:
     m = cfg.hidden
-    a = 1.0 / math.sqrt(in_dim)
-    p = GraphLayerParams(W=[Tensor(rng.uniform(-a, a, size=(m, in_dim))) for _ in range(cfg.n)])
+    shapes = {f"W{j}": (m, in_dim) for j in range(1, cfg.n + 1)}
     if with_readout:
-        ra = 1.0 / math.sqrt(m)
-        p.readout = Tensor(rng.uniform(-ra, ra, size=(m, m)))
+        shapes["readout"] = (m, m)
     if cfg.gated:
-        ga = 1.0 / math.sqrt(2 * in_dim)
-        p.gate_u = Tensor(rng.uniform(-ga, ga, size=(m, 2 * in_dim)))
-        p.gate_b = Tensor(np.zeros(m))
-    return p
+        shapes.update(gate_u=(m, 2 * in_dim), gate_b=(m,))
+    t = init_params(shapes, rng, {"gate_b": 0.0})
+    return GraphLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t)
 
 
 def init_wl_params(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> WLParams:
-    a = 1.0 / math.sqrt(in_dim)
-    layer_W = [
-        [Tensor(rng.uniform(-a, a, size=(cfg.hidden, in_dim))) for _ in range(cfg.n)]
-        for _ in range(cfg.layers)
-    ]
-    u1 = Tensor(rng.uniform(-a, a, size=(in_dim, in_dim)))
-    u2 = Tensor(rng.uniform(-a, a, size=(in_dim, in_dim)))
-    v = Tensor(rng.uniform(-a, a, size=(in_dim, in_dim)))
-    return WLParams(layer_W=layer_W, u1=u1, u2=u2, v=v)
+    ws = [[f"l{l}.W{j}" for j in range(1, cfg.n + 1)] for l in range(1, cfg.layers + 1)]
+    shapes = {name: (cfg.hidden, in_dim) for names in ws for name in names}
+    t = init_params({**shapes, **dict.fromkeys(("u1", "u2", "v"), (in_dim, in_dim))}, rng)
+    return WLParams(layer_W=[[t.pop(name) for name in names] for names in ws], **t)
 
 
 def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:

@@ -197,12 +197,17 @@ def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]
     return _parse_graph_lines([(where, line)])[0]
 
 
+def _graph_records(path: Path) -> list[tuple[str, str]]:
+    """``(file:line, text)`` of every record of a graph file, skipping blanks and comments."""
+    return [(f"{path}:{i}", line)
+            for i, line in enumerate(map(str.strip, read_text(path).splitlines()), 1)
+            if line and not line.startswith("#")]
+
+
 def load_graphs(path) -> list[tuple[FeatureGraph, float | None]]:
     """Every graph of a graph file; a bad file is a DataError naming its first bad line."""
     path = Path(path)
-    numbered = [(f"{path}:{i}", line)
-                for i, line in enumerate(map(str.strip, read_text(path).splitlines()), 1)
-                if line and not line.startswith("#")]
+    numbered = _graph_records(path)
     if not numbered:
         raise DataError(f"{path}:1: no graphs found")
     try:
@@ -226,10 +231,11 @@ def load_graphs(path) -> list[tuple[FeatureGraph, float | None]]:
 def load_graph_targets(path, in_dim: int | None = None) -> tuple[list[FeatureGraph], list[float]]:
     """A graph-regression file: a target on every record and, if given, features of width in_dim."""
     items = load_graphs(path)
-    untargeted = [i + 1 for i, (_, t) in enumerate(items) if t is None]
+    untargeted = [i for i, (_, t) in enumerate(items) if t is None]
     if untargeted:
-        raise DataError(f"{path}: graph regression needs a target on every record; "
-                        f"graph {untargeted[0]} has none")
+        where, _ = _graph_records(Path(path))[untargeted[0]]
+        raise DataError(f"{where}: graph regression needs a target on every record; "
+                        f"this one has none")
     width = items[0][0].dim
     if in_dim is not None and width != in_dim:
         raise DataError(f"{path}: node features have width {width}, the model expects {in_dim}")

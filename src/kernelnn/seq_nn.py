@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, EvaluationError, ShapeError, check_fields
 from .seq_kernel import FeatureSequence
-from .tensor import Activation, NamedParams, Tensor, emit, mul, stack
+from .tensor import Activation, NamedParams, Tensor, emit, init_params, mul, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -79,26 +79,28 @@ class SeqLayerParams(NamedParams):
     hw_b: Tensor | None = None
 
 
-def init_seq_layer(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> SeqLayerParams:
-    """Uniform(-a, a) init with a = 1/sqrt(fan-in); gate biases start at logit(lam)."""
+def layer_shapes(cfg: SeqModelConfig, in_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each tensor a layer holds, by name, with its shape, in the order the scan reads them."""
     m = cfg.hidden
-    a = 1.0 / math.sqrt(in_dim)
-    ws = [Tensor(rng.uniform(-a, a, size=(m, in_dim))) for _ in range(cfg.n)]
-    p = SeqLayerParams(W=ws)
+    shapes = {f"W{j}": (m, in_dim) for j in range(1, cfg.n + 1)}
     if cfg.gated:
-        gate_in = in_dim if cfg.decay == "gated-input" else in_dim + m
-        ga = 1.0 / math.sqrt(gate_in)
-        p.gate_u = Tensor(rng.uniform(-ga, ga, size=(m, gate_in)))
-        p.gate_b = Tensor(np.full(m, logit(cfg.lam) if cfg.lam > 0.0 else 0.0))
+        shapes["gate_u"] = (m, in_dim if cfg.decay == "gated-input" else in_dim + m)
+        shapes["gate_b"] = (m,)
     if cfg.decay == "learned":
-        p.decay_logit = Tensor(np.full(m, logit(cfg.lam) if cfg.lam > 0.0 else 0.0))
+        shapes["decay_logit"] = (m,)
     if cfg.output == "combination":
-        p.comb = Tensor(np.ones(cfg.n))
+        shapes["comb"] = (cfg.n,)
     if cfg.highway:
-        ha = 1.0 / math.sqrt(in_dim + m)
-        p.hw_u = Tensor(rng.uniform(-ha, ha, size=(m, in_dim + m)))
-        p.hw_b = Tensor(np.full(m, -1.0))
-    return p
+        shapes.update(hw_u=(m, in_dim + m), hw_b=(m,))
+    return shapes
+
+
+def init_seq_layer(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> SeqLayerParams:
+    """:func:`layer_shapes` drawn by the init rule; gate and decay biases start at logit(lam)."""
+    bias = logit(cfg.lam) if cfg.lam > 0.0 else 0.0
+    t = init_params(layer_shapes(cfg, in_dim), rng,
+                    {"gate_b": bias, "decay_logit": bias, "comb": 1.0, "hw_b": -1.0})
+    return SeqLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t)
 
 
 def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> list[SeqLayerParams]:
@@ -178,31 +180,20 @@ def _as_matrix(x) -> Tensor:
 
 
 def _check_params(p: SeqLayerParams, cfg: SeqModelConfig, in_dim: int) -> list[Tensor]:
-    """The parameters the config reads, in a fixed order, after checking their shapes."""
-    m, n = cfg.hidden, cfg.n
-    if len(p.W) != n:
-        raise ShapeError(f"got {len(p.W)} projection matrices for order {n}")
-    for j, w in enumerate(p.W):
-        if w.shape != (m, in_dim):
-            raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
-    wanted: dict[str, tuple[int, ...]] = {}
-    if cfg.gated:
-        gate_in = in_dim if cfg.decay == "gated-input" else in_dim + m
-        wanted.update(gate_u=(m, gate_in), gate_b=(m,))
-    if cfg.decay == "learned":
-        wanted["decay_logit"] = (m,)
-    if cfg.output == "combination":
-        wanted["comb"] = (n,)
-    if cfg.highway:
-        if in_dim != m:
-            raise ShapeError(f"highway layers need input dim {m}, got {in_dim}")
-        wanted.update(hw_u=(m, in_dim + m), hw_b=(m,))
-    params = list(p.W)
-    for name, shape in wanted.items():
-        t = getattr(p, name)
-        if t is None:
-            raise ConfigError(f"decay {cfg.decay!r}, output {cfg.output!r} and highway "
-                              f"{cfg.highway} need the {name} parameter")
+    """The tensors :func:`layer_shapes` names, in its order, after checking them against it."""
+    if len(p.W) != cfg.n:
+        raise ShapeError(f"got {len(p.W)} projection matrices for order {cfg.n}")
+    params = []
+    for name, shape in layer_shapes(cfg, in_dim).items():
+        if len(params) < cfg.n:
+            t = p.W[len(params)]
+        else:  # past the W, every one of which fits
+            if cfg.highway and in_dim != cfg.hidden:
+                raise ShapeError(f"highway layers need input dim {cfg.hidden}, got {in_dim}")
+            t = getattr(p, name)
+            if t is None:
+                raise ConfigError(f"decay {cfg.decay!r}, output {cfg.output!r} and highway "
+                                  f"{cfg.highway} need the {name} parameter")
         if t.shape != shape:
             raise ShapeError(f"{name} has shape {t.shape}, expected {shape}")
         params.append(t)

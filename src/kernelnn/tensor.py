@@ -8,6 +8,7 @@ makes repeated backward passes bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, ClassVar, Sequence
@@ -510,6 +511,20 @@ class NamedParams:
     def with_named(self, updates: dict[str, Tensor], prefix: str | None = None):
         """A copy with the named tensors replaced; names it does not hold are ignored."""
         return self._map(self._head(prefix), lambda name, t: updates.get(name, t))
+
+
+def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                fill: dict[str, float] | None = None) -> dict[str, Tensor]:
+    """The one init rule: a tensor per name, in order, filled with ``fill[name]``
+    where given, else drawn from Uniform(-a, a) with a = 1/sqrt(its last axis)."""
+    out = {}
+    for name, shape in shapes.items():
+        if fill and name in fill:
+            out[name] = Tensor(np.full(shape, fill[name]))
+        else:
+            a = 1.0 / math.sqrt(shape[-1])
+            out[name] = Tensor(rng.uniform(-a, a, size=shape))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .tensor import (
     add,
     dot,
     gather_columns,
+    init_params,
     linear,
     matvec,
     scale,
@@ -38,9 +39,10 @@ class OptimizerState:
     lr: float = 1.0
     lr_decay: float = 1.0
     clip: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    # Adam's own settings; unset, they are 0.9, 0.999 and 1e-8, and sgd takes none
+    beta1: float | None = None
+    beta2: float | None = None
+    eps: float | None = None
     step: int = field(default=0, init=False)
     m: dict = field(default_factory=dict, init=False)
     v: dict = field(default_factory=dict, init=False)
@@ -49,10 +51,19 @@ class OptimizerState:
         check_fields(self)
         if self.kind not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.kind!r}")
+        adam = self.kind == "adam"
+        for name, default in (("beta1", 0.9), ("beta2", 0.999), ("eps", 1e-8)):
+            value = getattr(self, name)
+            if value is None and adam:
+                setattr(self, name, default)
+            elif value is not None and not adam:
+                raise ConfigError(f"optimizer {name} applies to kind 'adam' only; "
+                                  f"kind {self.kind!r} would ignore it")
         for name, ok, rule in (
                 ("lr", self.lr > 0, "> 0"), ("lr_decay", self.lr_decay > 0, "> 0"),
-                ("eps", self.eps > 0, "> 0"), ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", not adam or self.eps > 0, "> 0"),
+                ("beta1", not adam or 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", not adam or 0 <= self.beta2 < 1, "in [0, 1)"),
                 ("clip", self.clip is None or self.clip > 0, "null or > 0")):
             if not ok:
                 raise ConfigError(f"optimizer {name} must be {rule}, got {getattr(self, name)}")
@@ -203,14 +214,11 @@ class SeqLMModel(NamedParams):
 
 
 def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator) -> SeqLMModel:
-    d = cfg.hidden
-    a = 1.0 / math.sqrt(vocab_size)
-    embed = Tensor(rng.uniform(-a, a, size=(d, vocab_size)))
-    layers = init_seq_stack(cfg, d, rng)
-    oa = 1.0 / math.sqrt(cfg.hidden)
-    out_w = Tensor(rng.uniform(-oa, oa, size=(vocab_size, cfg.hidden)))
-    out_b = Tensor(np.zeros(vocab_size))
-    return SeqLMModel(cfg, embed, out_w, out_b, layers)
+    embed = init_params({"embed": (cfg.hidden, vocab_size)}, rng)["embed"]
+    layers = init_seq_stack(cfg, cfg.hidden, rng)
+    out = init_params({"out_w": (vocab_size, cfg.hidden), "out_b": (vocab_size,)}, rng,
+                      {"out_b": 0.0})
+    return SeqLMModel(cfg, embed, layers=layers, **out)
 
 
 def lm_forward(
@@ -257,10 +265,8 @@ def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generato
             "the WL graph regressor supports neither gated walks nor additive composition"
         )
     wl = init_wl_params(cfg, in_dim, rng)
-    a = 1.0 / math.sqrt(cfg.hidden)
-    head_w = Tensor(rng.uniform(-a, a, size=cfg.hidden))
-    head_b = Tensor(0.0)
-    return GraphRegModel(cfg, wl, head_w, head_b)
+    head = init_params({"head_w": (cfg.hidden,), "head_b": ()}, rng, {"head_b": 0.0})
+    return GraphRegModel(cfg, wl, **head)
 
 
 def graph_predict(model: GraphRegModel, g: FeatureGraph | GraphUnion) -> Tensor:

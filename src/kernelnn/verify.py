@@ -51,6 +51,7 @@ from .seq_nn import (
     forward_stack,
     init_seq_layer,
     init_seq_stack,
+    layer_shapes,
     logit,
 )
 from .tensor import Activation, Tape, Tensor, add, dot, finite_diff_grad, rel_error, row
@@ -239,8 +240,7 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
                 n=2, hidden=m, lam=lam, variant=variant, activation=Activation.TANH
             )
             p = init_seq_layer(gated_cfg, d, rng)
-            gate_in = d if decay == "gated-input" else d + m
-            p.gate_u = Tensor(np.zeros((m, gate_in)))
+            p.gate_u = Tensor(np.zeros(layer_shapes(gated_cfg, d)["gate_u"]))
             p.gate_b = Tensor(np.full(m, logit(lam)))
             tg = forward_layer(x, p, gated_cfg)
             tc = forward_layer(x, p, const_cfg)

@@ -362,6 +362,7 @@ BAD_CONFIGS = {
     "negative-lr-decay": ({"model": MODEL, "optimizer": {"lr_decay": -1.0}}, "lr_decay"),
     "zero-epochs": ({"model": MODEL, "train": {"epochs": 0}}, "epochs"),
     "zero-max-steps": ({"model": MODEL, "train": {"max_steps": 0}}, "max_steps"),
+    "sgd-beta1": ({"model": MODEL, "optimizer": {"beta1": 0.5}}, "beta1"),
 }
 
 
@@ -509,3 +510,16 @@ def test_graph_reg_input_files_are_checked_before_training(tmp_path, capsys, cas
     assert str(bad) in err and fragment in err
     if "width" in case:
         assert "expects 2" in err
+
+
+def test_graph_reg_untargeted_record_is_named_by_its_line(tmp_path, capsys):
+    data = tmp_path / "graphs.txt"
+    data.write_text("# header\n\n1 | 1,2 | | 0.5\n1 | 3,4 |\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 1, "hidden": 2}}))
+    out = tmp_path / "graph.bundle"
+    code, _, err = run(capsys, "train", "--task", "graph-reg", "--config", str(config),
+                       "--data", str(data), "--out", str(out))
+    assert code == EXIT_INPUT
+    assert f"{data}:4: " in err and "target" in err
+    assert not out.exists()

@@ -1,7 +1,8 @@
 """Property tests: any text given to the graph-file parser parses or raises DataError,
 what parses survives a format/parse round trip, and a whole file loads as its
-lines parse one at a time; any config object builds or raises ConfigError, and a
-model config survives a bundle round trip."""
+lines parse one at a time; any config object builds or raises ConfigError, a
+model config survives a bundle round trip, and so does a random model of a random
+valid config, whose sequence layers hold the tensors ``layer_shapes`` lists."""
 
 import dataclasses
 import importlib
@@ -18,17 +19,21 @@ from kernelnn.graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from kernelnn.graph_nn import GraphModelConfig
 from kernelnn.io import (
     ModelBundle,
+    bundle_from_graph,
+    bundle_from_lm,
     config_dict,
     config_from_dict,
     format_graph_line,
+    graph_from_bundle,
+    lm_from_bundle,
     load_bundle,
     load_graphs,
     parse_graph_line,
     save_bundle,
 )
-from kernelnn.seq_nn import DECAYS, OUTPUTS, VARIANTS, SeqModelConfig
+from kernelnn.seq_nn import DECAYS, OUTPUTS, VARIANTS, SeqModelConfig, layer_shapes
 from kernelnn.tensor import Activation
-from kernelnn.train import OptimizerState, TrainConfig
+from kernelnn.train import OptimizerState, TrainConfig, init_graph_model, init_lm_model
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,
@@ -261,3 +266,57 @@ def test_config_objects_build_or_raise_config_error(tmp_path_factory, cls, secti
         written = load_bundle(path).config
         assert written.pop("width") == 3
         assert config_from_dict(cls, written, section) == cfg
+
+
+# ---------------------------------------------------------------------------
+# random models
+# ---------------------------------------------------------------------------
+
+RATES = st.floats(0.0, 0.99)
+ACTIVATIONS = st.sampled_from(list(Activation))
+
+
+@st.composite
+def seq_configs(draw):
+    highway = draw(st.booleans())
+    output = "last-state" if highway else draw(st.sampled_from(OUTPUTS))
+    return SeqModelConfig(n=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
+                          layers=draw(st.integers(1, 2)), variant=draw(st.sampled_from(VARIANTS)),
+                          decay=draw(st.sampled_from(DECAYS)), lam=draw(RATES),
+                          activation=draw(ACTIVATIONS), output=output, highway=highway,
+                          dropout=draw(RATES))
+
+
+@st.composite
+def graph_configs(draw):
+    return GraphModelConfig(n=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
+                            lam=draw(st.floats(0.0, 2.0)), activation=draw(ACTIVATIONS),
+                            layers=draw(st.integers(1, 2)))
+
+
+def saved_bytes(bundle, path: Path) -> bytes:
+    save_bundle(bundle, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=60)
+@given(seq_configs(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_random_lm_models_round_trip_through_bundles(tmp_path_factory, cfg, vocab, seed):
+    path = tmp_path_factory.getbasetemp() / "random_lm.bundle"
+    model = init_lm_model(cfg, vocab, np.random.default_rng(seed))
+    for layer in model.layers:
+        assert {k: t.shape for k, t in layer.named().items()} == layer_shapes(cfg, cfg.hidden)
+    first = saved_bytes(bundle_from_lm(model, seed), path)
+    again = lm_from_bundle(load_bundle(path))
+    assert saved_bytes(bundle_from_lm(again, seed), path) == first
+
+
+@settings(max_examples=60)
+@given(graph_configs(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_random_graph_models_round_trip_through_bundles(tmp_path_factory, cfg, in_dim, seed):
+    path = tmp_path_factory.getbasetemp() / "random_graph.bundle"
+    first = saved_bytes(bundle_from_graph(init_graph_model(cfg, in_dim,
+                                                           np.random.default_rng(seed)), seed),
+                        path)
+    again = graph_from_bundle(load_bundle(path))
+    assert saved_bytes(bundle_from_graph(again, seed), path) == first
