@@ -263,6 +263,8 @@ def cmd_train(args) -> int:
         model, records = train_lm(model, ids, tc, opt, valid_ids=valid_ids)
         kio.save_bundle(kio.bundle_from_lm(model, tc.seed), args.out)
     else:
+        if args.vocab:
+            raise ConfigError("--vocab applies to --task lm only")
         graphs, targets = kio.load_graph_targets(args.data)
         in_dim = graphs[0].dim
         model = init_graph_model(cfg, in_dim, rng=np.random.default_rng(tc.seed))
@@ -292,6 +294,8 @@ def cmd_eval(args) -> int:
         loss, ppl = eval_lm(model, ids)
         records = [MetricRecord(0, "eval", loss, ppl, "ppl")]
     else:
+        if args.vocab:
+            raise ConfigError("--vocab applies to lm bundles only")
         graphs, targets = kio.load_graph_targets(args.data, model.in_dim)
         rmse = eval_graph_reg(model, graphs, targets)
         records = [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse")]

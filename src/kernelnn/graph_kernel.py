@@ -32,70 +32,74 @@ class FeatureGraph:
 
     ``matrix`` is the read-only (num_nodes, dim) feature matrix and
     ``features[v]`` its row v.  ``edge_arrays`` is the ``(src, dst)`` of every
-    walk step u -> v, sorted by v and then by u, so every aggregation
-    accumulates in ascending node order; ``neighbors[v]``, derived from it on
-    first use, holds the nodes that may immediately precede v on a walk,
-    ascending.  Undirected graphs store both directions of every edge.
+    walk step u -> v, once each, sorted by v and then by u, so every
+    aggregation accumulates in ascending node order; ``neighbors[v]``, derived
+    from it on first use, holds the nodes that may immediately precede v on a
+    walk, ascending.  ``sizes`` holds the node counts of the member graphs on
+    consecutive node ranges: ``(num_nodes,)``, or one per graph of a
+    :meth:`union`.
     """
 
-    def __init__(self, features: Sequence, neighbors: Sequence[Sequence[int]],
-                 directed: bool = False) -> None:
-        x = _feature_matrix(features)
-        n = len(x)
-        if len(neighbors) != n:
-            raise ShapeError(f"{len(neighbors)} neighbor lists for {n} nodes")
-        bad = [u for preds in neighbors for u in preds if not 0 <= u < n]
-        if bad:
-            raise ContractError(f"neighbor index {bad[0]} out of range for {n} nodes")
-        src = np.array([u for preds in neighbors for u in sorted(preds)], dtype=np.intp)
-        dst = np.repeat(np.arange(n), [len(preds) for preds in neighbors])
-        self._set(x, directed, src, dst)
+    def __init__(self, features: Sequence, steps=()) -> None:
+        """Node features (a sequence of rows or an (N, d) array) and the steps ``(u, v)``.
 
-    def _set(self, x: np.ndarray, directed: bool, src: np.ndarray, dst: np.ndarray) -> None:
-        """Adopt ``x`` read-only and the steps ``(src, dst)``, sorted by dst and then src."""
-        x.flags.writeable = False
-        self.matrix = x
-        self.directed = directed
-        self.edge_arrays = (src, dst)
-
-    @classmethod
-    def _from_arrays(cls, x, src, dst, directed: bool) -> "FeatureGraph":
-        """A graph of checked arrays, ``(src, dst)`` already sorted by dst and then src."""
-        g = cls.__new__(cls)
-        g._set(x, directed, src, dst)
-        return g
-
-    @classmethod
-    def undirected(cls, features: Sequence, edges) -> "FeatureGraph":
-        """Node features plus both directions of every edge ``(u, v)``.
-
-        ``features`` is a sequence of rows or an (N, d) array, ``edges`` a
-        sequence of pairs or an (E, 2) integer array.  A repeated edge counts
-        once, and so does a self-loop.
+        ``steps`` is an (E, 2) integer array or a sequence of index pairs;
+        each pair is a walk step u -> v.  A repeated step counts once.
         """
         x = _feature_matrix(features)
         n = len(x)
-        uv = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        bad = (uv < 0) | (uv >= n)
-        if bad.any():
-            raise ContractError(f"neighbor index {uv[bad][0]} out of range for {n} nodes")
-        u, v = uv.T
-        # as keys dst * n + src, sorted, the steps of both directions group by
-        # destination and then by source, and a repeated step is a repeated key
-        keys = np.sort(np.concatenate([v * n + u, u * n + v]))
+        uv = _step_pairs(steps)
+        if uv.dtype == object:  # not an integer array: check each entry
+            bad = [i for i in uv.flat
+                   if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+            if bad:
+                raise ContractError(f"neighbor index {bad[0]!r} is not an integer")
+        out = (uv < 0) | (uv >= n)
+        if out.any():
+            raise ContractError(f"neighbor index {uv[out][0]} out of range for {n} nodes")
+        u, v = uv.astype(np.intp, copy=False).T
+        # as keys dst * n + src, sorted, the steps group by destination and then
+        # by source, and a repeated step is a repeated key
+        keys = np.sort(v * n + u)
         first = np.ones(len(keys), dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         keys = keys[first]
         dst = keys // n
-        src = keys - dst * n
-        return cls._from_arrays(x, src, dst, directed=False)
+        self._adopt(x, (keys - dst * n, dst), (n,))
+
+    def _adopt(self, x: np.ndarray, steps: tuple[np.ndarray, np.ndarray],
+               sizes: tuple[int, ...]) -> "FeatureGraph":
+        """Take ``x`` read-only and checked steps, sorted by dst and then src, once each."""
+        x.flags.writeable = False
+        self.matrix, self.edge_arrays, self.sizes = x, steps, sizes
+        return self
+
+    @classmethod
+    def undirected(cls, features: Sequence, edges) -> "FeatureGraph":
+        """Node features plus both directions of every edge ``(u, v)``; a self-loop is one step."""
+        uv = _step_pairs(edges)
+        return cls(features, np.concatenate([uv, uv[:, ::-1]]))
 
     @classmethod
     def chain(cls, features: Sequence) -> "FeatureGraph":
         """Directed path whose only maximal walk visits the features in order."""
-        x = _feature_matrix(features)
-        steps = np.arange(len(x) - 1)
-        return cls._from_arrays(x, steps, steps + 1, directed=True)
+        steps = np.arange(len(features) - 1)
+        return cls(features, np.column_stack([steps, steps + 1]))
+
+    @classmethod
+    def union(cls, graphs: Sequence["FeatureGraph"]) -> "FeatureGraph":
+        """The disjoint union of the graphs, in order, one member each; the inverse of split."""
+        if not graphs:
+            raise ContractError("a graph union needs at least one graph")
+        dims = sorted({g.dim for g in graphs})
+        if len(dims) > 1:
+            raise ShapeError(f"graphs in one union must share a feature width, got {dims}")
+        sizes = tuple(g.num_nodes for g in graphs)
+        starts = np.cumsum(sizes) - sizes
+        steps = tuple(np.concatenate([g.edge_arrays[k] + s for g, s in zip(graphs, starts)])
+                      for k in (0, 1))
+        x = np.concatenate([g.matrix for g in graphs])
+        return object.__new__(cls)._adopt(x, steps, sizes)
 
     def split(self, sizes: Sequence[int]) -> list["FeatureGraph"]:
         """The graphs on consecutive node ranges of the given sizes.
@@ -117,7 +121,8 @@ class FeatureGraph:
             raise ContractError("a walk step crosses from one node range to another")
         bounds = zip((ends - sizes).tolist(), ends.tolist(), (steps - counts).tolist(),
                      steps.tolist())
-        return [self._from_arrays(self.matrix[a:b], src[i:j], dst[i:j], self.directed)
+        return [object.__new__(FeatureGraph)._adopt(self.matrix[a:b], (src[i:j], dst[i:j]),
+                                                    (b - a,))
                 for a, b, i, j in bounds]
 
     @property
@@ -140,12 +145,16 @@ class FeatureGraph:
         ends = [bisect_right(dst, v) for v in range(self.num_nodes)]
         return tuple(tuple(src[a:b]) for a, b in zip([0, *ends], ends))
 
-    def successors(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for v, preds in enumerate(self.neighbors):
-            for u in preds:
-                out[u].append(v)
-        return [sorted(s) for s in out]
+
+def _step_pairs(steps) -> np.ndarray:
+    """Steps as an (E, 2) array: an integer array as given, anything else as Python objects."""
+    int_array = isinstance(steps, np.ndarray) and steps.dtype.kind in "iu"
+    uv = steps if int_array else np.array(steps, dtype=object)
+    if uv.shape == (0,):
+        uv = uv.reshape(0, 2)
+    if uv.ndim != 2 or uv.shape[1] != 2:
+        raise ShapeError(f"walk steps must be (E, 2) index pairs, got shape {uv.shape}")
+    return uv
 
 
 def _feature_matrix(features: Sequence) -> np.ndarray:
@@ -167,12 +176,9 @@ def permute_graph(g: FeatureGraph, perm: Sequence[int]) -> FeatureGraph:
     n = g.num_nodes
     if sorted(perm) != list(range(n)):
         raise ContractError(f"perm must be a permutation of range({n})")
-    feats: list[np.ndarray | None] = [None] * n
-    nbrs: list[tuple[int, ...]] = [()] * n
-    for i in range(n):
-        feats[perm[i]] = g.features[i]
-        nbrs[perm[i]] = tuple(perm[u] for u in g.neighbors[i])
-    return FeatureGraph(tuple(feats), tuple(nbrs), directed=g.directed)
+    p = np.asarray(perm, dtype=np.intp)
+    src, dst = g.edge_arrays
+    return FeatureGraph(g.matrix[np.argsort(p)], np.column_stack([p[src], p[dst]]))
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,9 @@ def enumerate_walks(g: FeatureGraph, n: int) -> list[tuple[int, ...]]:
     if n < 1:
         raise ContractError(f"walk order must be >= 1, got {n}")
     _guard(g, n)
-    succ = g.successors()
+    succ: list[list[int]] = [[] for _ in range(g.num_nodes)]
+    for u, v in zip(*(a.tolist() for a in g.edge_arrays)):
+        succ[u].append(v)  # the steps ascend by v, so each list does too
     walks: list[tuple[int, ...]] = [(v,) for v in range(g.num_nodes)]
     for _ in range(n - 1):
         walks = [w + (v,) for w in walks for v in succ[w[-1]]]
@@ -234,9 +242,7 @@ def random_walk_kernel(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfi
     w2 = enumerate_walks(g2, n)
     if not w1 or not w2:
         return 0.0
-    f1 = np.stack(g1.features)
-    f2 = np.stack(g2.features)
-    dots = f1 @ f2.T
+    dots = g1.matrix @ g2.matrix.T
     a1 = np.array(w1, dtype=np.intp)
     a2 = np.array(w2, dtype=np.intp)
     gathered = dots[a1[:, None, :], a2[None, :, :]]
@@ -283,17 +289,13 @@ def local_kernel_sum(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig)
     )
 
 
-def _has_walks(g: FeatureGraph, v: int, order: int, memo: dict) -> bool:
-    """Whether any order-node walk starts at v (stepping onto predecessor lists)."""
-    key = (v, order)
-    if key in memo:
-        return memo[key]
-    if order <= 1:
-        memo[key] = True
-        return True
-    ok = any(_has_walks(g, u, order - 1, memo) for u in g.neighbors[v])
-    memo[key] = ok
-    return ok
+def _walk_ends(g: FeatureGraph, n: int) -> list[list[bool]]:
+    """``ends[k][v]``: whether some walk of k + 1 nodes ends at v, for k < n."""
+    src, dst = g.edge_arrays
+    ends = [np.ones(g.num_nodes, dtype=bool)]
+    for _ in range(n - 1):
+        ends.append(np.bincount(dst, weights=ends[-1][src], minlength=g.num_nodes) > 0)
+    return [e.tolist() for e in ends]
 
 
 class _DeepLocal:
@@ -307,16 +309,13 @@ class _DeepLocal:
         _check_local(g1, g2, cfg, "deep local kernel")
         self.g1, self.g2, self.cfg = g1, g2, cfg
         self.memo: dict = {}
-        self.walk_memo1: dict = {}
-        self.walk_memo2: dict = {}
+        self.ends1, self.ends2 = _walk_ends(g1, cfg.n), _walk_ends(g2, cfg.n)
 
     def value(self, level: int, order: int, a: int, b: int) -> float:
         key = (level, order, a, b)
         if key in self.memo:
             return self.memo[key]
-        if not _has_walks(self.g1, a, order, self.walk_memo1) or not _has_walks(
-            self.g2, b, order, self.walk_memo2
-        ):
+        if not (self.ends1[order - 1][a] and self.ends2[order - 1][b]):
             self.memo[key] = 0.0
             return 0.0
         if level == 1:
@@ -378,7 +377,7 @@ def wl_relabel(g: FeatureGraph, params: WLRelabelParams) -> FeatureGraph:
         for u in g.neighbors[v_idx]:
             agg += inner[u]
         new_feats.append(act.f(u1 @ g.features[v_idx] + u2 @ agg))
-    return FeatureGraph._from_arrays(_feature_matrix(new_feats), *g.edge_arrays, g.directed)
+    return object.__new__(FeatureGraph)._adopt(_feature_matrix(new_feats), g.edge_arrays, g.sizes)
 
 
 def wl_kernel(

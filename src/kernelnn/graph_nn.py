@@ -7,8 +7,9 @@ relabeling iterations with shared transforms, and per-edge sigmoid gates.
 
 Every module runs on whole node matrices: the states of order j are one
 (N, hidden) matrix, ``C_j = lam * (A C_{j-1}) * (X W_j^T)`` with the
-neighbor sum ``A C`` taken over an edge list.  A minibatch is one disjoint
-union of graphs (a block-diagonal A), and a single graph is a union of one.
+neighbor sum ``A C`` taken over an edge list.  A minibatch is one
+``FeatureGraph.union`` of graphs (a block-diagonal A), with one output row
+per member graph.
 """
 
 from __future__ import annotations
@@ -81,58 +82,34 @@ class WLParams(NamedParams):
     v: Tensor
 
 
-class GraphUnion:
-    """Disjoint union of graphs as one graph with a block-diagonal adjacency.
-
-    ``x`` stacks the node feature matrices; the walk steps u -> v of every
-    member, shifted by its node offset, are grouped by destination (``dst``)
-    and by source (``src``); ``members`` maps each node to its graph.
-    """
-
-    def __init__(self, graphs: Sequence[FeatureGraph]) -> None:
-        if not graphs:
-            raise ContractError("a graph union needs at least one graph")
-        dims = sorted({g.dim for g in graphs})
-        if len(dims) > 1:
-            raise ShapeError(f"graphs in one union must share a feature width, got {dims}")
-        sizes = [g.num_nodes for g in graphs]
-        self.offsets = np.cumsum([0] + sizes[:-1])
-        self.num_graphs = len(graphs)
-        self.num_nodes = int(sum(sizes))
-        self.x = np.concatenate([g.matrix for g in graphs])
-        edges = [g.edge_arrays for g in graphs]
-        self.src = Segments(np.concatenate([s + o for (s, _), o in zip(edges, self.offsets)]),
-                            self.num_nodes)
-        self.dst = Segments(np.concatenate([d + o for (_, d), o in zip(edges, self.offsets)]),
-                            self.num_nodes)
-        self.members = Segments(np.repeat(np.arange(self.num_graphs), sizes), self.num_graphs)
-
-
-def as_union(g: FeatureGraph | GraphUnion) -> GraphUnion:
-    return g if isinstance(g, GraphUnion) else GraphUnion([g])
+def _segments(g: FeatureGraph) -> tuple[Segments, Segments, Segments]:
+    """The sources and destinations of the walk steps, and each node's member graph."""
+    src, dst = g.edge_arrays
+    members = np.repeat(np.arange(len(g.sizes)), g.sizes)
+    return Segments(src, g.num_nodes), Segments(dst, g.num_nodes), Segments(members, len(g.sizes))
 
 
 @dataclass(eq=False)
 class GraphStateTrace:
-    """Everything a forward pass over a graph union produced, layer by layer.
+    """Everything a forward pass over a graph produced, layer by layer.
 
     ``states[l][j-1]`` is the (N, hidden) matrix of cell state j, one row per
-    node of the union; ``nodes[l]`` holds the node vectors of layer l (the
+    node of the graph; ``nodes[l]`` holds the node vectors of layer l (the
     input features for single-layer modules, the readout or relabeled
     vectors for stacks); ``readouts[l]`` the (B, hidden) per-graph readouts
-    and ``out`` the (B, hidden) module output.
+    and ``out`` the (B, hidden) module output, one row per member graph.
     """
 
-    union: GraphUnion
+    graph: FeatureGraph
     states: list[list[Tensor]]
     nodes: list[Tensor]
     readouts: list[Tensor]
     out: Tensor
 
     def _single(self, what: str) -> None:
-        if self.union.num_graphs != 1:
+        if len(self.graph.sizes) != 1:
             raise ContractError(f"{what} needs a single graph; this trace holds "
-                                f"{self.union.num_graphs}, read readouts or out instead")
+                                f"{len(self.graph.sizes)}, read readouts or out instead")
 
     @cached_property
     def h_graph(self) -> Tensor:
@@ -140,7 +117,7 @@ class GraphStateTrace:
         return row(self.out, 0)
 
     def state(self, j: int, v: int, layer: int = 0) -> Tensor:
-        """Cell state c_j at union node v (j is 1-based, matching the math)."""
+        """Cell state c_j at node v (j is 1-based, matching the math)."""
         return row(self.states[layer][j - 1], v)
 
     def state_sum(self, j: int, layer: int = 0) -> np.ndarray:
@@ -179,7 +156,8 @@ def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
 
 
 def _walk_states(
-    u: GraphUnion,
+    src: Segments,
+    dst: Segments,
     x: Tensor,
     ws: Sequence[Tensor],
     lam: float,
@@ -200,15 +178,15 @@ def _walk_states(
     for p in proj[1:]:
         prev = states[-1]
         if gate is None:
-            agg = scale(neighbor_sum(act(prev), u.src, u.dst), lam)
+            agg = scale(neighbor_sum(act(prev), src, dst), lam)
         else:
-            agg = segment_sum(mul(gate, gather_rows(prev, u.src)), u.dst)
+            agg = segment_sum(mul(gate, gather_rows(prev, src)), dst)
         states.append(add(agg, p) if composition == ADDITIVE else mul(agg, p))
     return states
 
 
 def _single_layer(
-    g: FeatureGraph | GraphUnion,
+    g: FeatureGraph,
     p: GraphLayerParams,
     cfg: GraphModelConfig,
     composition: str = MULTIPLICATIVE,
@@ -216,23 +194,23 @@ def _single_layer(
     gate: Tensor | None = None,
 ) -> GraphStateTrace:
     """Project, recurse, sum the final states per graph, activate."""
-    u = as_union(g)
-    x = Tensor(u.x)
+    src, dst, members = _segments(g)
+    x = Tensor(g.matrix)
     _check_weights(p.W, cfg.hidden, x.shape[1])
-    states = _walk_states(u, x, p.W, cfg.lam, composition, act, gate)
-    pre = segment_sum(states[-1], u.members)
-    return GraphStateTrace(u, [states], [x], [pre], cfg.activation(pre))
+    states = _walk_states(src, dst, x, p.W, cfg.lam, composition, act, gate)
+    pre = segment_sum(states[-1], members)
+    return GraphStateTrace(g, [states], [x], [pre], cfg.activation(pre))
 
 
 def rw_forward(
-    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
+    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Single-layer walk module: per graph, act(sum of final node states)."""
     return _single_layer(g, p, cfg)
 
 
 def generalized_forward(
-    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
+    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Composition-switch module: project the node, then join aggregated neighbors.
 
@@ -244,27 +222,27 @@ def generalized_forward(
 
 
 def deep_forward(
-    g: FeatureGraph | GraphUnion, params: Sequence[GraphLayerParams], cfg: GraphModelConfig
+    g: FeatureGraph, params: Sequence[GraphLayerParams], cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Stack of generalized layers with per-layer readout of the final width state."""
     if len(params) != cfg.layers:
         raise ConfigError(f"got {len(params)} layer params for {cfg.layers} layers")
-    u = as_union(g)
-    x = Tensor(u.x)
+    src, dst, members = _segments(g)
+    x = Tensor(g.matrix)
     states, nodes, readouts = [], [], []
     for p in params:
         if p.readout is None:
             raise ConfigError("deep layers need a readout matrix")
         _check_weights(p.W, cfg.hidden, x.shape[1])
-        layer = _walk_states(u, x, p.W, cfg.lam, cfg.composition, cfg.activation)
+        layer = _walk_states(src, dst, x, p.W, cfg.lam, cfg.composition, cfg.activation)
         x = cfg.activation(matvec(p.readout, layer[-1]))
         states.append(layer)
         nodes.append(x)
-        readouts.append(segment_sum(x, u.members))
-    return GraphStateTrace(u, states, nodes, readouts, readouts[-1])
+        readouts.append(segment_sum(x, members))
+    return GraphStateTrace(g, states, nodes, readouts, readouts[-1])
 
 
-def wl_forward(g: FeatureGraph | GraphUnion, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
+def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Relabeling iterations with walk readouts, summed across layers.
 
     Per-layer readouts are pre-activation sums of the final walk states; the
@@ -273,23 +251,23 @@ def wl_forward(g: FeatureGraph | GraphUnion, p: WLParams, cfg: GraphModelConfig)
     """
     if len(p.layer_W) != cfg.layers:
         raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
-    u = as_union(g)
-    x = Tensor(u.x)
+    src, dst, members = _segments(g)
+    x = Tensor(g.matrix)
     act = cfg.activation
     states, nodes, readouts = [], [], []
     for ws in p.layer_W:
         _check_weights(ws, cfg.hidden, x.shape[1])
-        layer = _walk_states(u, x, ws, cfg.lam)
+        layer = _walk_states(src, dst, x, ws, cfg.lam)
         states.append(layer)
-        readouts.append(segment_sum(layer[-1], u.members))
+        readouts.append(segment_sum(layer[-1], members))
         inner = act(matvec(p.v, x))
-        x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, u.src, u.dst))))
+        x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, src, dst))))
         nodes.append(x)
-    return GraphStateTrace(u, states, nodes, readouts, accumulate(readouts))
+    return GraphStateTrace(g, states, nodes, readouts, accumulate(readouts))
 
 
 def gated_rw_forward(
-    g: FeatureGraph | GraphUnion, p: GraphLayerParams, cfg: GraphModelConfig
+    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
 ) -> GraphStateTrace:
     """Walk module with a learned per-edge decay instead of the constant.
 
@@ -297,7 +275,7 @@ def gated_rw_forward(
     """
     if p.gate_u is None or p.gate_b is None:
         raise ConfigError("gated walk module needs gate_u and gate_b parameters")
-    u = as_union(g)
-    pairs = Tensor(np.hstack([u.x[u.src.ids], u.x[u.dst.ids]]))
+    src, dst = g.edge_arrays
+    pairs = Tensor(np.hstack([g.matrix[src], g.matrix[dst]]))
     gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
-    return _single_layer(u, p, cfg, gate=gate)
+    return _single_layer(g, p, cfg, gate=gate)

@@ -244,12 +244,10 @@ def load_graph_targets(path, in_dim: int | None = None) -> tuple[list[FeatureGra
 
 def format_graph_line(g: FeatureGraph, target: float | None = None) -> str:
     feats = " ; ".join(",".join(repr(float(x)) for x in f) for f in g.features)
-    edges = []
-    for v in range(g.num_nodes):
-        for u in g.neighbors[v]:
-            if u <= v:
-                edges.append(f"{u}-{v}")
-    line = f"{g.num_nodes} | {feats} | {' '.join(edges)}"
+    src, dst = g.edge_arrays
+    keep = src <= dst  # each undirected edge once, as its step u -> v with u <= v
+    edges = " ".join(f"{u}-{v}" for u, v in zip(src[keep].tolist(), dst[keep].tolist()))
+    line = f"{g.num_nodes} | {feats} | {edges}"
     if target is not None:
         line += f" | {float(target)!r}"
     return line

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
 from .graph_kernel import MULTIPLICATIVE, FeatureGraph
-from .graph_nn import GraphModelConfig, GraphUnion, WLParams, init_wl_params, wl_forward
+from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
 from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
 from .tensor import (
     NamedParams,
@@ -76,7 +76,7 @@ class OptimizerState:
 class TrainConfig:
     epochs: int = 1
     batch: int = 1
-    unroll: int = 16
+    unroll: int | None = None  # LM windows only; unset, 16
     seed: int = 0
     max_steps: int | None = None
 
@@ -269,8 +269,8 @@ def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generato
     return GraphRegModel(cfg, wl, **head)
 
 
-def graph_predict(model: GraphRegModel, g: FeatureGraph | GraphUnion) -> Tensor:
-    """The head's prediction for every graph of a union, in member order."""
+def graph_predict(model: GraphRegModel, g: FeatureGraph) -> Tensor:
+    """The head's prediction for every member graph, in order."""
     return _head(wl_forward(g, model.wl, model.cfg).out, model.head_w, model.head_b)
 
 
@@ -331,14 +331,15 @@ def train_lm(
         raise ConfigError(f"LM training runs one window per step; batch must be 1, got {tc.batch}")
     if len(train_ids) < 2:
         raise DataError("training needs at least two tokens")
+    unroll = 16 if tc.unroll is None else tc.unroll
     rng = np.random.default_rng(tc.seed)
     records: list[MetricRecord] = []
     steps = 0
     for epoch in range(1, tc.epochs + 1):
         state = None
         total, count = 0.0, 0
-        for t0 in range(0, len(train_ids) - 1, tc.unroll):
-            window = train_ids[t0 : t0 + tc.unroll + 1]
+        for t0 in range(0, len(train_ids) - 1, unroll):
+            window = train_ids[t0 : t0 + unroll + 1]
             if len(window) < 2:
                 break
             params = model.named()
@@ -368,7 +369,7 @@ def eval_graph_reg(
     """Root mean squared error of the scalar head over a graph set, one forward pass."""
     if len(graphs) != len(targets) or not graphs:
         raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
-    pred = graph_predict(model, GraphUnion(graphs)).data
+    pred = graph_predict(model, FeatureGraph.union(graphs)).data
     return math.sqrt(float(np.mean((pred - np.asarray(targets, dtype=np.float64)) ** 2)))
 
 
@@ -385,6 +386,9 @@ def train_graph_reg(
     A minibatch runs as one disjoint union of its graphs, so a step records
     the same few tape nodes whatever the batch or graph sizes.
     """
+    if tc.unroll is not None:
+        raise ConfigError("train unroll applies to lm training only; graph regression "
+                          "would ignore it")
     if len(graphs) != len(targets) or not graphs:
         raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
     rng = np.random.default_rng(tc.seed)
@@ -395,7 +399,7 @@ def train_graph_reg(
         total, seen = 0.0, 0
         for b0 in range(0, len(order), tc.batch):
             batch = order[b0 : b0 + tc.batch]
-            union = GraphUnion([graphs[i] for i in batch])
+            union = FeatureGraph.union([graphs[i] for i in batch])
             params = model.named()
             with Tape() as tape:
                 readout = wl_forward(union, model.wl, model.cfg).out

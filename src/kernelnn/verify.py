@@ -94,14 +94,10 @@ def _random_sequence(rng, length, dim) -> FeatureSequence:
 
 def _random_graph(rng, num_nodes, dim) -> FeatureGraph:
     feats = [rng.normal(size=dim) for _ in range(num_nodes)]
-    edges = set()
-    for v in range(1, num_nodes):
-        edges.add((int(rng.integers(0, v)), v))
-    for u in range(num_nodes):
-        for v in range(u + 1, num_nodes):
-            if rng.random() < 0.4:
-                edges.add((u, v))
-    return FeatureGraph.undirected(feats, sorted(edges))
+    tree = [(int(rng.integers(0, v)), v) for v in range(1, num_nodes)]
+    chords = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)
+              if rng.random() < 0.4]
+    return FeatureGraph.undirected(feats, tree + chords)
 
 
 def gram_range_residual(gram: np.ndarray, values: np.ndarray) -> float:
@@ -493,8 +489,8 @@ def check_smoke_train(seed: int, tol: float) -> list[CheckResult]:
     for _ in range(50):
         size = int(rng.integers(3, 7))
         feats = [rng.normal(size=3) for _ in range(size)]
-        edges = {(int(rng.integers(0, v)), v) for v in range(1, size)}
-        graphs.append(FeatureGraph.undirected(feats, sorted(edges)))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, size)]
+        graphs.append(FeatureGraph.undirected(feats, edges))
         targets.append(float(w_star @ np.sum(feats, axis=0)))
     gcfg = GraphModelConfig(n=1, hidden=8, lam=0.5, layers=2, activation=Activation.TANH)
     gmodel = init_graph_model(gcfg, in_dim=3, rng=np.random.default_rng(seed + 2))

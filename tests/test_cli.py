@@ -363,20 +363,23 @@ BAD_CONFIGS = {
     "zero-epochs": ({"model": MODEL, "train": {"epochs": 0}}, "epochs"),
     "zero-max-steps": ({"model": MODEL, "train": {"max_steps": 0}}, "max_steps"),
     "sgd-beta1": ({"model": MODEL, "optimizer": {"beta1": 0.5}}, "beta1"),
+    # graph regression runs, with the extra arguments they pass
+    "graph-reg-unroll": ({"model": MODEL, "train": {"unroll": 5}}, "unroll", ()),
+    "graph-reg-vocab": ({"model": MODEL}, "--vocab", ("--vocab", str(FIXTURES / "vocab.txt"))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
 def test_train_rejects_unknown_keys_and_mistyped_values(tmp_path, capsys, case):
-    doc, named = BAD_CONFIGS[case]
+    doc, named, *graph_args = BAD_CONFIGS[case]
     vocab, corpus, config = write_lm_inputs(tmp_path)
     config.write_text(json.dumps(doc))
     out = tmp_path / "x.bundle"
-    code, _, err = run(
-        capsys, "train", "--task", "lm", "--config", str(config),
-        "--data", str(corpus), "--vocab", str(vocab), "--out", str(out),
-    )
-    assert code == EXIT_INPUT
+    task = ("--task", "lm", "--data", str(corpus), "--vocab", str(vocab))
+    if graph_args:
+        task = ("--task", "graph-reg", "--data", str(FIXTURES / "graph_reg.txt"), *graph_args[0])
+    code, stdout, err = run(capsys, "train", *task, "--config", str(config), "--out", str(out))
+    assert code == EXIT_INPUT and stdout == ""
     assert named in err
     assert not out.exists()
 
@@ -510,6 +513,21 @@ def test_graph_reg_input_files_are_checked_before_training(tmp_path, capsys, cas
     assert str(bad) in err and fragment in err
     if "width" in case:
         assert "expects 2" in err
+
+
+def test_eval_of_a_graph_bundle_rejects_vocab(tmp_path, capsys):
+    data = str(FIXTURES / "graph_reg.txt")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 1, "hidden": 2},
+                                  "optimizer": {"kind": "adam", "lr": 0.02}}))
+    out = tmp_path / "graph.bundle"
+    code, _, _ = run(capsys, "train", "--task", "graph-reg", "--config", str(config),
+                     "--data", data, "--out", str(out))
+    assert code == EXIT_OK
+    code, stdout, err = run(capsys, "eval", "--bundle", str(out), "--data", data,
+                            "--vocab", str(FIXTURES / "vocab.txt"))
+    assert code == EXIT_INPUT
+    assert stdout == "" and "--vocab" in err
 
 
 def test_graph_reg_untargeted_record_is_named_by_its_line(tmp_path, capsys):

@@ -45,12 +45,12 @@ def random_graph(rng, num_nodes, dim, edge_prob=0.6, ensure_connected=True):
 
 
 def test_single_node_single_walk():
-    g = FeatureGraph((E1,), ((),))
+    g = FeatureGraph((E1,))
     assert enumerate_walks(g, 1) == [(0,)]
 
 
 def test_isolated_node_has_no_two_node_walks():
-    g = FeatureGraph((E1,), ((),))
+    g = FeatureGraph((E1,))
     assert enumerate_walks(g, 2) == []
 
 
@@ -71,14 +71,14 @@ def test_walk_guards():
 
 
 def test_single_node_kernel_is_inner_product():
-    g1 = FeatureGraph((E1,), ((),))
-    g2 = FeatureGraph((E1,), ((),))
+    g1 = FeatureGraph((E1,))
+    g2 = FeatureGraph((E1,))
     assert random_walk_kernel(g1, g2, GraphKernelConfig(n=1, lam=0.5)) == 1.0
 
 
 def test_edgeless_graph_scores_zero_at_order_two():
     g1 = FeatureGraph.undirected([E1, E2], [(0, 1)])
-    g2 = FeatureGraph((E1, E2), ((), ()))
+    g2 = FeatureGraph((E1, E2))
     assert random_walk_kernel(g1, g2, GraphKernelConfig(n=2, lam=0.5)) == 0.0
 
 
@@ -89,8 +89,8 @@ def test_two_paths_hand_value():
 
 
 def test_kernel_dimension_mismatch():
-    g1 = FeatureGraph((E1,), ((),))
-    g2 = FeatureGraph((np.ones(3),), ((),))
+    g1 = FeatureGraph((E1,))
+    g2 = FeatureGraph((np.ones(3),))
     with pytest.raises(ShapeError):
         random_walk_kernel(g1, g2, GraphKernelConfig(n=1, lam=0.5))
 
@@ -125,7 +125,7 @@ def test_local_kernel_base_case():
 
 
 def test_local_kernel_isolated_node_multiplicative_zero():
-    g1 = FeatureGraph((E1, E2), ((), ()))
+    g1 = FeatureGraph((E1, E2))
     g2 = FeatureGraph.undirected([E1, E2], [(0, 1)])
     cfg = GraphKernelConfig(n=2, lam=0.5)
     assert local_kernel(0, 0, g1, g2, cfg) == 0.0
@@ -143,7 +143,7 @@ def test_local_kernel_sum_decomposes_walk_kernel():
 
 
 def test_local_kernel_rejects_nonidentity_activation():
-    g = FeatureGraph((E1,), ((),))
+    g = FeatureGraph((E1,))
     cfg = GraphKernelConfig(n=1, lam=0.5, activation=Activation.TANH)
     with pytest.raises(UnsupportedActivationError):
         local_kernel(0, 0, g, g, cfg)
@@ -163,7 +163,7 @@ def test_deep_local_depth_one_equals_local():
 
 
 def test_deep_local_forced_zero_on_isolated_nodes():
-    g1 = FeatureGraph((E1, E2), ((), ()))
+    g1 = FeatureGraph((E1, E2))
     g2 = FeatureGraph.undirected([E1, E2], [(0, 1)])
     cfg = GraphKernelConfig(n=2, lam=0.5, composition=ADDITIVE, depth=2)
     assert deep_local_kernel(0, 0, g1, g2, cfg) == 0.0
@@ -198,7 +198,7 @@ def test_relabel_identity_transform_keeps_features():
 
 
 def test_relabel_isolated_node_uses_own_feature_only():
-    g = FeatureGraph((E1, E2), ((), ()))
+    g = FeatureGraph((E1, E2))
     rng = np.random.default_rng(8)
     params = relabel_params(rng, 2)
     out = wl_relabel(g, params)

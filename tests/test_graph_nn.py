@@ -18,7 +18,6 @@ from kernelnn.graph_kernel import (
 from kernelnn.graph_nn import (
     GraphLayerParams,
     GraphModelConfig,
-    GraphUnion,
     deep_forward,
     gated_rw_forward,
     generalized_forward,
@@ -70,7 +69,7 @@ def test_order_one_states_are_projections():
 
 def test_edgeless_graph_zero_states():
     rng = np.random.default_rng(1)
-    g = FeatureGraph((np.ones(2), np.ones(2)), ((), ()))
+    g = FeatureGraph((np.ones(2), np.ones(2)))
     cfg = GraphModelConfig(n=2, hidden=3, activation=Activation.SIGMOID)
     p = init_graph_layer(cfg, 2, rng)
     trace = rw_forward(g, p, cfg)
@@ -146,7 +145,7 @@ def test_generalized_multiplicative_identity_matches_plain():
 
 def test_generalized_additive_edgeless_keeps_projection():
     rng = np.random.default_rng(5)
-    g = FeatureGraph((np.ones(2), -np.ones(2)), ((), ()))
+    g = FeatureGraph((np.ones(2), -np.ones(2)))
     cfg = GraphModelConfig(n=3, hidden=2, lam=0.5, composition=ADDITIVE)
     p = init_graph_layer(cfg, 2, rng)
     trace = generalized_forward(g, p, cfg)
@@ -186,7 +185,7 @@ def test_deep_two_layer_reparameterization_identity():
             v=p.W[0].data,
             activation=Activation.TANH,
         )
-        relabeled = wl_relabel(FeatureGraph(tuple(node_feats), g.neighbors), fused)
+        relabeled = wl_relabel(FeatureGraph(tuple(node_feats), np.column_stack(g.edge_arrays)), fused)
         for v in range(g.num_nodes):
             assert np.allclose(trace.nodes[l].data[v], relabeled.features[v], rtol=1e-10, atol=1e-12)
         node_feats = [np.array(f) for f in relabeled.features]
@@ -302,7 +301,7 @@ def test_gated_constant_degeneration_matches_plain():
 
 def test_gated_edgeless_zero_deeper_states():
     rng = np.random.default_rng(14)
-    g = FeatureGraph((np.ones(2), np.ones(2)), ((), ()))
+    g = FeatureGraph((np.ones(2), np.ones(2)))
     cfg = GraphModelConfig(n=2, hidden=3, gated=True)
     p = init_graph_layer(cfg, 2, rng)
     trace = gated_rw_forward(g, p, cfg)
@@ -433,7 +432,7 @@ def union_members(rng, d):
         FeatureGraph.undirected(feats, [(0, 1), (1, 2), (2, 0)]),
         FeatureGraph.chain([rng.normal(size=d) for _ in range(4)]),
         random_graph(rng, 6, d),
-        FeatureGraph((rng.normal(size=d),), ((),)),
+        FeatureGraph((rng.normal(size=d),)),
     ]
 
 
@@ -471,11 +470,13 @@ def test_union_members_match_their_solo_forward(kind, composition):
     d, m = 3, 4
     graphs = union_members(rng, d)
     cfg, params, fwd, _, _ = module_setup(kind, rng, d, m, composition=composition)
-    union = fwd(GraphUnion(graphs), params, cfg)
+    union = fwd(FeatureGraph.union(graphs), params, cfg)
     assert union.out.shape == (len(graphs), m)
+    assert union.graph.sizes == tuple(g.num_nodes for g in graphs)
     for b, g in enumerate(graphs):
         solo = fwd(g, params, cfg)
-        rows = slice(int(union.union.offsets[b]), int(union.union.offsets[b]) + g.num_nodes)
+        start = sum(union.graph.sizes[:b])
+        rows = slice(start, start + g.num_nodes)
         for l in range(len(solo.states)):
             for j in range(cfg.n):
                 assert rel_error(union.states[l][j].data[rows], solo.states[l][j].data) <= 1e-12
@@ -488,8 +489,9 @@ def test_union_members_match_their_solo_forward(kind, composition):
 def test_union_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(21)
     d, m = 2, 3
-    union = GraphUnion([random_graph(rng, 4, d), FeatureGraph.chain([rng.normal(size=d)] * 3),
-                        FeatureGraph((np.ones(d), -np.ones(d)), ((), ()))])
+    union = FeatureGraph.union([random_graph(rng, 4, d),
+                                FeatureGraph.chain([rng.normal(size=d)] * 3),
+                                FeatureGraph((np.ones(d), -np.ones(d)))])
     cfg, params, fwd, named, swap = module_setup(kind, rng, d, m)
     probe = Tensor(rng.normal(size=(3, m)))
 
@@ -508,7 +510,7 @@ def test_single_graph_views_need_a_union_of_one():
     rng = np.random.default_rng(22)
     graphs = [random_graph(rng, 3, 2), random_graph(rng, 4, 2)]
     cfg = GraphModelConfig(n=2, hidden=3)
-    trace = rw_forward(GraphUnion(graphs), init_graph_layer(cfg, 2, rng), cfg)
+    trace = rw_forward(FeatureGraph.union(graphs), init_graph_layer(cfg, 2, rng), cfg)
     for read in (lambda t: t.h_graph, lambda t: t.state_sum(2)):
         with pytest.raises(ContractError):
             read(trace)

@@ -1,14 +1,21 @@
-"""Property tests: a FeatureGraph built from neighbor lists stores exactly those
-lists as its sorted walk steps, rejects an out-of-range index by naming the first
-one in input order, and equals ``FeatureGraph.undirected`` on the same edges."""
+"""Property tests: ``FeatureGraph(features, steps)`` stores each valid step once,
+sorted by destination and then source, or names the first bad index;
+``undirected`` is the constructor on both directions of every edge; and
+``split`` undoes ``union`` bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelnn.errors import ContractError
-from kernelnn.graph_kernel import FeatureGraph
+from kernelnn.errors import ContractError, ShapeError
+from kernelnn.graph_kernel import (
+    ADDITIVE,
+    FeatureGraph,
+    GraphKernelConfig,
+    deep_local_kernel,
+    enumerate_walks,
+)
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,
@@ -16,74 +23,179 @@ settings.register_profile("kernelnn", derandomize=True, database=None, deadline=
 settings.load_profile("kernelnn")
 
 
-@st.composite
-def neighbor_lists(draw):
-    """Unsorted predecessor lists with repeats and self-loops; some indices out of range."""
-    n = draw(st.integers(1, 6))
-    index = st.integers(0, n - 1) if draw(st.integers(0, 2)) else st.integers(-2, n + 1)
-    return n, [draw(st.lists(index, max_size=5)) for _ in range(n)]
-
-
 def features(n: int) -> list[np.ndarray]:
     return [np.array([float(v), -1.0]) for v in range(n)]
 
 
-def assert_steps(g: FeatureGraph, preds: list[list[int]]) -> None:
-    """``neighbors`` is the sorted lists and ``edge_arrays`` their flattening."""
-    want = tuple(tuple(sorted(p)) for p in preds)
-    assert g.neighbors == want
+@st.composite
+def step_lists(draw):
+    """Pairs with repeats and self-loops; some entries out of range or not integers."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    if draw(st.integers(0, 2)) == 0:
+        index = st.one_of(st.integers(-2, n + 1), st.sampled_from([1.5, 1.0, True, False, 2**70]))
+    return n, draw(st.lists(st.tuples(index, index), max_size=8))
+
+
+def expected_steps(n: int, pairs) -> str | list[tuple[int, int]]:
+    """The error a list of steps should raise, or its steps ``(u, v)`` once each by (v, u)."""
+    flat = [i for pair in pairs for i in pair]
+    not_int = [i for i in flat if isinstance(i, bool) or not isinstance(i, int)]
+    if not_int:
+        return f"neighbor index {not_int[0]!r} is not an integer"
+    out = [i for i in flat if not 0 <= i < n]
+    if out:
+        return f"neighbor index {out[0]} out of range for {n} nodes"
+    return sorted(set(pairs), key=lambda uv: (uv[1], uv[0]))
+
+
+def assert_steps(g: FeatureGraph, steps: list[tuple[int, int]]) -> None:
+    """``edge_arrays`` holds exactly ``steps``, in order, and ``neighbors`` groups them by v."""
     src, dst = g.edge_arrays
     assert src.dtype == dst.dtype == np.intp
-    assert src.tolist() == [u for p in want for u in p]
-    assert dst.tolist() == [v for v, p in enumerate(want) for _ in p]
+    assert list(zip(src.tolist(), dst.tolist())) == steps
+    assert g.neighbors == tuple(tuple(u for u, w in steps if w == v) for v in range(g.num_nodes))
 
 
-@given(neighbor_lists(), st.booleans())
-@example((3, [[2, 0, 2], [], [1, 1, 2]]), True)  # repeats and a self-loop, kept as given
-@example((2, [[1, 5], [-1]]), False)  # two bad indices: the first in input order
-@example((2, [[1, 2**70], [-1]]), False)  # an index no machine integer holds
-def test_neighbor_lists_are_stored_as_sorted_steps(lists, directed):
-    n, preds = lists
-    bad = [u for p in preds for u in p if not 0 <= u < n]
+def build(n: int, pairs) -> FeatureGraph | str:
     try:
-        g = FeatureGraph(features(n), preds, directed=directed)
+        return FeatureGraph(features(n), pairs)
     except ContractError as exc:
-        assert bad and str(exc) == f"neighbor index {bad[0]} out of range for {n} nodes"
+        return str(exc)
+
+
+@given(step_lists())
+@example((3, [(2, 0), (0, 0), (2, 0), (1, 2), (2, 2), (2, 2)]))  # repeats and self-loops, once each
+@example((2, [(1, 5), (-1, 0)]))  # two bad indices: the first in input order
+@example((2, [(1, 2**70)]))  # an index no machine integer holds
+@example((3, [(0, 1.5), (9, 0)]))  # a fraction before an out-of-range index
+@example((3, [(True, 2)]))  # a bool is not an index
+def test_steps_are_stored_once_in_order_or_the_first_bad_index_is_named(steps):
+    n, pairs = steps
+    want = expected_steps(n, pairs)
+    g = build(n, pairs)
+    if isinstance(want, str):
+        assert g == want
         return
-    assert not bad
-    assert g.directed is directed
-    assert np.array_equal(g.matrix, np.array(features(n)))
-    assert_steps(g, preds)
+    assert np.array_equal(g.matrix, np.array(features(n))) and not g.matrix.flags.writeable
+    assert g.sizes == (n,)
+    assert_steps(g, want)
 
 
 @st.composite
-def edge_lists(draw):
+def int_step_lists(draw):
     n = draw(st.integers(1, 6))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return n, draw(st.lists(pair, max_size=8))
+    index = st.integers(-2, n + 1) if draw(st.integers(0, 2)) == 0 else st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(index, index), max_size=8))
 
 
-@given(edge_lists())
-@example((2, [(0, 1), (1, 0), (1, 1), (1, 1)]))  # a repeated edge and a repeated self-loop
-def test_list_built_undirected_graph_equals_undirected(edges):
-    n, pairs = edges
-    preds = [set() for _ in range(n)]
-    for u, v in pairs:
-        preds[u].add(v)
-        preds[v].add(u)
-    preds = [list(p) for p in preds]
-    g = FeatureGraph(features(n), preds)
-    want = FeatureGraph.undirected(features(n), pairs)
-    assert g.directed is want.directed is False
-    assert np.array_equal(g.matrix, want.matrix)
-    for a, b in zip(g.edge_arrays, want.edge_arrays, strict=True):
+@given(int_step_lists(), st.sampled_from([np.int32, np.int64, np.intp]))
+def test_integer_step_arrays_build_the_graph_their_pairs_do(steps, dtype):
+    n, pairs = steps
+    got, want = build(n, np.array(pairs, dtype=dtype).reshape(-1, 2)), build(n, pairs)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.matrix, want.matrix)
+    for a, b in zip(got.edge_arrays, want.edge_arrays, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert g.neighbors == want.neighbors
-    assert_steps(want, preds)
+
+
+@pytest.mark.parametrize("steps", [np.array([[0, 1]], dtype=np.float64),
+                                   np.array([[0, 1]], dtype=bool),
+                                   np.array([["0", "1"]])],
+                         ids=["float", "bool", "str"])
+def test_step_arrays_of_a_non_integer_dtype_are_a_contract_error(steps):
+    with pytest.raises(ContractError, match="neighbor index .* is not an integer"):
+        FeatureGraph(features(3), steps)
+
+
+@pytest.mark.parametrize("steps", [[(0, 1, 2)], np.array([0, 1]), [(0, 1), (1,)],
+                                   np.zeros((0, 3), dtype=np.intp)],
+                         ids=["triple", "flat", "ragged", "empty-triples"])
+def test_steps_of_another_shape_are_a_shape_error(steps):
+    with pytest.raises(ShapeError, match=r"\(E, 2\)"):
+        FeatureGraph(features(3), steps)
+
+
+@pytest.mark.parametrize("edge,named", [((0, 1.5), "1.5"), ((True, 2), "True"),
+                                        ((0, 2**70), str(2**70))],
+                         ids=["fraction", "bool", "huge"])
+def test_undirected_rejects_an_index_that_is_not_a_machine_integer(edge, named):
+    with pytest.raises(ContractError, match=f"neighbor index {named} "):
+        FeatureGraph.undirected(features(3), [(0, 1), edge])
+
+
+@given(step_lists())
+@example((2, [(0, 1), (1, 0), (1, 1), (1, 1)]))  # a repeated edge and a repeated self-loop
+def test_undirected_is_the_constructor_on_both_directions(edges):
+    n, pairs = edges
+    both = pairs + [(v, u) for u, v in pairs]
+    try:
+        got = FeatureGraph.undirected(features(n), pairs)
+    except ContractError as exc:
+        assert str(exc) == build(n, both)
+        return
+    want = FeatureGraph(features(n), both)
+    assert np.array_equal(got.matrix, want.matrix) and got.sizes == want.sizes
+    for a, b in zip(got.edge_arrays, want.edge_arrays, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def valid_steps(n: int):
+    index = st.integers(0, n - 1)
+    return st.lists(st.tuples(index, index), max_size=6)
+
+
+@st.composite
+def graph_lists(draw):
+    """One to four graphs of one to five nodes, each with valid random steps."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        rows = draw(st.lists(st.lists(st.floats(-4, 4), min_size=2, max_size=2),
+                             min_size=n, max_size=n))
+        graphs.append(FeatureGraph(rows, draw(valid_steps(n))))
+    return graphs
+
+
+@given(graph_lists())
+def test_split_undoes_union_bit_for_bit(graphs):
+    union = FeatureGraph.union(graphs)
+    assert union.sizes == tuple(g.num_nodes for g in graphs)
+    assert not union.matrix.flags.writeable
+    parts = union.split(union.sizes)
+    assert len(parts) == len(graphs)
+    for got, want in zip(parts, graphs):
+        assert got.sizes == want.sizes == (want.num_nodes,)
+        assert got.matrix.dtype == want.matrix.dtype
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        for a, b in zip(got.edge_arrays, want.edge_arrays, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_union_needs_graphs_of_one_width():
+    with pytest.raises(ContractError, match="at least one graph"):
+        FeatureGraph.union([])
+    with pytest.raises(ShapeError, match="feature width"):
+        FeatureGraph.union([FeatureGraph(features(2)), FeatureGraph([np.ones(3)])])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), valid_steps(n))),
+       st.integers(1, 3))
+def test_deep_local_kernel_is_zero_exactly_where_no_walk_ends(steps, order):
+    """The stacked local kernel scores a node pair only if an order-node walk ends at both."""
+    n, pairs = steps
+    g = FeatureGraph(np.random.default_rng(n).normal(size=(n, 2)), pairs)
+    ends = {walk[-1] for walk in enumerate_walks(g, order)}
+    cfg = GraphKernelConfig(n=order, composition=ADDITIVE, depth=2)
+    for a in range(n):
+        for b in range(n):
+            assert (deep_local_kernel(a, b, g, g, cfg) != 0.0) == (a in ends and b in ends)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_chain_steps_from_each_node_to_the_next(n):
     g = FeatureGraph.chain(features(n))
-    assert g.directed
-    assert_steps(g, [[v - 1] if v else [] for v in range(n)])
+    assert_steps(g, [(v, v + 1) for v in range(n - 1)])

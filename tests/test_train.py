@@ -5,7 +5,7 @@ import pytest
 
 from kernelnn.errors import ConfigError, DataError, EvaluationError
 from kernelnn.graph_kernel import FeatureGraph
-from kernelnn.graph_nn import GraphModelConfig, GraphUnion, wl_forward
+from kernelnn.graph_nn import GraphModelConfig, wl_forward
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation, Tape, Tensor
 from kernelnn.train import (
@@ -285,7 +285,7 @@ def test_graph_step_tape_nodes_do_not_grow_with_batch_or_graph_size():
                 edges = [(int(rng.integers(0, v)), v) for v in range(1, size)]
                 graphs.append(FeatureGraph.undirected(rng.normal(size=(size, 3)), edges))
             with Tape() as tape:
-                readout = wl_forward(GraphUnion(graphs), model.wl, cfg).out
+                readout = wl_forward(FeatureGraph.union(graphs), model.wl, cfg).out
                 regression_loss(readout, rng.normal(size=batch), model.head_w, model.head_b)
             counts.append(len(tape))
     assert len(set(counts)) == 1 and counts[0] <= 100
