@@ -17,6 +17,7 @@ import numpy as np
 from . import io as kio
 from .errors import ConfigError, DataError, EvaluationError, GuardError, KernelNNError
 from .graph_kernel import (
+    FeatureGraph,
     GraphKernelConfig,
     WLRelabelParams,
     deep_graph_kernel,
@@ -289,7 +290,10 @@ def cmd_eval(args) -> int:
     if bundle.kind == "seq-lm":
         if not args.vocab:
             raise DataError("evaluating a language model needs --vocab")
-        vocab, _ = kio.load_vocab(args.vocab)
+        vocab, tokens = kio.load_vocab(args.vocab)
+        if len(tokens) != model.vocab_size:
+            raise DataError(f"{args.vocab}: vocabulary holds {len(tokens)} tokens, but the model "
+                            f"in {args.bundle} has a vocabulary of {model.vocab_size}")
         ids = kio.flatten_corpus(kio.load_corpus(args.data, vocab))
         loss, ppl = eval_lm(model, ids)
         records = [MetricRecord(0, "eval", loss, ppl, "ppl")]
@@ -297,7 +301,7 @@ def cmd_eval(args) -> int:
         if args.vocab:
             raise ConfigError("--vocab applies to lm bundles only")
         graphs, targets = kio.load_graph_targets(args.data, model.in_dim)
-        rmse = eval_graph_reg(model, graphs, targets)
+        rmse = eval_graph_reg(model, FeatureGraph.union(graphs), targets)
         records = [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse")]
     _emit_metrics(records, args.metrics)
     return EXIT_OK

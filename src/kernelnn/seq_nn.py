@@ -117,14 +117,14 @@ class LayerScan:
     """What one layer's scan computed over a window of T tokens.
 
     ``c[t, j]`` is cell state j+1 after token t (row 0 holds the initial
-    state), ``pre[t-1]`` the pre-activation output, ``decay`` the decay applied
-    at each step (a float for constant decay, else a (T, hidden) array), and
-    ``h`` the (T, hidden) output tensor the scan recorded on the tape.
+    state), ``pre[t-1]`` the pre-activation output, ``decay[t-1]`` the
+    (hidden,) decay applied at token t in every decay mode, and ``h`` the
+    (T, hidden) output tensor the scan recorded on the tape.
     """
 
     c: np.ndarray
     pre: np.ndarray
-    decay: float | np.ndarray
+    decay: np.ndarray
     h: Tensor
 
 
@@ -145,22 +145,13 @@ class StateTrace:
     def decay_arrays(self, hidden: int, layer: int = -1) -> list[np.ndarray]:
         """The decay applied at each step, one (hidden,) array per token."""
         decay = self.scans[layer].decay
-        if isinstance(decay, float):
-            return [np.full(hidden, decay) for _ in range(len(self.scans[layer].pre))]
-        return [np.array(d) for d in decay]
+        if decay.shape[1] != hidden:
+            raise ShapeError(f"layer {layer} decays {decay.shape[1]} units, not {hidden}")
+        return list(decay)
 
-    def carry(self, layer_count: int) -> "StackState":
-        scans = self.scans[:layer_count]
-        return StackState([list(np.array(s.c[-1])) for s in scans],
-                          [np.array(s.h.data[-1]) for s in scans])
-
-
-@dataclass
-class StackState:
-    """Detached carry-over state for truncated backprop windows."""
-
-    c: list[list[np.ndarray]]
-    h: list[np.ndarray]
+    def carry(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each layer's last ``(c, h)``, detached, to start the next window from."""
+        return [(s.c[-1].copy(), s.h.data[-1].copy()) for s in self.scans]
 
 
 def _as_matrix(x) -> Tensor:
@@ -204,8 +195,7 @@ def _scan(
     x: Tensor,
     p: SeqLayerParams,
     cfg: SeqModelConfig,
-    init_c: Sequence[np.ndarray] | None,
-    init_h: np.ndarray | None,
+    state: tuple[np.ndarray, np.ndarray] | None,
 ) -> LayerScan:
     """One layer over a whole window, recorded as a single tape node.
 
@@ -227,19 +217,17 @@ def _scan(
     additive = cfg.variant == "add-norm"
 
     c = np.zeros((steps + 1, n, m))
-    if init_c is not None:
-        c0 = np.array(init_c, dtype=np.float64)
-        if c0.shape != (n, m):
-            raise ShapeError(f"init_c has shape {c0.shape}, expected {(n, m)}")
-        c[0] = c0
-    h0 = np.zeros(m) if init_h is None else np.array(init_h, dtype=np.float64)
-    if h0.shape != (m,):
-        raise ShapeError(f"init_h has shape {h0.shape}, expected {(m,)}")
+    start = (c[0], np.zeros(m)) if state is None else state
+    c0, h0 = (np.asarray(s, dtype=np.float64) for s in start)
+    if (c0.shape, h0.shape) != ((n, m), (m,)):
+        raise ShapeError(f"start state (c, h) has shapes {c0.shape} and {h0.shape}, "
+                         f"expected {(n, m)} and {(m,)}")
+    c[0] = c0
 
     wcat = np.concatenate([w.data for w in p.W])
     proj = (xd @ wcat.T).reshape(steps, n, m)
     if cfg.decay == "constant":
-        lam = cfg.lam
+        lam = np.full((steps, m), cfg.lam)
     elif cfg.decay == "learned":
         lam = np.broadcast_to(sig(p.decay_logit.data), (steps, m))
     else:
@@ -269,7 +257,7 @@ def _scan(
     for t in range(steps):
         if with_state:
             lam[t] = sig(lam[t] + gate_h @ h_prev)
-        lt = lam if isinstance(lam, float) else lam[t]
+        lt = lam[t]
         a, inn = c[t], inner[t]
         inn[0] = proj[t, 0]
         if additive:
@@ -312,10 +300,9 @@ def _scan(
             else:
                 g_c += comb[:, None] * g_pre
                 g_comb += c[t + 1] @ g_pre
-            lt = lam if isinstance(lam, float) else lam[t]
+            lt = lam[t]
             g_inn = (1.0 - lt) * g_c if normalized else g_c
-            if not isinstance(lam, float):
-                g_lam[t] = (g_c * (c[t] - inner[t] if normalized else c[t])).sum(axis=0)
+            g_lam[t] = (g_c * (c[t] - inner[t] if normalized else c[t])).sum(axis=0)
             g_prev = lt * g_c
             g_proj[t] = g_inn
             if additive:
@@ -359,34 +346,36 @@ def forward_layer(
     x,
     p: SeqLayerParams,
     cfg: SeqModelConfig,
-    init_c: Sequence[np.ndarray] | None = None,
-    init_h: np.ndarray | None = None,
+    state: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StateTrace:
     """Run one recurrent layer over a token sequence and record the full trace.
 
-    ``x`` is a FeatureSequence, a list of 1-d tensors or a (T, d) tensor.
-    With ``cfg.highway`` the cell input is always scaled by (1 - decay), the
-    pre-activation is the last state, and the output mixes it with the layer
-    input, h = f * pre + (1 - f) * x, with no activation, so an
-    identity-activation stack stays exactly linear-gated.
+    ``x`` is a FeatureSequence, a list of 1-d tensors or a (T, d) tensor;
+    ``state`` is the start state ``(c, h)`` of shapes (n, hidden) and
+    (hidden,), zero when unset.  With ``cfg.highway`` the cell input is always
+    scaled by (1 - decay), the pre-activation is the last state, and the
+    output mixes it with the layer input, h = f * pre + (1 - f) * x, with no
+    activation, so an identity-activation stack stays exactly linear-gated.
     """
-    return StateTrace([_scan(_as_matrix(x), p, cfg, init_c, init_h)])
+    return StateTrace([_scan(_as_matrix(x), p, cfg, state)])
 
 
 def forward_stack(
     x,
     params: Sequence[SeqLayerParams],
     cfg: SeqModelConfig,
-    state: StackState | None = None,
+    state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> StateTrace:
     """Apply the configured layers in order; layer l+1 reads layer l's outputs.
 
-    Dropout, when enabled and training, is applied to layer inputs only,
-    with inverted scaling so evaluation uses the weights unchanged.  Each
-    layer draws its (T, d) mask in one call, row by row, which consumes the
-    rng stream exactly as one draw per token does.
+    ``state`` holds each layer's start state ``(c, h)``, as
+    :meth:`StateTrace.carry` returns them.  Dropout, when enabled and
+    training, is applied to layer inputs only, with inverted scaling so
+    evaluation uses the weights unchanged.  Each layer draws its (T, d) mask
+    in one call, row by row, which consumes the rng stream exactly as one
+    draw per token does.
     """
     inputs = _as_matrix(x)
     if len(params) != cfg.layers:
@@ -399,8 +388,6 @@ def forward_stack(
             keep = 1.0 - cfg.dropout
             mask = (rng.random(inputs.shape) < keep).astype(np.float64) / keep
             inputs = mul(inputs, Tensor(mask))
-        init_c = state.c[l] if state is not None else None
-        init_h = state.h[l] if state is not None else None
-        scans.append(_scan(inputs, p, cfg, init_c, init_h))
+        scans.append(_scan(inputs, p, cfg, None if state is None else state[l]))
         inputs = scans[-1].h
     return StateTrace(scans)

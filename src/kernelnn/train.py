@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
 from .graph_kernel import MULTIPLICATIVE, FeatureGraph
 from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
-from .seq_nn import SeqLayerParams, SeqModelConfig, StackState, forward_stack, init_seq_stack
+from .seq_nn import SeqLayerParams, SeqModelConfig, forward_stack, init_seq_stack
 from .tensor import (
     NamedParams,
     Tape,
@@ -97,15 +97,6 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, 
     return {name: g * factor for name, g in grads.items()}
 
 
-def _prepare(params, grads, state) -> dict[str, np.ndarray]:
-    out = {}
-    for name in params:
-        out[name] = np.asarray(grads.get(name, np.zeros(params[name].shape)), dtype=np.float64)
-    if state.clip is not None:
-        out = clip_gradients(out, state.clip)
-    return out
-
-
 def _updated(name: str, data: np.ndarray) -> Tensor:
     """A parameter after its step; a non-finite gradient gives a non-finite step, an error."""
     try:
@@ -114,18 +105,19 @@ def _updated(name: str, data: np.ndarray) -> Tensor:
         raise EvaluationError(f"non-finite step for parameter {name!r}") from None
 
 
-def step_sgd(
+def step(
     params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState
 ) -> dict[str, Tensor]:
-    gs = _prepare(params, grads, state)
-    return {name: _updated(name, params[name].data - state.lr * gs[name]) for name in params}
+    """One optimizer step of ``state.kind``: a missing gradient reads as zero, then clipping.
 
-
-def step_adam(
-    params: dict[str, Tensor], grads: dict[str, np.ndarray], state: OptimizerState
-) -> dict[str, Tensor]:
-    """One Adam step; the moments and step count change only if every parameter's step is finite."""
-    gs = _prepare(params, grads, state)
+    Adam's moments and step count change only if every parameter's step is finite.
+    """
+    gs = {name: np.asarray(grads.get(name, np.zeros(p.shape)), dtype=np.float64)
+          for name, p in params.items()}
+    if state.clip is not None:
+        gs = clip_gradients(gs, state.clip)
+    if state.kind == "sgd":
+        return {name: _updated(name, params[name].data - state.lr * gs[name]) for name in params}
     t = state.step + 1
     out, ms, vs = {}, {}, {}
     for name in params:
@@ -141,10 +133,6 @@ def step_adam(
     state.m.update(ms)
     state.v.update(vs)
     return out
-
-
-def step(params, grads, state: OptimizerState):
-    return step_sgd(params, grads, state) if state.kind == "sgd" else step_adam(params, grads, state)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +212,7 @@ def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator
 def lm_forward(
     model: SeqLMModel,
     ids: Sequence[int],
-    state: StackState | None = None,
+    state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ):
@@ -235,14 +223,14 @@ def lm_forward(
 def lm_window_loss(
     model: SeqLMModel,
     window: Sequence[int],
-    state: StackState | None = None,
+    state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
     training: bool = False,
-) -> tuple[Tensor, StackState]:
+) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
     """Loss of predicting ``window[1:]`` from ``window[:-1]``, and the state carried out."""
     trace = lm_forward(model, window[:-1], state=state, rng=rng, training=training)
     loss = lm_loss(trace.matrix(), window[1:], model.out_w, model.out_b)
-    return loss, trace.carry(model.cfg.layers)
+    return loss, trace.carry()
 
 
 @dataclass
@@ -295,9 +283,9 @@ class MetricRecord:
 
 
 def _grads_by_name(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """The gradient of each named parameter the loss reaches; :func:`step` zero-fills the rest."""
     grads = tape.backward(loss)
-    return {name: grads[t].data if t in grads else np.zeros(t.shape)
-            for name, t in params.items()}
+    return {name: grads[t].data for name, t in params.items() if t in grads}
 
 
 def eval_lm(model: SeqLMModel, ids: Sequence[int], unroll: int = 64) -> tuple[float, float]:
@@ -340,8 +328,6 @@ def train_lm(
         total, count = 0.0, 0
         for t0 in range(0, len(train_ids) - 1, unroll):
             window = train_ids[t0 : t0 + unroll + 1]
-            if len(window) < 2:
-                break
             params = model.named()
             with Tape() as tape:
                 loss, state = lm_window_loss(model, window, state, rng=rng, training=True)
@@ -363,13 +349,11 @@ def train_lm(
     return model, records
 
 
-def eval_graph_reg(
-    model: GraphRegModel, graphs: Sequence[FeatureGraph], targets: Sequence[float]
-) -> float:
-    """Root mean squared error of the scalar head over a graph set, one forward pass."""
-    if len(graphs) != len(targets) or not graphs:
-        raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
-    pred = graph_predict(model, FeatureGraph.union(graphs)).data
+def eval_graph_reg(model: GraphRegModel, graphs: FeatureGraph, targets: Sequence[float]) -> float:
+    """Root mean squared error of the head over a graph set, one forward pass over its union."""
+    if len(graphs.sizes) != len(targets):
+        raise DataError(f"{len(graphs.sizes)} graphs vs {len(targets)} targets")
+    pred = graph_predict(model, graphs).data
     return math.sqrt(float(np.mean((pred - np.asarray(targets, dtype=np.float64)) ** 2)))
 
 
@@ -391,6 +375,8 @@ def train_graph_reg(
                           "would ignore it")
     if len(graphs) != len(targets) or not graphs:
         raise DataError(f"{len(graphs)} graphs vs {len(targets)} targets")
+    train_set = FeatureGraph.union(graphs)
+    valid_set = None if valid is None else FeatureGraph.union(valid[0])
     rng = np.random.default_rng(tc.seed)
     records: list[MetricRecord] = []
     steps = 0
@@ -412,10 +398,10 @@ def train_graph_reg(
             steps += 1
             if tc.max_steps is not None and steps >= tc.max_steps:
                 break
-        rmse = eval_graph_reg(model, graphs, targets)
+        rmse = eval_graph_reg(model, train_set, targets)
         records.append(MetricRecord(epoch, "train", total / seen, rmse, "rmse"))
         if valid is not None:
-            vrmse = eval_graph_reg(model, *valid)
+            vrmse = eval_graph_reg(model, valid_set, valid[1])
             records.append(MetricRecord(epoch, "valid", vrmse * vrmse, vrmse, "rmse"))
         opt.end_epoch()
         if tc.max_steps is not None and steps >= tc.max_steps:

@@ -499,7 +499,7 @@ def check_smoke_train(seed: int, tol: float) -> list[CheckResult]:
         TrainConfig(epochs=200, batch=10, seed=seed, max_steps=500),
         OptimizerState(kind="adam", lr=0.02, lr_decay=0.995),
     )
-    ratio = eval_graph_reg(gmodel, graphs, targets) / float(np.std(targets))
+    ratio = eval_graph_reg(gmodel, FeatureGraph.union(graphs), targets) / float(np.std(targets))
     out.append(CheckResult("smoke-train", seed, ratio, ratio < 0.1, detail="graph-rmse-ratio"))
     return out
 

@@ -287,6 +287,26 @@ def test_eval_empty_data_is_input_error(tmp_path, capsys):
     assert "corpus" in err or "tokens" in err
 
 
+@pytest.mark.parametrize("tokens", [["<unk>", "a"], ["<unk>", "a", "b", "c", "d"]],
+                         ids=["smaller", "larger"])
+def test_eval_of_an_lm_bundle_rejects_a_vocab_of_another_size(tmp_path, capsys, tokens):
+    _, corpus, config = write_lm_inputs(tmp_path, epochs=1)
+    out = tmp_path / "model.bundle"
+    code, _, _ = run(capsys, "train", "--task", "lm", "--config", str(config),
+                     "--data", str(corpus), "--vocab", str(tmp_path / "vocab.txt"),
+                     "--out", str(out))
+    assert code == EXIT_OK
+    other = tmp_path / "other_vocab.txt"
+    other.write_text("\n".join(tokens) + "\n")
+    data = tmp_path / "eval.txt"
+    data.write_text("a b c d a b\n")
+    code, stdout, err = run(capsys, "eval", "--bundle", str(out), "--data", str(data),
+                            "--vocab", str(other))
+    assert code == EXIT_INPUT and stdout == ""
+    assert str(other) in err and str(out) in err
+    assert f"holds {len(tokens)} tokens" in err and "vocabulary of 3" in err
+
+
 def test_eval_bundle_version_mismatch(tmp_path, capsys):
     bad = tmp_path / "bad.bundle"
     bad.write_text('{"format_version": 9, "kind": "seq-lm", "config": {}, "seed": 0, "params": {}}')

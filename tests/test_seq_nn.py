@@ -222,6 +222,50 @@ def test_zero_init_state():
         assert np.array_equal(trace.state(j, 0).data, np.zeros(3))
 
 
+@pytest.mark.parametrize("decay", ["constant", "learned", "gated-input", "gated-input-state"])
+def test_decay_is_a_row_per_token_in_every_mode(decay):
+    rng = np.random.default_rng(31)
+    cfg = SeqModelConfig(n=2, hidden=3, layers=2, lam=0.4, decay=decay)
+    params = init_seq_stack(cfg, 2, rng)
+    trace = forward_stack(rand_seq(rng, 5, 2), params, cfg)
+    for layer, scan in enumerate(trace.scans):
+        assert isinstance(scan.decay, np.ndarray) and scan.decay.shape == (5, 3)
+        assert np.array_equal(trace.decay_arrays(3, layer), scan.decay)
+        with pytest.raises(ShapeError):
+            trace.decay_arrays(4, layer)
+    if decay == "constant":
+        assert np.all(trace.scans[0].decay == 0.4)
+
+
+@pytest.mark.parametrize("decay, highway", [
+    ("constant", False), ("learned", False), ("gated-input", False),
+    ("gated-input-state", False), ("gated-input-state", True)])
+def test_carried_state_continues_the_window(decay, highway):
+    rng = np.random.default_rng(32)
+    cfg = SeqModelConfig(n=2, hidden=3, layers=2, lam=0.4, decay=decay, highway=highway,
+                         variant="mult-norm")
+    params = init_seq_stack(cfg, 3, rng)
+    x = rng.normal(size=(7, 3))
+    whole = forward_stack(Tensor(x), params, cfg)
+    head = forward_stack(Tensor(x[:3]), params, cfg)
+    tail = forward_stack(Tensor(x[3:]), params, cfg, state=head.carry())
+    for l in range(cfg.layers):
+        for got, want in ((head.scans[l].c[1:], whole.scans[l].c[1:4]),
+                          (tail.scans[l].c, whole.scans[l].c[3:]),
+                          (head.matrix(l).data, whole.matrix(l).data[:3]),
+                          (tail.matrix(l).data, whole.matrix(l).data[3:])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_a_start_state_of_the_wrong_shape_is_a_shape_error():
+    cfg = SeqModelConfig(n=2, hidden=3, lam=0.5)
+    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
+    x = rand_seq(np.random.default_rng(1), 3, 2)
+    for state in ((np.zeros((2, 3)), np.zeros(2)), (np.zeros((3, 3)), np.zeros(3))):
+        with pytest.raises(ShapeError):
+            forward_layer(x, p, cfg, state=state)
+
+
 def test_empty_sequence_rejected():
     cfg = SeqModelConfig(n=1, hidden=2, lam=0.5)
     p = init_seq_layer(cfg, 2, np.random.default_rng(0))
@@ -402,7 +446,7 @@ def scan_gradient_error(cfg, seed, d, length=4):
     probe = Tensor(rng.normal(size=(length, cfg.hidden)))
 
     def run(params, inputs):
-        trace = forward_layer(inputs, params, cfg, init_c=init_c, init_h=init_h)
+        trace = forward_layer(inputs, params, cfg, state=(init_c, init_h))
         return tsum(mul(probe, trace.matrix()))
 
     with Tape() as tape:

@@ -20,8 +20,6 @@ from kernelnn.train import (
     lm_window_loss,
     regression_loss,
     step,
-    step_adam,
-    step_sgd,
     train_graph_reg,
     train_lm,
 )
@@ -40,13 +38,13 @@ def test_optimizer_steps_never_write_into_gradients():
 
 def test_sgd_zero_gradient_keeps_params():
     p = {"w": Tensor([1.0, -2.0])}
-    out = step_sgd(p, {"w": np.zeros(2)}, OptimizerState(lr=0.5))
+    out = step(p, {"w": np.zeros(2)}, OptimizerState(lr=0.5))
     assert np.array_equal(out["w"].data, p["w"].data)
 
 
 def test_sgd_unit_lr_gradient_equal_param_zeroes():
     p = {"w": Tensor([1.0, -2.0])}
-    out = step_sgd(p, {"w": p["w"].data.copy()}, OptimizerState(lr=1.0))
+    out = step(p, {"w": p["w"].data.copy()}, OptimizerState(lr=1.0))
     assert np.allclose(out["w"].data, 0.0)
 
 
@@ -54,7 +52,7 @@ def test_sgd_quadratic_bowl_contracts_geometrically():
     p = {"w": Tensor([3.0, -4.0])}
     state = OptimizerState(lr=0.1)
     for _ in range(100):
-        p = step_sgd(p, {"w": 2.0 * p["w"].data}, state)
+        p = step(p, {"w": 2.0 * p["w"].data}, state)
     want = np.linalg.norm([3.0, 4.0]) * 0.8**100
     assert np.linalg.norm(p["w"].data) == pytest.approx(want, rel=1e-10)
 
@@ -68,14 +66,14 @@ def test_sgd_lr_decay_applies_per_epoch():
 
 def test_adam_zero_gradient_keeps_params():
     p = {"w": Tensor([1.0, 2.0])}
-    out = step_adam(p, {"w": np.zeros(2)}, OptimizerState(kind="adam", lr=0.1))
+    out = step(p, {"w": np.zeros(2)}, OptimizerState(kind="adam", lr=0.1))
     assert np.array_equal(out["w"].data, p["w"].data)
 
 
 def test_adam_first_step_size_is_scale_free():
     for magnitude in (1e-3, 1.0, 1e3):
         p = {"w": Tensor([0.0])}
-        out = step_adam(p, {"w": np.array([magnitude])}, OptimizerState(kind="adam", lr=0.01))
+        out = step(p, {"w": np.array([magnitude])}, OptimizerState(kind="adam", lr=0.01))
         assert out["w"].data[0] == pytest.approx(-0.01, rel=1e-4)
 
 
@@ -89,7 +87,7 @@ def test_adam_convex_quadratic_decreases_after_warmup():
     for _ in range(500):
         w = p["w"].data
         losses.append(0.5 * float(w @ h @ w))
-        p = step_adam(p, {"w": h @ w}, state)
+        p = step(p, {"w": h @ w}, state)
     assert losses[-1] < 1e-4 * losses[0]
     tail = losses[100:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
@@ -107,7 +105,7 @@ def test_clipping_bounds_global_norm():
 def test_non_finite_gradient_names_parameter():
     p = {"bad_param": Tensor([1.0])}
     with pytest.raises(EvaluationError) as err:
-        step_sgd(p, {"bad_param": np.array([float("nan")])}, OptimizerState())
+        step(p, {"bad_param": np.array([float("nan")])}, OptimizerState())
     assert "bad_param" in str(err.value)
 
 
@@ -119,6 +117,23 @@ def test_nan_gradient_is_an_evaluation_error_and_leaves_the_state(kind, clip):
     with pytest.raises(EvaluationError):
         step(params, {"a": np.array([0.5, 0.5]), "b": np.array([float("nan")])}, state)
     assert state.step == 0 and not state.m and not state.v
+
+
+@pytest.mark.parametrize("clip", [None, 1.0], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_missing_gradient_steps_as_zeros(kind, clip):
+    def plain(named):
+        return {name: np.asarray(getattr(t, "data", t)).tolist() for name, t in named.items()}
+
+    params = {"a": Tensor([1.0, -2.0]), "b": Tensor([3.0])}
+    missing, zeros = OptimizerState(kind=kind, clip=clip), OptimizerState(kind=kind, clip=clip)
+    for g in ([3.0, -4.0], [0.5, 0.25]):  # with clip, the first gradient is clipped
+        got = step(params, {"a": np.array(g)}, missing)
+        want = step(params, {"a": np.array(g), "b": np.zeros(1)}, zeros)
+        assert plain(got) == plain(want)
+        params = got
+    assert missing.step == zeros.step
+    assert (plain(missing.m), plain(missing.v)) == (plain(zeros.m), plain(zeros.v))
 
 
 def test_unknown_optimizer_rejected():
@@ -229,7 +244,7 @@ def test_graph_regression_beats_ten_percent_of_std():
     tc = TrainConfig(epochs=200, batch=10, seed=9, max_steps=500)
     opt = OptimizerState(kind="adam", lr=0.02, lr_decay=0.995)
     model, records = train_graph_reg(model, graphs, targets, tc, opt)
-    rmse = eval_graph_reg(model, graphs, targets)
+    rmse = eval_graph_reg(model, FeatureGraph.union(graphs), targets)
     assert rmse < 0.1 * float(np.std(targets))
 
 
@@ -265,11 +280,30 @@ def test_graph_train_loss_of_a_cut_short_epoch_is_a_mean_over_seen_graphs():
     model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(1))
     # the one step trains on the first batch of the seed's shuffle, before its update
     first = np.random.default_rng(2).permutation(len(graphs))[:4]
-    want = eval_graph_reg(model, [graphs[i] for i in first], [targets[i] for i in first]) ** 2
+    want = eval_graph_reg(model, FeatureGraph.union([graphs[i] for i in first]),
+                          [targets[i] for i in first]) ** 2
     _, records = train_graph_reg(model, graphs, targets,
                                  TrainConfig(epochs=1, batch=4, seed=2, max_steps=1),
                                  OptimizerState(kind="adam", lr=0.01))
     assert records[0].loss == pytest.approx(want, rel=1e-12)
+
+
+def test_graph_training_unions_the_training_and_validation_sets_once(monkeypatch):
+    graphs, targets = synthetic_graph_task(np.random.default_rng(13), count=10)
+    cfg = GraphModelConfig(n=1, hidden=3, lam=0.5, activation=Activation.TANH)
+    model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(1))
+    union, sizes = FeatureGraph.union, []
+
+    def counted(cls, members):
+        sizes.append(len(members))
+        return union(members)
+
+    monkeypatch.setattr(FeatureGraph, "union", classmethod(counted))
+    train_graph_reg(model, graphs, targets, TrainConfig(epochs=3, batch=4, seed=2),
+                    OptimizerState(lr=0.01), valid=(graphs[:4], targets[:4]))
+    batches = 3 * 3  # 10 graphs in batches of 4, for 3 epochs
+    assert len(sizes) == batches + 2
+    assert sorted(sizes) == sorted([10, 4] + [4, 4, 2] * 3)
 
 
 def test_graph_step_tape_nodes_do_not_grow_with_batch_or_graph_size():
