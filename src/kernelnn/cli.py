@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -16,12 +17,12 @@ import numpy as np
 
 from . import io as kio
 from .errors import ConfigError, DataError, EvaluationError, GuardError, KernelNNError
+from .graph_dp import gated_random_walk_kernel
 from .graph_kernel import (
     FeatureGraph,
     GraphKernelConfig,
     WLRelabelParams,
     deep_graph_kernel,
-    gated_random_walk_kernel,
     random_walk_kernel,
     wl_kernel,
 )
@@ -178,24 +179,35 @@ def cmd_kernel(args) -> int:
     if len(graphs) % 2 != 0:
         raise DataError(f"{args.file}: need an even number of graphs, got {len(graphs)}")
     d = graphs[0].dim
+    if kernel == "deep":
+        cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive", depth=depth)
+    elif kernel != "gated":
+        cfg = GraphKernelConfig(n=args.n, lam=args.lam)
     rng = np.random.default_rng(args.seed)
     for i in range(0, len(graphs), 2):
         g1, g2 = graphs[i], graphs[i + 1]
-        if kernel == "gated":
-            u = rng.normal(size=(1, 2 * d))
-            b = rng.normal(size=1)
-            value = float(gated_random_walk_kernel(g1, g2, u, b, args.n)[0])
-        elif kernel == "walk":
-            value = random_walk_kernel(g1, g2, GraphKernelConfig(n=args.n, lam=args.lam))
-        elif kernel == "wl":
-            relabel = WLRelabelParams(
-                u1=rng.normal(size=(d, d)), u2=rng.normal(size=(d, d)),
-                v=rng.normal(size=(d, d)), activation=Activation.TANH,
-            )
-            value = wl_kernel(g1, g2, GraphKernelConfig(n=args.n, lam=args.lam), depth, relabel)
-        else:
-            cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive", depth=depth)
-            value = deep_graph_kernel(g1, g2, cfg)
+        # overflow shows as a non-finite value, checked below, not as a numpy warning
+        with np.errstate(all="ignore"):
+            try:
+                if kernel == "gated":
+                    u = rng.normal(size=(1, 2 * d))
+                    b = rng.normal(size=1)
+                    value = float(gated_random_walk_kernel(g1, g2, u, b, args.n)[0])
+                elif kernel == "walk":
+                    value = random_walk_kernel(g1, g2, cfg)
+                elif kernel == "wl":
+                    relabel = WLRelabelParams(
+                        u1=rng.normal(size=(d, d)), u2=rng.normal(size=(d, d)),
+                        v=rng.normal(size=(d, d)), activation=Activation.TANH,
+                    )
+                    value = wl_kernel(g1, g2, cfg, depth, relabel)
+                else:
+                    value = deep_graph_kernel(g1, g2, cfg)
+            except (OverflowError, ValueError):  # math.fsum of terms that overflowed
+                value = math.nan
+        if not math.isfinite(value):
+            raise EvaluationError(f"{args.file}: pair {i // 2 + 1}: the {kernel} kernel value "
+                                  f"is not finite ({value})")
         print(format_value(value))
     return EXIT_OK
 

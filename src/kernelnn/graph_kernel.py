@@ -192,8 +192,8 @@ class GraphKernelConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ContractError(f"walk order must be >= 1, got {self.n}")
-        if self.lam < 0.0:
-            raise ContractError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ContractError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.composition not in (MULTIPLICATIVE, ADDITIVE):
             raise ContractError(f"unknown composition {self.composition!r}")
         if self.depth < 1:

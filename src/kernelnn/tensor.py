@@ -281,7 +281,7 @@ class Segments:
         self.starts = (np.cumsum(sizes) - sizes)[self.present]
 
     def sum(self, rows: Array) -> Array:
-        out = np.zeros((self.count, *rows.shape[1:]))
+        out = np.zeros((self.count, *rows.shape[1:]), dtype=rows.dtype)
         if self.ids.size:
             src = rows if self.order is None else rows[self.order]
             out[self.present] = np.add.reduceat(src, self.starts, axis=0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seq_dp
+from . import graph_dp, seq_dp
 from .errors import ConfigError
 from .graph_kernel import (
     ADDITIVE,
@@ -21,6 +21,7 @@ from .graph_kernel import (
     WLRelabelParams,
     deep_graph_kernel,
     deep_local_kernel,
+    gated_random_walk_kernel,
     random_walk_kernel,
     reference_walk,
     wl_kernel,
@@ -150,8 +151,22 @@ def random_kernel_pair(rng, lx: int, ly: int, onehot: bool):
     return FeatureSequence(list(xs), dim=d), FeatureSequence(list(ys), dim=d), xs @ ys.T
 
 
+def _random_step_graph(rng, num_nodes: int, dim: int) -> FeatureGraph:
+    """Random directed steps, one of them a self-loop; the last node has no step.
+
+    The last node's features negate the first's, so node-pair dots cancel in
+    the kernel sums (a one-node graph is the negated node with its self-loop).
+    """
+    x = rng.normal(size=(num_nodes, dim))
+    x[-1] = -x[0]
+    linked = max(num_nodes - 1, 1)
+    steps = rng.integers(0, linked, size=(int(rng.integers(1, 2 * linked + 1)), 2))
+    steps[0, 1] = steps[0, 0]
+    return FeatureGraph(x, steps)
+
+
 def check_fast_kernel(seed: int, tol: float) -> list[CheckResult]:
-    """The dynamic-programming kernels of ``kernel --task seq`` against the oracles."""
+    """The dynamic-programming kernels of ``kernel`` against the oracles."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for n in (1, 2, 3, 4):
@@ -178,6 +193,14 @@ def check_fast_kernel(seed: int, tol: float) -> list[CheckResult]:
         worst = max(worst, rel_error(seq_dp.deep_sequence_kernel(sim, depth, cfg),
                                      deep_sequence_kernel(x, y, depth, cfg)))
     out.append(CheckResult("fast-kernel", seed, worst, worst <= tol, detail="deep"))
+    worst = 0.0
+    for n in (1, 2, 3, 4):
+        d, m = 3, int(rng.integers(1, 4))
+        g1, g2 = (_random_step_graph(rng, int(rng.integers(1, 6)), d) for _ in range(2))
+        u, b = rng.normal(size=(m, 2 * d)), rng.normal(size=m)
+        worst = max(worst, rel_error(graph_dp.gated_random_walk_kernel(g1, g2, u, b, n),
+                                     gated_random_walk_kernel(g1, g2, u, b, n)))
+    out.append(CheckResult("fast-kernel", seed, worst, worst <= tol, detail="gated"))
     return out
 
 

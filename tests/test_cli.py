@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kernelnn import io as kio
 from kernelnn.cli import (
     EXIT_CLOSED_PIPE,
     EXIT_GUARD,
@@ -19,6 +21,7 @@ from kernelnn.cli import (
     format_value,
     main,
 )
+from kernelnn.graph_kernel import FeatureGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -133,6 +136,76 @@ def test_kernel_wl_depth_zero_is_the_base_walk_kernel(capsys):
     assert wl0 == walk
     code, wl1, _ = run(capsys, "kernel", *GRAPH_ARGS, "--variant", "wl", "--depth", "1")
     assert code == EXIT_OK and wl1 != walk
+
+
+def write_large_graphs(tmp_path) -> Path:
+    """A pair of 200- and 240-node graphs: rings with random chords and a self-loop."""
+    rng = np.random.default_rng(8)
+    graphs = []
+    for n in (200, 240):
+        edges = [(v, (v + 1) % n) for v in range(n)] + [(0, 0)]
+        edges += [tuple(e) for e in rng.integers(0, n, size=(n // 2, 2))]
+        graphs.append((FeatureGraph.undirected(rng.normal(size=(n, 3)) / 3, edges), None))
+    path = tmp_path / "large.txt"
+    kio.save_graphs(graphs, path)
+    return path
+
+
+def test_kernel_gated_takes_large_graphs(tmp_path, capsys):
+    code, out, err = run(capsys, "kernel", "--task", "graph", "--file",
+                         str(write_large_graphs(tmp_path)), "--gated", "--n", "6")
+    assert code == EXIT_OK, err
+    values = [float(v) for v in out.split()]
+    assert len(values) == 1 and math.isfinite(values[0])
+
+
+@pytest.mark.parametrize("variant", ["walk", "wl", "deep"])
+def test_kernel_oracle_variants_still_refuse_large_graphs(tmp_path, capsys, variant):
+    code, out, err = run(capsys, "kernel", "--task", "graph", "--file",
+                         str(write_large_graphs(tmp_path)), "--variant", variant)
+    assert code == EXIT_GUARD
+    assert out == "" and "refuses" in err
+
+
+def test_kernel_gated_takes_any_walk_order(capsys):
+    code, out, err = run(capsys, "kernel", *GRAPH_ARGS, "--gated", "--n", "5")
+    assert code == EXIT_OK, err
+    assert all(math.isfinite(float(v)) for v in out.split())
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_kernel_graph_rejects_a_non_finite_lambda(capsys, lam):
+    code, out, err = run(capsys, "kernel", *GRAPH_ARGS, f"--lambda={lam}")
+    assert code == EXIT_INPUT
+    assert out == "" and f"got {lam}" in err
+
+
+OVERFLOWING_PAIRS = {
+    "positive": "2 | 1e200,0 ; 0,1 | 0-1\n" * 2,  # a node dot of 1e400
+    "negative": "2 | -1e200,0 ; 0,1 | 0-1\n2 | 1e200,0 ; 0,1 | 0-1\n",
+    "both-signs": "2 | 1e200,0 ; -1e200,0 | 0-1\n" * 2,  # inf and -inf terms in one sum
+}
+
+
+KERNEL_ARGS = {"walk": (), "wl": ("--variant", "wl"), "deep": ("--variant", "deep"),
+               "gated": ("--gated",), "n1": ("--n", "1")}
+
+
+# the gated kernel sums in extended precision, where the both-signs terms are
+# each zeroed by a saturated gate, so its value there is finite
+@pytest.mark.parametrize("pairs,kernel", [(p, k) for p in sorted(OVERFLOWING_PAIRS)
+                                          for k in KERNEL_ARGS
+                                          if (p, k) != ("both-signs", "gated")])
+def test_kernel_non_finite_graph_value_is_a_numeric_error(tmp_path, capsys, pairs, kernel):
+    path = tmp_path / "graphs.txt"
+    path.write_text("1 | 1,0 |\n" * 2 + OVERFLOWING_PAIRS[pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the run with a traceback
+        code, out, err = run(capsys, "kernel", "--task", "graph", "--file", str(path),
+                             *KERNEL_ARGS[kernel])
+    assert code == EXIT_NUMERIC
+    assert len(out.splitlines()) == 1  # the first pair's value
+    assert err.startswith(f"error: {path}: pair 2: ") and "not finite" in err
 
 
 @pytest.mark.parametrize("extra", [("--n", "3"), ("--n", "5"), ("--n", "3", "--depth", "2")],

@@ -53,3 +53,9 @@ def test_gram_range_residual_detects_membership():
     null = np.linalg.svd(gram)[0][:, -1]
     outside = inside + 10.0 * np.linalg.norm(inside) * null
     assert gram_range_residual(gram, outside) > 1e-2
+
+
+def test_fast_kernel_suite_passes_with_its_string_deep_and_gated_lines():
+    report = run_suite("fast-kernel")
+    assert report.passed
+    assert [r.detail for r in report.results] == ["string", "deep", "gated"] * SUITES["fast-kernel"][1]
