@@ -192,11 +192,6 @@ def _graph_target(where: str, text: str) -> float | None:
     return target
 
 
-def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]:
-    """One graph-file line; a bad line is a DataError that starts with ``where``."""
-    return _parse_graph_lines([(where, line)])[0]
-
-
 def _graph_records(path: Path) -> list[tuple[str, str]]:
     """``(file:line, text)`` of every record of a graph file, skipping blanks and comments."""
     return [(f"{path}:{i}", line)

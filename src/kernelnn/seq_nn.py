@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, EvaluationError, ShapeError, check_fields
 from .seq_kernel import FeatureSequence
-from .tensor import Activation, NamedParams, Tensor, emit, init_params, mul, stack
+from .tensor import Activation, NamedParams, Tensor, _sigmoid_raw, emit, init_params, mul, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -199,22 +199,26 @@ def _scan(
 ) -> LayerScan:
     """One layer over a whole window, recorded as a single tape node.
 
-    The projections W_j x_t of all tokens, and the input parts of the gate
-    and highway pre-activations, are one matmul each.  The recurrence
-    c_j[t] = lam_t c_j[t-1] + s_t inner_j[t] then runs as a numpy loop, with
-    s_t = 1 - lam_t (or 1 for unnormalized layers); the previous output only
-    enters through the m x m state parts of the gate and highway weights.  The
-    backward is hand-written backprop through time over the same loop.
+    The recurrence c_j[t] = lam_t c_j[t-1] + s_t inner_j[t], with
+    inner_j[t] = c_{j-1}[t-1] (times or plus) W_j x_t and s_t = 1 - lam_t (or
+    1 for unnormalized layers), runs as one loop.  Per step it does only what
+    reads the previous step: inner and the cell update and, where the previous
+    output feeds the step, the gate (gated-input-state), the highway mix and
+    the output.  The rest is whole-window: the projections and the input parts
+    of the gate and highway pre-activations (one matmul each), 1 - lam where
+    the decay does not read the state, and pre and h where no step reads them.
+    The hand-written backprop through time carries the cell adjoint and keeps
+    it per step; the projection adjoints, and the decay adjoints where the
+    decay does not read the state, are whole-window ops on those.
     """
     xd = x.data
     steps, in_dim = xd.shape
     m, n = cfg.hidden, cfg.n
     params = _check_params(p, cfg, in_dim)
-    sig = Activation.SIGMOID.f
     with_state = cfg.decay == "gated-input-state"
     stepwise = with_state or cfg.highway  # the previous output feeds this step
     normalized = cfg.variant != "mult-unnorm" or cfg.highway
-    additive = cfg.variant == "add-norm"
+    mix = np.add if cfg.variant == "add-norm" else np.multiply
 
     c = np.zeros((steps + 1, n, m))
     start = (c[0], np.zeros(m)) if state is None else state
@@ -229,108 +233,133 @@ def _scan(
     if cfg.decay == "constant":
         lam = np.full((steps, m), cfg.lam)
     elif cfg.decay == "learned":
-        lam = np.broadcast_to(sig(p.decay_logit.data), (steps, m))
+        lam = np.broadcast_to(_sigmoid_raw(p.decay_logit.data), (steps, m))
     else:
         gate_u = p.gate_u.data
         gate_h = gate_u[:, in_dim:]
         lam = xd @ gate_u[:, :in_dim].T + p.gate_b.data
         if not with_state:
-            lam = sig(lam)
+            lam = _sigmoid_raw(lam)
+    rest = np.empty((steps, m)) if with_state else 1.0 - lam  # 1 - lam
     comb = p.comb.data if cfg.output == "combination" else None
     if cfg.highway:
         hw_h = p.hw_u.data[:, in_dim:]
         hw_x = xd @ p.hw_u.data[:, :in_dim].T + p.hw_b.data
         f = np.empty((steps, m))
+        f_rest = np.empty((steps, m))  # 1 - f
 
     inner = np.empty((steps, n, m))
+    inner[:, 0] = proj[:, 0]
     pre = np.empty((steps, m))
     h = np.empty((steps, m))
-
-    def outputs(k) -> None:
-        """pre and h at step k, an index or a slice, from the states already in c."""
-        states = c[1:][k]
-        pre[k] = states[..., -1, :] if comb is None else comb @ states
-        if not cfg.highway:
-            h[k] = cfg.activation.f(pre[k])
-
+    act = (np.tanh if cfg.activation is Activation.TANH
+           else lambda z, out: np.copyto(out, cfg.activation.f(z)))
+    buf, hw_buf = np.empty((n, m)), np.empty(m)
     h_prev = h0
     for t in range(steps):
+        a, ct, lt = c[t], c[t + 1], lam[t]
         if with_state:
-            lam[t] = sig(lam[t] + gate_h @ h_prev)
-        lt = lam[t]
-        a, inn = c[t], inner[t]
-        inn[0] = proj[t, 0]
-        if additive:
-            np.add(a[:-1], proj[t, 1:], out=inn[1:])
-        else:
-            np.multiply(a[:-1], proj[t, 1:], out=inn[1:])
-        c[t + 1] = lt * a + ((1.0 - lt) * inn if normalized else inn)
+            np.add(lt, gate_h @ h_prev, out=lt)
+            _sigmoid_raw(lt, out=lt)
+            np.subtract(1.0, lt, out=rest[t])
+        inn = inner[t]
+        mix(a[:-1], proj[t, 1:], out=inn[1:])
+        np.multiply(lt, a, out=ct)
+        np.add(ct, np.multiply(rest[t], inn, out=buf) if normalized else inn, out=ct)
         if stepwise:
-            outputs(t)
+            pre_t = ct[-1] if comb is None else np.matmul(comb, ct, out=pre[t])
+            h_t = h[t]
             if cfg.highway:
-                f[t] = sig(hw_x[t] + hw_h @ h_prev)
-                h[t] = f[t] * pre[t] + (1.0 - f[t]) * xd[t]
-            h_prev = h[t]
+                f_t = f[t]
+                np.add(hw_x[t], hw_h @ h_prev, out=f_t)
+                _sigmoid_raw(f_t, out=f_t)
+                np.subtract(1.0, f_t, out=f_rest[t])
+                np.multiply(f_t, pre_t, out=h_t)
+                np.add(h_t, np.multiply(f_rest[t], xd[t], out=hw_buf), out=h_t)
+            else:
+                act(pre_t, h_t)
+            h_prev = h_t
+    if comb is None:
+        pre[:] = c[1:, -1]
+    elif not stepwise:
+        pre[:] = comb @ c[1:]
     if not stepwise:
-        outputs(slice(None))
+        h = cfg.activation.f(pre)
     if not np.isfinite(c).all():
         raise EvaluationError("cell state holds non-finite entries")
-    h_prev_rows = np.vstack([h0, h[:-1]])
 
     def bwd(g_h: np.ndarray):
-        g_proj = np.empty((steps, n, m))
-        g_lam = np.empty((steps, m))
+        g_c = np.zeros((steps, n, m))  # g_c[t]: the adjoint of c[t+1]
+        g_proj = np.empty((steps, n, m)) if normalized else g_c
         g_x = np.zeros((steps, in_dim))
-        g_gate = np.empty((steps, m)) if with_state else None
-        g_f = np.empty((steps, m)) if cfg.highway else None
         g_comb = np.zeros(n)
-        g_c = np.zeros((n, m))
+        if not cfg.highway:
+            g_pre = cfg.activation.deriv(pre)
+            if not stepwise:
+                g_pre *= g_h
+        lam_part = c[:-1] - inner if normalized else c[:-1]  # d c[t+1] / d lam_t
+        if with_state:
+            g_lam = np.empty((steps, m))
+            g_gate = np.empty((steps, m))
+        if cfg.highway:
+            g_hw = np.empty((steps, m))  # the adjoint of h
+            g_f = np.empty((steps, m))
+            pre_x = pre - xd
         g_next = np.zeros(m)  # reaches h[t] through step t+1's gate and highway inputs
-        d_act = None if cfg.highway else cfg.activation.deriv(pre)
         for t in reversed(range(steps)):
-            gh = g_h[t] + g_next
-            if cfg.highway:
-                g_pre = gh * f[t]
-                g_x[t] += gh * (1.0 - f[t])
-                g_f[t] = gh * (pre[t] - xd[t]) * f[t] * (1.0 - f[t])
-            else:
-                g_pre = gh * d_act[t]
-            if comb is None:
-                g_c[-1] += g_pre
-            else:
-                g_c += comb[:, None] * g_pre
-                g_comb += c[t + 1] @ g_pre
-            lt = lam[t]
-            g_inn = (1.0 - lt) * g_c if normalized else g_c
-            g_lam[t] = (g_c * (c[t] - inner[t] if normalized else c[t])).sum(axis=0)
-            g_prev = lt * g_c
-            g_proj[t] = g_inn
-            if additive:
-                g_prev[:-1] += g_inn[1:]
-            else:
-                g_proj[t, 1:] *= c[t, :-1]
-                g_prev[:-1] += g_inn[1:] * proj[t, 1:]
-            g_c = g_prev
+            gc = g_c[t]
             if stepwise:
-                g_next = np.zeros(m)
-                if with_state:
-                    g_gate[t] = g_lam[t] * lt * (1.0 - lt)
-                    g_next += gate_h.T @ g_gate[t]
                 if cfg.highway:
-                    g_next += hw_h.T @ g_f[t]
+                    gh = np.add(g_h[t], g_next, out=g_hw[t])
+                    g_pre_t = gh * f[t]
+                    g_f_t = np.multiply(gh, pre_x[t], out=g_f[t])
+                    g_f_t *= f[t]
+                    g_f_t *= f_rest[t]
+                else:
+                    g_pre_t = (g_h[t] + g_next) * g_pre[t]
+            else:
+                g_pre_t = g_pre[t]
+            if comb is None:
+                gc[-1] += g_pre_t
+            else:
+                gc += comb[:, None] * g_pre_t
+                g_comb += c[t + 1] @ g_pre_t
+            g_inn = np.multiply(rest[t], gc, out=g_proj[t]) if normalized else gc
+            if with_state:
+                g_lam_t = np.add.reduce(np.multiply(gc, lam_part[t], out=buf), 0, out=g_lam[t])
+                g_gate_t = np.multiply(g_lam_t, lam[t], out=g_gate[t])
+                g_gate_t *= rest[t]
+            if t == 0:
+                break
+            g_prev = np.multiply(lam[t], gc, out=g_c[t - 1])
+            g_prev[:-1] += g_inn[1:] if mix is np.add else np.multiply(g_inn[1:], proj[t, 1:],
+                                                                       out=buf[1:])
+            if with_state:
+                g_next = gate_h.T @ g_gate_t
+                if cfg.highway:
+                    g_next += hw_h.T @ g_f_t
+            elif cfg.highway:
+                g_next = hw_h.T @ g_f_t
+        if not with_state:
+            g_lam = (g_c * lam_part).sum(axis=1)
+        if mix is np.multiply:
+            g_proj[:, 1:] *= c[:-1, :-1]
         flat = g_proj.reshape(steps, n * m)
+        if cfg.highway:
+            g_x += g_hw * f_rest
         g_x += flat @ wcat
         grads = [g_x, *np.split(flat.T @ xd, n)]
+        h_prev_rows = np.vstack([h0, h[:-1]]) if stepwise else None
         if cfg.gated:
             if not with_state:
-                g_gate = g_lam * lam * (1.0 - lam)
+                g_gate = g_lam * lam * rest
             g_x += g_gate @ gate_u[:, :in_dim]
             g_u = g_gate.T @ xd
             if with_state:
                 g_u = np.hstack([g_u, g_gate.T @ h_prev_rows])
             grads += [g_u, g_gate.sum(axis=0)]
         if cfg.decay == "learned":
-            grads.append(np.sum(g_lam, axis=0) * lam[0] * (1.0 - lam[0]))
+            grads.append(np.sum(g_lam, axis=0) * lam[0] * rest[0])
         if comb is not None:
             grads.append(g_comb)
         if cfg.highway:

@@ -222,15 +222,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     return emit(np.dot(ad, bd), "dot", (a, b), bwd)
 
 
-def tsum(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def bwd(g: Array):
-        return (np.full(shape, float(g)),)
-
-    return emit(np.sum(a.data), "sum", (a,), bwd)
-
-
 def row(a: Tensor, i: int) -> Tensor:
     """Row i of a 2-d tensor; the gradient scatters back into that row."""
     if a.data.ndim != 2:
@@ -401,10 +392,11 @@ def accumulate(tensors: Sequence[Tensor]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid_raw(z: Array) -> Array:
-    # exp of a non-positive argument only, so nothing overflows
+def _sigmoid_raw(z: Array, out: Array | None = None) -> Array:
+    # exp of a non-positive argument only, so nothing overflows; one division
+    # serves both signs, 1/(1+e) for z >= 0 and e/(1+e) below
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class Activation(Enum):

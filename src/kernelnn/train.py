@@ -98,9 +98,9 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, 
 
 
 def _updated(name: str, data: np.ndarray) -> Tensor:
-    """A parameter after its step; a non-finite gradient gives a non-finite step, an error."""
+    """A parameter after its step, adopting ``data``; a non-finite step is an error."""
     try:
-        return Tensor(data)
+        return Tensor._adopt(np.asarray(data))  # a 0-d result may be a numpy scalar
     except EvaluationError:
         raise EvaluationError(f"non-finite step for parameter {name!r}") from None
 
@@ -110,7 +110,9 @@ def step(
 ) -> dict[str, Tensor]:
     """One optimizer step of ``state.kind``: a missing gradient reads as zero, then clipping.
 
-    Adam's moments and step count change only if every parameter's step is finite.
+    Adam runs as ``out=`` ufuncs on fresh arrays and writes into no parameter,
+    gradient or stored moment.  Its moments and step count change only if
+    every parameter's step is finite.
     """
     gs = {name: np.asarray(grads.get(name, np.zeros(p.shape)), dtype=np.float64)
           for name, p in params.items()}
@@ -119,16 +121,25 @@ def step(
     if state.kind == "sgd":
         return {name: _updated(name, params[name].data - state.lr * gs[name]) for name in params}
     t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
     out, ms, vs = {}, {}, {}
-    for name in params:
+    for name, p in params.items():
         g = gs[name]
-        m = state.m.get(name, np.zeros_like(g))
-        v = state.v.get(name, np.zeros_like(g))
-        m = ms[name] = state.beta1 * m + (1.0 - state.beta1) * g
-        v = vs[name] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        out[name] = _updated(name, params[name].data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        # every result gets an explicit out array, so 0-d parameters stay arrays
+        m = ms[name] = np.multiply(b1, state.m.get(name, 0.0), out=np.empty_like(g))
+        tmp = np.multiply(1.0 - b1, g, out=np.empty_like(g))
+        m += tmp
+        v = vs[name] = np.multiply(b2, state.v.get(name, 0.0), out=np.empty_like(g))
+        np.multiply(1.0 - b2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        new = np.divide(m, 1.0 - b1**t, out=np.empty_like(g))
+        new *= state.lr
+        np.divide(v, 1.0 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        new /= tmp
+        out[name] = _updated(name, np.subtract(p.data, new, out=new))
     state.step = t
     state.m.update(ms)
     state.v.update(vs)

@@ -35,9 +35,9 @@ from kernelnn.tensor import (
     finite_diff_grad,
     mul,
     rel_error,
-    tsum,
 )
 
+from helpers import tsum
 from test_graph_kernel import random_graph
 
 

@@ -15,7 +15,6 @@ from kernelnn.io import (
     load_corpus,
     load_graphs,
     load_vocab,
-    parse_graph_line,
     save_bundle,
     save_graphs,
     save_vocab,
@@ -23,6 +22,8 @@ from kernelnn.io import (
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation
 from kernelnn.train import graph_predict, init_graph_model, init_lm_model, lm_forward
+
+from helpers import parse_graph_line
 
 
 def test_vocab_round_trip(tmp_path):

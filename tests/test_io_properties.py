@@ -28,12 +28,13 @@ from kernelnn.io import (
     lm_from_bundle,
     load_bundle,
     load_graphs,
-    parse_graph_line,
     save_bundle,
 )
 from kernelnn.seq_nn import DECAYS, OUTPUTS, VARIANTS, SeqModelConfig, layer_shapes
 from kernelnn.tensor import Activation
 from kernelnn.train import OptimizerState, TrainConfig, init_graph_model, init_lm_model
+
+from helpers import parse_graph_line
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,

@@ -30,8 +30,9 @@ from kernelnn.tensor import (
     mul,
     rel_error,
     row,
-    tsum,
 )
+
+from helpers import tsum
 
 
 def rand_seq(rng, length, dim):

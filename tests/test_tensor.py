@@ -19,8 +19,9 @@ from kernelnn.tensor import (
     scale,
     segment_sum,
     sub,
-    tsum,
 )
+
+from helpers import tsum
 
 
 def test_matvec_identity():

@@ -36,6 +36,29 @@ def test_optimizer_steps_never_write_into_gradients():
     assert np.array_equal(g, [3.0, -4.0])
 
 
+@pytest.mark.parametrize("clip", [None, 10.0, 0.5], ids=["no-clip", "clip-idle", "clip"])
+def test_adam_adopts_fresh_arrays_and_aliases_nothing(clip):
+    """Adam writes its results into new arrays: old parameters, gradients and moments
+    keep their bytes, and a returned parameter shares memory with no stored moment."""
+    rng = np.random.default_rng(3)
+    params = {"w": Tensor(rng.normal(size=(3, 2))), "b": Tensor(rng.normal(size=2)),
+              "s": Tensor(0.5)}
+    state = OptimizerState(kind="adam", lr=0.1, clip=clip)
+    for _ in range(2):
+        grads = {name: rng.normal(size=t.shape) for name, t in params.items()}
+        held = [*(t.data for t in params.values()), *grads.values(), *state.m.values(),
+                *state.v.values()]
+        before = [a.tobytes() for a in held]
+        new = step(params, grads, state)
+        assert [a.tobytes() for a in held] == before
+        for name, t in new.items():
+            assert not t.data.flags.writeable and t.shape == params[name].shape
+            for other in (state.m[name], state.v[name], params[name].data, grads[name]):
+                assert not np.shares_memory(t.data, other)
+        params = new
+    assert state.step == 2
+
+
 def test_sgd_zero_gradient_keeps_params():
     p = {"w": Tensor([1.0, -2.0])}
     out = step(p, {"w": np.zeros(2)}, OptimizerState(lr=0.5))
