@@ -218,7 +218,8 @@ def _scan(
     with_state = cfg.decay == "gated-input-state"
     stepwise = with_state or cfg.highway  # the previous output feeds this step
     normalized = cfg.variant != "mult-unnorm" or cfg.highway
-    mix = np.add if cfg.variant == "add-norm" else np.multiply
+    additive = cfg.variant == "add-norm"
+    mix = np.add if additive else np.multiply
 
     c = np.zeros((steps + 1, n, m))
     start = (c[0], np.zeros(m)) if state is None else state
@@ -294,9 +295,8 @@ def _scan(
         g_x = np.zeros((steps, in_dim))
         g_comb = np.zeros(n)
         if not cfg.highway:
-            g_pre = cfg.activation.deriv(pre)
-            if not stepwise:
-                g_pre *= g_h
+            d_act = cfg.activation.deriv(pre)
+            g_pre = None if stepwise else g_h * d_act
         lam_part = c[:-1] - inner if normalized else c[:-1]  # d c[t+1] / d lam_t
         if with_state:
             g_lam = np.empty((steps, m))
@@ -316,7 +316,7 @@ def _scan(
                     g_f_t *= f[t]
                     g_f_t *= f_rest[t]
                 else:
-                    g_pre_t = (g_h[t] + g_next) * g_pre[t]
+                    g_pre_t = (g_h[t] + g_next) * d_act[t]
             else:
                 g_pre_t = g_pre[t]
             if comb is None:
@@ -332,8 +332,8 @@ def _scan(
             if t == 0:
                 break
             g_prev = np.multiply(lam[t], gc, out=g_c[t - 1])
-            g_prev[:-1] += g_inn[1:] if mix is np.add else np.multiply(g_inn[1:], proj[t, 1:],
-                                                                       out=buf[1:])
+            g_prev[:-1] += g_inn[1:] if additive else np.multiply(g_inn[1:], proj[t, 1:],
+                                                                  out=buf[1:])
             if with_state:
                 g_next = gate_h.T @ g_gate_t
                 if cfg.highway:
@@ -342,7 +342,7 @@ def _scan(
                 g_next = hw_h.T @ g_f_t
         if not with_state:
             g_lam = (g_c * lam_part).sum(axis=1)
-        if mix is np.multiply:
+        if not additive:
             g_proj[:, 1:] *= c[:-1, :-1]
         flat = g_proj.reshape(steps, n * m)
         if cfg.highway:
