@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .graph_kernel import FeatureGraph
-from .tensor import Segments
+from .tensor import Segments, _sigmoid_raw
 
 
 def _neighbor_sum(k: np.ndarray, g: FeatureGraph) -> np.ndarray:
@@ -54,8 +54,7 @@ def gated_random_walk_kernel(
     x1, x2 = (g.matrix.astype(np.longdouble) for g in (g1, g2))
     # (N1, N2, m): the gate of every node pair per coordinate, times the pair's feature dot
     z = (x1 @ u[:, :d].T)[:, None, :] + (x2 @ u[:, d:].T)[None, :, :] + b
-    e = np.exp(-np.abs(z))  # sigmoid(z), with exp of a non-positive argument only
-    w = np.where(z >= 0, 1.0, e) / (1.0 + e) * (x1 @ x2.T)[:, :, None]
+    w = _sigmoid_raw(z) * (x1 @ x2.T)[:, :, None]
     k = w
     for _ in range(n - 1):
         along1 = _neighbor_sum(k, g1)

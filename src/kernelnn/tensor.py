@@ -33,7 +33,7 @@ class Tensor:
 
     @classmethod
     def _adopt(cls, arr: Array) -> "Tensor":
-        """Wrap a float64 array nothing else holds, without copying it."""
+        """Wrap a float64 array that nothing writes afterwards, without copying it."""
         out = cls.__new__(cls)
         out.data = _frozen(arr)
         return out
@@ -60,10 +60,6 @@ def _frozen(arr: Array) -> Array:
         raise EvaluationError("tensor holds non-finite entries")
     arr.flags.writeable = False
     return arr
-
-
-def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
 
 
 @dataclass
@@ -104,33 +100,22 @@ class Tape:
         Leaves are tensors that were consumed by some recorded op but not
         produced by one (parameters and inputs).  Accumulation follows node
         creation order, so two identical passes give bit-identical results.
+        Adjoints are summed out of place, so no stored array is ever written.
         """
         if root.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-        adjoints: dict[int, Array] = {id(root): np.ones_like(root.data)}
-        produced = {id(node.out) for node in self._nodes}
-        by_id: dict[int, Tensor] = {id(root): root}
+        adjoints: dict[Tensor, Array] = {root: np.ones_like(root.data)}
         for node in reversed(self._nodes):
-            out_adj = adjoints.get(id(node.out))
+            out_adj = adjoints.get(node.out)
             if out_adj is None:
                 continue
-            contribs = node.bwd(out_adj)
-            for parent, contrib in zip(node.parents, contribs):
-                if contrib is None:
-                    continue
-                key = id(parent)
-                by_id[key] = parent
-                acc = adjoints.get(key)
-                if acc is None:
-                    # a copy: a backward may hand back its own input, such as add's g
-                    adjoints[key] = np.array(contrib, dtype=np.float64)
-                else:
-                    acc += contrib
-        grads: dict[Tensor, Tensor] = {}
-        for key, adj in adjoints.items():
-            if key not in produced:
-                grads[by_id[key]] = Tensor._adopt(adj)
-        return grads
+            for parent, contrib in zip(node.parents, node.bwd(out_adj)):
+                if contrib is not None:
+                    acc = adjoints.get(parent)
+                    adjoints[parent] = contrib if acc is None else acc + contrib
+        produced = {node.out for node in self._nodes}
+        return {t: Tensor._adopt(np.asarray(adj, dtype=np.float64)) for t, adj in adjoints.items()
+                if t not in produced}
 
 
 def emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
@@ -138,8 +123,11 @@ def emit(out_data: Array, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
 
     ``bwd`` maps the output adjoint to one adjoint (or None) per parent; this
     is how ops outside this module, such as the sequence scan, join the tape.
+    The tape copies nothing, so an op hands it arrays that nothing writes
+    afterwards: ``out_data`` becomes the tensor's read-only data, and what
+    ``bwd`` returns may be stored or passed on as it is.
     """
-    out = Tensor(out_data)
+    out = Tensor._adopt(np.asarray(out_data, dtype=np.float64))
     if _TAPES:
         _TAPES[-1]._nodes.append(_Node(out, op, parents, bwd))
     return out
@@ -166,40 +154,37 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
     return emit(xd @ wd.T, "matvec", (w, x), bwd)
 
 
-def add(a, b) -> Tensor:
-    ta, tb = _coerce(a), _coerce(b)
-    if ta.shape != tb.shape and tb.shape != ():
-        raise ShapeError(f"add needs equal shapes or a 0-d second term, got {ta.shape} and "
-                         f"{tb.shape}")
-    broadcast = ta.shape != tb.shape
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape and b.shape != ():
+        raise ShapeError(f"add needs equal shapes or a 0-d second term, got {a.shape} and "
+                         f"{b.shape}")
+    broadcast = a.shape != b.shape
 
     def bwd(g: Array):
         return g, (np.sum(g) if broadcast else g)
 
-    return emit(ta.data + tb.data, "add", (ta, tb), bwd)
+    return emit(a.data + b.data, "add", (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    ta, tb = _coerce(a), _coerce(b)
-    if ta.shape != tb.shape:
-        raise ShapeError(f"sub needs equal shapes, got {ta.shape} and {tb.shape}")
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"sub needs equal shapes, got {a.shape} and {b.shape}")
 
     def bwd(g: Array):
         return g, -g
 
-    return emit(ta.data - tb.data, "sub", (ta, tb), bwd)
+    return emit(a.data - b.data, "sub", (a, b), bwd)
 
 
-def mul(a, b) -> Tensor:
-    ta, tb = _coerce(a), _coerce(b)
-    if ta.shape != tb.shape:
-        raise ShapeError(f"mul needs equal shapes, got {ta.shape} and {tb.shape}")
-    ad, bd = ta.data, tb.data
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ShapeError(f"mul needs equal shapes, got {a.shape} and {b.shape}")
+    ad, bd = a.data, b.data
 
     def bwd(g: Array):
         return g * bd, g * ad
 
-    return emit(ad * bd, "mul", (ta, tb), bwd)
+    return emit(ad * bd, "mul", (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -548,13 +533,11 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-6)
     return Tensor(grad)
 
 
-def rel_error(a, b, floor: float = 1.0) -> float:
-    """Max elementwise |a-b| / max(|a|, |b|, floor): relative with a unit floor."""
+def rel_error(a, b) -> float:
+    """Max elementwise |a-b| / max(|a|, |b|, 1): relative with a unit floor."""
     ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
     bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
     if ad.shape != bd.shape:
         raise ShapeError(f"rel_error needs equal shapes, got {ad.shape} and {bd.shape}")
-    denom = np.maximum(np.maximum(np.abs(ad), np.abs(bd)), floor)
-    if ad.size == 0:
-        return 0.0
-    return float(np.max(np.abs(ad - bd) / denom))
+    denom = np.maximum(np.maximum(np.abs(ad), np.abs(bd)), 1.0)
+    return float(np.max(np.abs(ad - bd) / denom, initial=0.0))

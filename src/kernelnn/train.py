@@ -32,6 +32,8 @@ from .tensor import (
     sub,
 )
 
+EVAL_UNROLL = 64  # tokens per evaluation window; the state carries across windows
+
 
 @dataclass
 class OptimizerState:
@@ -299,14 +301,14 @@ def _grads_by_name(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[
     return {name: grads[t].data for name, t in params.items() if t in grads}
 
 
-def eval_lm(model: SeqLMModel, ids: Sequence[int], unroll: int = 64) -> tuple[float, float]:
+def eval_lm(model: SeqLMModel, ids: Sequence[int]) -> tuple[float, float]:
     """Mean cross-entropy and perplexity over a token stream, dropout off."""
     if len(ids) < 2:
         raise DataError("evaluation needs at least two tokens")
     total, count = 0.0, 0
     state = None
-    for t0 in range(0, len(ids) - 1, unroll):
-        window = ids[t0 : t0 + unroll + 1]
+    for t0 in range(0, len(ids) - 1, EVAL_UNROLL):
+        window = ids[t0 : t0 + EVAL_UNROLL + 1]
         loss, state = lm_window_loss(model, window, state)
         total += loss.item() * (len(window) - 1)
         count += len(window) - 1

@@ -10,6 +10,7 @@ from kernelnn.tensor import (
     accumulate,
     add,
     dot,
+    emit,
     finite_diff_grad,
     gather_rows,
     matvec,
@@ -105,6 +106,37 @@ def test_backward_duplicate_parent_accumulates():
         root = tsum(mul(x, x))
     grads = tape.backward(root)
     assert np.allclose(grads[x].data, 2.0 * x.data)
+
+
+def test_emit_adopts_its_array_without_a_copy():
+    arr = np.array([1.0, 2.0])
+    out = emit(arr, "given", (), lambda g: ())
+    assert np.shares_memory(out.data, arr) and not arr.flags.writeable
+    with pytest.raises(EvaluationError):
+        emit(np.array([1.0, np.nan]), "given", (), lambda g: ())
+
+
+def test_backward_array_handed_to_two_parents_gives_each_its_own_gradient():
+    a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+    with Tape() as tape:
+        # twin hands one array to both parents, and a already holds that same
+        # array from add, so the twin's contribution is a second one for a only
+        twin = emit(a.data + b.data, "twin", (a, b), lambda g: (g, g))
+        root = tsum(add(twin, a))
+    grads = tape.backward(root)
+    assert np.array_equal(grads[a].data, [2.0, 2.0])
+    assert np.array_equal(grads[b].data, [1.0, 1.0])
+
+
+def test_backward_leaf_gradients_are_read_only():
+    x, c = Tensor([2.0, 3.0]), Tensor(0.5)
+    with Tape() as tape:
+        root = tsum(mul(add(x, c), x))
+    grads = tape.backward(root)
+    for leaf in (x, c):
+        assert not grads[leaf].data.flags.writeable
+        with pytest.raises(ValueError):
+            grads[leaf].data[...] = 0.0
 
 
 def test_backward_deterministic_bitwise():
