@@ -8,11 +8,11 @@ from .errors import (
     GuardError,
     KernelNNError,
     ShapeError,
-    UnsupportedActivationError,
 )
-from .graph_kernel import FeatureGraph, GraphKernelConfig, random_walk_kernel, wl_kernel
+from .graph_kernel import random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig, rw_forward, wl_forward
-from .seq_kernel import FeatureSequence, SeqKernelConfig, gram_matrix, string_kernel
+from .inputs import FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
+from .seq_kernel import gram_matrix, string_kernel
 from .seq_nn import SeqModelConfig, forward_layer, forward_stack
 from .tensor import Activation, Tape, Tensor, finite_diff_grad, rel_error
 
@@ -43,5 +43,4 @@ __all__ = [
     "GuardError",
     "DataError",
     "EvaluationError",
-    "UnsupportedActivationError",
 ]

@@ -18,20 +18,14 @@ import numpy as np
 from . import io as kio
 from .errors import ConfigError, DataError, EvaluationError, GuardError, KernelNNError
 from .graph_dp import gated_random_walk_kernel
-from .graph_kernel import (
-    FeatureGraph,
-    GraphKernelConfig,
-    WLRelabelParams,
-    deep_graph_kernel,
-    random_walk_kernel,
-    wl_kernel,
-)
+from .graph_kernel import WLRelabelParams, deep_graph_kernel, random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig
+from .inputs import FeatureGraph, GraphKernelConfig, SeqKernelConfig
 from .seq_dp import deep_sequence_kernel, string_kernel
-from .seq_kernel import SeqKernelConfig
 from .seq_nn import SeqModelConfig
 from .tensor import Activation
 from .train import (
+    MetricRecord,
     OptimizerState,
     TrainConfig,
     eval_graph_reg,
@@ -289,8 +283,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .train import MetricRecord
-
     bundle = kio.load_bundle(args.bundle)
     decoders = {"seq-lm": kio.lm_from_bundle, "graph-reg": kio.graph_from_bundle}
     if bundle.kind not in decoders:

@@ -35,10 +35,6 @@ class EvaluationError(KernelNNError):
     """A numeric evaluation produced a non-finite value."""
 
 
-class UnsupportedActivationError(KernelNNError):
-    """The requested activation has no exact kernel-side counterpart."""
-
-
 _NAMES = {int: "an integer", float: "a finite number", bool: "true or false", type(None): "null"}
 
 

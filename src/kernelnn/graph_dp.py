@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .graph_kernel import FeatureGraph
+from .inputs import FeatureGraph
 from .tensor import Segments, _sigmoid_raw
 
 

@@ -21,7 +21,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, check_fields
-from .graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
+from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from .tensor import (
     Activation,
     NamedParams,

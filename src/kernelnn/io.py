@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graph_kernel import FeatureGraph
 from .graph_nn import GraphModelConfig
+from .inputs import FeatureGraph
 from .seq_nn import SeqModelConfig
 from .tensor import Activation, Tensor
 from .train import GraphRegModel, SeqLMModel, init_graph_model, init_lm_model
@@ -281,9 +281,12 @@ def _decode_array(obj, where: str) -> np.ndarray:
         if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
             raise DataError(f"{where}: unsupported tensor encoding {obj.get('dtype')}")
         raw = base64.b64decode(obj["data"])
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: undecodable tensor payload ({exc})") from None
+    if not np.isfinite(arr).all():
+        raise DataError(f"{where}: non-finite value")
+    return arr
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
-from .seq_kernel import ADDITIVE, NORMALIZED, SeqKernelConfig
+from .inputs import ADDITIVE, NORMALIZED, SeqKernelConfig
 
 
 def _prefix_rows(e: np.ndarray, lam: float) -> np.ndarray:

@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, GuardError, ShapeError, UnsupportedActivationError
-from .tensor import Activation
-
-MULTIPLICATIVE = "multiplicative"
-ADDITIVE = "additive"
-UNNORMALIZED = "unnormalized"
-NORMALIZED = "normalized"
+from .errors import ContractError, GuardError, ShapeError
+from .inputs import MULTIPLICATIVE, NORMALIZED, FeatureSequence, SeqKernelConfig
 
 MAX_ORACLE_LEN = 16
 MAX_ORACLE_ORDER = 4
@@ -32,66 +26,6 @@ FEATURE_MAP_CAP = 10**6
 def decay_pow(lam: float, exponent: int) -> float:
     """lam**exponent with the 0**0 == 1 convention, so lam=0 stays well-defined."""
     return 1.0 if exponent == 0 else float(lam) ** exponent
-
-
-@dataclass(frozen=True)
-class FeatureSequence:
-    """An ordered list of d-dimensional token feature vectors."""
-
-    tokens: tuple[np.ndarray, ...]
-    dim: int
-
-    def __init__(self, tokens: Iterable, dim: int | None = None) -> None:
-        toks = tuple(np.asarray(t, dtype=np.float64) for t in tokens)
-        for t in toks:
-            if t.ndim != 1:
-                raise ShapeError(f"tokens must be 1-d, got shape {t.shape}")
-        if toks:
-            d = toks[0].shape[0]
-            if any(t.shape[0] != d for t in toks):
-                raise ShapeError(
-                    f"tokens must share a dimension, got {[t.shape for t in toks]}"
-                )
-            if dim is not None and dim != d:
-                raise ShapeError(f"declared dim {dim} != token dim {d}")
-            dim = d
-        elif dim is None:
-            raise ContractError("an empty FeatureSequence needs an explicit dim")
-        object.__setattr__(self, "tokens", toks)
-        object.__setattr__(self, "dim", int(dim))
-
-    @classmethod
-    def empty(cls, dim: int) -> "FeatureSequence":
-        return cls((), dim=dim)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.tokens[i]
-
-    def prefix(self, t: int) -> "FeatureSequence":
-        return FeatureSequence(self.tokens[:t], dim=self.dim)
-
-
-@dataclass(frozen=True)
-class SeqKernelConfig:
-    """Order, decay and scoring variant of the exhaustive string kernel."""
-
-    n: int
-    lam: float
-    composition: str = MULTIPLICATIVE
-    normalization: str = UNNORMALIZED
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ContractError(f"kernel order must be >= 1, got {self.n}")
-        if not 0.0 <= self.lam < 1.0:
-            raise ContractError(f"lambda must lie in [0, 1), got {self.lam}")
-        if self.composition not in (MULTIPLICATIVE, ADDITIVE):
-            raise ContractError(f"unknown composition {self.composition!r}")
-        if self.normalization not in (UNNORMALIZED, NORMALIZED):
-            raise ContractError(f"unknown normalization {self.normalization!r}")
 
 
 def _guard(x: FeatureSequence, n: int) -> None:
@@ -270,17 +204,13 @@ def deep_sequence_kernel(
     y: FeatureSequence,
     depth: int,
     cfg: SeqKernelConfig,
-    act: Activation = Activation.IDENTITY,
 ) -> float:
     """Recursive sequence kernel: level l+1 rescored over level-l prefix kernels.
 
-    Only the identity activation is exactly computable (any other would need
-    an infinite-dimensional composition), so everything else is rejected.
+    Levels compose through the identity activation, the only one whose stacked
+    kernel is exactly computable (any other would need an infinite-dimensional
+    composition).
     """
-    if act is not Activation.IDENTITY:
-        raise UnsupportedActivationError(
-            f"deep kernel is exact only for identity activation, got {act.value}"
-        )
     if depth < 1:
         raise ContractError(f"depth must be >= 1, got {depth}")
     _guard(x, cfg.n)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, EvaluationError, ShapeError, check_fields
-from .seq_kernel import FeatureSequence
+from .inputs import FeatureSequence
 from .tensor import Activation, NamedParams, Tensor, _sigmoid_raw, emit, init_params, mul, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")

@@ -14,8 +14,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
-from .graph_kernel import MULTIPLICATIVE, FeatureGraph
 from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
+from .inputs import MULTIPLICATIVE, FeatureGraph
 from .seq_nn import SeqLayerParams, SeqModelConfig, forward_stack, init_seq_stack
 from .tensor import (
     NamedParams,

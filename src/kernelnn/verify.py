@@ -8,6 +8,7 @@ the acceptance tests call them directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,6 @@ import numpy as np
 from . import graph_dp, seq_dp
 from .errors import ConfigError
 from .graph_kernel import (
-    ADDITIVE,
-    FeatureGraph,
-    GraphKernelConfig,
     WLRelabelParams,
     deep_graph_kernel,
     deep_local_kernel,
@@ -36,10 +34,9 @@ from .graph_nn import (
     rw_forward,
     wl_forward,
 )
+from .inputs import ADDITIVE, FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
 from .seq_kernel import (
     MAX_ORACLE_LEN,
-    FeatureSequence,
-    SeqKernelConfig,
     deep_sequence_kernel,
     gram_matrix,
     reference_sequence,
@@ -602,6 +599,10 @@ SUITES = {
 def run_suite(name: str, seeds: int | None = None, tol: float | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ConfigError(f"unknown verify suite {name!r}; choose from {sorted(SUITES)}")
+    if seeds is not None and seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
     fn, default_seeds, default_tol = SUITES[name]
     count = default_seeds if seeds is None else seeds
     bound = default_tol if tol is None else tol

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kernelnn.graph_kernel import FeatureGraph
+from kernelnn.inputs import FeatureGraph
 from kernelnn.io import _parse_graph_lines
 from kernelnn.tensor import Tensor, emit
 

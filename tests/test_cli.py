@@ -21,7 +21,7 @@ from kernelnn.cli import (
     format_value,
     main,
 )
-from kernelnn.graph_kernel import FeatureGraph
+from kernelnn.inputs import FeatureGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -257,6 +257,23 @@ def test_gradcheck_alias(capsys):
     assert "suite=gradcheck overall=pass" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "psd", "--seeds", "0"),
+    ("verify", "--suite", "psd", "--seeds", "-3"),
+    ("gradcheck", "--seeds", "0"),
+    ("verify", "--suite", "all", "--seeds", "0"),
+    ("verify", "--suite", "psd", "--tol", "nan"),
+    ("verify", "--suite", "psd", "--tol", "inf"),
+    ("verify", "--suite", "psd", "--tol", "-0.5"),
+])
+def test_verify_without_seeds_or_with_bad_tolerance_is_input_error(capsys, argv):
+    # a sweep of no seeds would pass having checked nothing
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: --")
+
+
 def write_lm_inputs(tmp_path, epochs=12):
     vocab = tmp_path / "vocab.txt"
     vocab.write_text("<unk>\na\nb\n")
@@ -308,7 +325,7 @@ def test_train_and_eval_lm_round_trip(tmp_path, capsys):
 
 
 def test_train_and_eval_graph_round_trip(tmp_path, capsys):
-    from kernelnn.graph_kernel import FeatureGraph
+    from kernelnn.inputs import FeatureGraph
     from kernelnn.io import save_graphs
 
     rng = np.random.default_rng(0)
@@ -538,11 +555,19 @@ def _bad_payload(doc):
     doc["params"]["out_b"]["data"] = base64.b64encode(b"\0" * 7).decode("ascii")
 
 
+def _nan_entry(doc):
+    embed = doc["params"]["embed"]
+    values = np.frombuffer(base64.b64decode(embed["data"]), dtype="<f8").copy()
+    values[1] = np.nan
+    embed["data"] = base64.b64encode(values.tobytes()).decode("ascii")
+
+
 BAD_BUNDLES = {
     "no-kind": (lambda doc: doc.pop("kind"), "lacks kind"),
     "no-config": (lambda doc: doc.pop("config"), "lacks config"),
     "no-seed": (lambda doc: doc.pop("seed"), "lacks seed"),
     "payload-length": (_bad_payload, "undecodable"),
+    "nan-entry": (_nan_entry, "param 'embed': non-finite value"),
     "missing-param": (lambda doc: doc["params"].pop("out_b"), "missing ['out_b']"),
     "extra-param": (lambda doc: doc["params"].update(extra=doc["params"]["out_b"]),
                     "extra ['extra']"),

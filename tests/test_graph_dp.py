@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from kernelnn import graph_dp
 from kernelnn.errors import ContractError, GuardError, ShapeError
-from kernelnn.graph_kernel import FeatureGraph, gated_random_walk_kernel, permute_graph
+from kernelnn.graph_kernel import gated_random_walk_kernel, permute_graph
+from kernelnn.inputs import FeatureGraph
 from kernelnn.tensor import rel_error
 
 DIM = 2

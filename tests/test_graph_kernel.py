@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from kernelnn.errors import ContractError, GuardError, ShapeError, UnsupportedActivationError
+from kernelnn.errors import ContractError, GuardError, ShapeError
 from kernelnn.graph_kernel import (
-    ADDITIVE,
-    MULTIPLICATIVE,
-    FeatureGraph,
-    GraphKernelConfig,
     WLRelabelParams,
     deep_graph_kernel,
     deep_local_kernel,
@@ -22,6 +18,7 @@ from kernelnn.graph_kernel import (
     wl_kernel,
     wl_relabel,
 )
+from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, GraphKernelConfig
 from kernelnn.seq_kernel import gram_matrix
 from kernelnn.seq_nn import logit
 from kernelnn.tensor import Activation
@@ -142,13 +139,6 @@ def test_local_kernel_sum_decomposes_walk_kernel():
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
-def test_local_kernel_rejects_nonidentity_activation():
-    g = FeatureGraph((E1,))
-    cfg = GraphKernelConfig(n=1, lam=0.5, activation=Activation.TANH)
-    with pytest.raises(UnsupportedActivationError):
-        local_kernel(0, 0, g, g, cfg)
-
-
 def test_deep_local_depth_one_equals_local():
     rng = np.random.default_rng(5)
     for composition in (MULTIPLICATIVE, ADDITIVE):
@@ -204,6 +194,13 @@ def test_relabel_isolated_node_uses_own_feature_only():
     out = wl_relabel(g, params)
     want = Activation.TANH.f(params.u1 @ E1)
     assert np.allclose(out.features[0], want)
+
+
+def test_relabel_rejects_an_activation_it_does_not_apply():
+    g = FeatureGraph((E1, E2))
+    params = relabel_params(np.random.default_rng(8), 2, act=Activation.SIGMOID)
+    with pytest.raises(ContractError, match="'sigmoid'"):
+        wl_relabel(g, params)
 
 
 def test_relabel_commutes_with_permutation():

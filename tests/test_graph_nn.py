@@ -3,10 +3,6 @@ import pytest
 
 from kernelnn.errors import ConfigError, ContractError
 from kernelnn.graph_kernel import (
-    ADDITIVE,
-    MULTIPLICATIVE,
-    FeatureGraph,
-    GraphKernelConfig,
     WLRelabelParams,
     deep_local_kernel,
     gated_walk_state_sum,
@@ -26,6 +22,7 @@ from kernelnn.graph_nn import (
     rw_forward,
     wl_forward,
 )
+from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, GraphKernelConfig
 from kernelnn.seq_nn import logit
 from kernelnn.tensor import (
     Activation,

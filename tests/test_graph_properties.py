@@ -9,13 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelnn.errors import ContractError, ShapeError
-from kernelnn.graph_kernel import (
-    ADDITIVE,
-    FeatureGraph,
-    GraphKernelConfig,
-    deep_local_kernel,
-    enumerate_walks,
-)
+from kernelnn.graph_kernel import deep_local_kernel, enumerate_walks
+from kernelnn.inputs import ADDITIVE, FeatureGraph, GraphKernelConfig
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kernelnn.errors import DataError
-from kernelnn.graph_kernel import FeatureGraph
 from kernelnn.graph_nn import GraphModelConfig
+from kernelnn.inputs import FeatureGraph
 from kernelnn.io import (
     ModelBundle,
     bundle_from_graph,

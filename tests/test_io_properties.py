@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelnn.errors import ConfigError, DataError
-from kernelnn.graph_kernel import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from kernelnn.graph_nn import GraphModelConfig
+from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from kernelnn.io import (
     ModelBundle,
     bundle_from_graph,

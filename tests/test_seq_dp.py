@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from kernelnn import seq_dp
 from kernelnn.errors import ContractError
-from kernelnn.seq_kernel import SeqKernelConfig, deep_sequence_kernel, string_kernel
+from kernelnn.inputs import SeqKernelConfig
+from kernelnn.seq_kernel import deep_sequence_kernel, string_kernel
 from kernelnn.tensor import rel_error
 from kernelnn.verify import SEQ_KERNEL_VARIANTS, random_kernel_pair
 

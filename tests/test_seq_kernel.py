@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from kernelnn.errors import ContractError, GuardError, ShapeError, UnsupportedActivationError
-from kernelnn.seq_kernel import (
+from kernelnn.errors import ContractError, GuardError, ShapeError
+from kernelnn.inputs import (
     ADDITIVE,
     MULTIPLICATIVE,
     NORMALIZED,
     UNNORMALIZED,
     FeatureSequence,
     SeqKernelConfig,
+)
+from kernelnn.seq_kernel import (
     deep_sequence_kernel,
     decay_pow,
     explicit_feature_map,
@@ -21,7 +23,6 @@ from kernelnn.seq_kernel import (
     suffix_weight_sum,
     unrolled_state,
 )
-from kernelnn.tensor import Activation
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -90,7 +91,7 @@ def test_single_token_feature_map_is_token():
 
 
 def test_empty_sequence_feature_map_is_zero():
-    x = FeatureSequence.empty(2)
+    x = FeatureSequence((), dim=2)
     cfg = SeqKernelConfig(n=2, lam=0.5)
     assert np.allclose(explicit_feature_map(x, cfg), np.zeros(4))
 
@@ -232,12 +233,6 @@ def test_deep_kernel_symmetry():
         a = deep_sequence_kernel(x, y, 2, cfg)
         b = deep_sequence_kernel(y, x, 2, cfg)
         assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_deep_kernel_rejects_nonidentity_activation():
-    x = FeatureSequence([E1, E2])
-    with pytest.raises(UnsupportedActivationError):
-        deep_sequence_kernel(x, x, 2, SeqKernelConfig(n=2, lam=0.5), act=Activation.TANH)
 
 
 def test_oracle_sums_satisfy_state_recurrence():

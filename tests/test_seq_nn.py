@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from kernelnn.errors import ConfigError, ContractError, ShapeError
+from kernelnn.inputs import FeatureSequence, SeqKernelConfig
 from kernelnn.seq_kernel import (
-    FeatureSequence,
-    SeqKernelConfig,
     deep_sequence_kernel,
     gated_string_kernel_state,
     reference_sequence,
@@ -271,7 +270,7 @@ def test_empty_sequence_rejected():
     cfg = SeqModelConfig(n=1, hidden=2, lam=0.5)
     p = init_seq_layer(cfg, 2, np.random.default_rng(0))
     with pytest.raises(ContractError):
-        forward_layer(FeatureSequence.empty(2), p, cfg)
+        forward_layer(FeatureSequence((), dim=2), p, cfg)
 
 
 def test_gated_mode_without_gate_params_is_config_error():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kernelnn.errors import ConfigError, DataError, EvaluationError
-from kernelnn.graph_kernel import FeatureGraph
 from kernelnn.graph_nn import GraphModelConfig, wl_forward
+from kernelnn.inputs import FeatureGraph
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation, Tape, Tensor
 from kernelnn.train import (
