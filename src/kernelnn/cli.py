@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -63,6 +64,7 @@ def format_value(v: float) -> str:
     return out[:-1] if out.endswith(".") else out
 
 
+@functools.cache  # once per process; holding no cmd_* function, it lets main look each up per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kernelnn")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -60,10 +60,6 @@ def load_vocab(path) -> tuple[dict[str, int], list[str]]:
     return seen, tokens
 
 
-def save_vocab(tokens, path) -> None:
-    Path(path).write_text("\n".join(tokens) + "\n")
-
-
 def load_corpus(path, vocab: dict[str, int], distinct_unknowns: bool = False) -> list[list[int]]:
     """Whitespace-tokenized sentences, one per line.
 
@@ -235,22 +231,6 @@ def load_graph_targets(path, in_dim: int | None = None) -> tuple[list[FeatureGra
     if in_dim is not None and width != in_dim:
         raise DataError(f"{path}: node features have width {width}, the model expects {in_dim}")
     return [g for g, _ in items], [t for _, t in items]
-
-
-def format_graph_line(g: FeatureGraph, target: float | None = None) -> str:
-    feats = " ; ".join(",".join(repr(float(x)) for x in f) for f in g.features)
-    src, dst = g.edge_arrays
-    keep = src <= dst  # each undirected edge once, as its step u -> v with u <= v
-    edges = " ".join(f"{u}-{v}" for u, v in zip(src[keep].tolist(), dst[keep].tolist()))
-    line = f"{g.num_nodes} | {feats} | {edges}"
-    if target is not None:
-        line += f" | {float(target)!r}"
-    return line
-
-
-def save_graphs(items, path) -> None:
-    lines = [format_graph_line(g, t) for g, t in items]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

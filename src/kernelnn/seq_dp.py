@@ -6,9 +6,9 @@ the classic subsequence kernel (Lodhi et al. 2002, "Text classification using
 string kernels"), which is also the recursion a recurrent sequence cell runs
 against its reference sequence.  It takes only the token similarities
 ``S[a, b] = <x_a, y_b>``, so one-hot inputs need nothing but an equality test
-of token ids.  No power of the decay is ever taken, so ``lam = 0`` needs no
-special case, and nothing is shared with the oracles, which stay an
-independent referee.
+of token ids.  The powers of the decay come from one ``cumprod``, so
+``lam = 0`` needs no special case, and nothing is shared with the oracles,
+which stay an independent referee.
 
 With the strict, decayed 2-D prefix sum
 
@@ -17,7 +17,10 @@ With the strict, decayed 2-D prefix sum
 the order-j tables are ``G_1 = S`` and ``G_j = S * P(G_{j-1})``
 (multiplicative) or ``G_j = S * P(W_{j-1}) + P(G_{j-1})`` (additive, where
 ``W_j`` counts decayed j-tuple pairs), and the kernel between the prefixes
-``x[:i]`` and ``y[:k]`` is ``P(G_n)[i, k]``.
+``x[:i]`` and ``y[:k]`` is ``P(G_n)[i, k]``.  P runs along each axis as one
+matrix product per block of ``BLOCK`` rows with a lower-triangular Toeplitz
+matrix of decay powers, so a sentence of up to ``BLOCK`` tokens takes one
+product per axis.
 """
 
 from __future__ import annotations
@@ -28,21 +31,33 @@ from .errors import ContractError
 from .inputs import ADDITIVE, NORMALIZED, SeqKernelConfig
 
 
-def _prefix_rows(e: np.ndarray, lam: float) -> np.ndarray:
-    """``out[a] = sum over a' < a of lam**(a-a'-1) e[a']``, one row longer than ``e``."""
-    out = np.empty((e.shape[0] + 1, e.shape[1]))
-    prev = out[0]
-    prev.fill(0.0)
-    for row, src in zip(out[1:], e):
-        np.multiply(prev, lam, out=row)
-        row += src
-        prev = row
-    return out
+BLOCK = 32  # rows per matrix product: a small inner dimension keeps the bits thread-count free
 
 
-def _prefix(e: np.ndarray, lam: float) -> np.ndarray:
+def _decay_matrix(lam: float, size: int) -> np.ndarray:
+    """``m[i, c] = lam**(i+1-c)`` for ``c <= i+1``, else 0; ``size`` rows and ``size+1`` columns."""
+    powers = np.cumprod(np.r_[1.0, np.full(size, lam)])
+    d = np.arange(1, size + 1)[:, None] - np.arange(size + 1)
+    return np.tril(powers[np.abs(d)], 1)
+
+
+def _scan(out: np.ndarray, m: np.ndarray) -> None:
+    """In place, ``out[a] += lam * out[a-1]`` for a = 1, 2, ...: one product per block of rows.
+
+    Column 0 of ``m`` carries the row before the block into it.
+    """
+    for s in range(0, out.shape[0] - 1, BLOCK):
+        b = min(BLOCK, out.shape[0] - 1 - s)
+        out[s + 1:s + b + 1] = m[:b, :b + 1] @ out[s:s + b + 1]
+
+
+def _prefix(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     """P(e), padded by one leading row and column: rows first, then columns."""
-    return _prefix_rows(np.ascontiguousarray(_prefix_rows(e, lam).T), lam).T
+    out = np.zeros((e.shape[0] + 1, e.shape[1] + 1))
+    out[1:, 1:] = e
+    _scan(out, m)
+    _scan(out.T, m)
+    return out
 
 
 def _tuple_weights(length: int, n: int, lam: float) -> list[np.ndarray]:
@@ -72,15 +87,18 @@ def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
     if s.ndim != 2:
         raise ContractError(f"similarity matrix must be 2-d, got shape {s.shape}")
     lx, ly = s.shape
+    if cfg.n > min(lx, ly):  # no n-tuple fits in the shorter sequence
+        return np.zeros((lx + 1, ly + 1))
     w = _tuple_weights(max(lx, ly), cfg.n, cfg.lam)
+    m = _decay_matrix(cfg.lam, min(BLOCK, max(lx, ly)))
     g = s
     for j in range(1, cfg.n):
-        inner = _prefix(g, cfg.lam)[:-1, :-1]
+        inner = _prefix(g, m)[:-1, :-1]
         if cfg.composition == ADDITIVE:
             g = s * np.outer(w[j - 1][:lx], w[j - 1][:ly]) + inner
         else:
             g = s * inner
-    table = _prefix(g, cfg.lam)
+    table = _prefix(g, m)
     if cfg.normalization == NORMALIZED:
         z = np.outer(w[-1][:lx + 1], w[-1][:ly + 1])
         table = np.divide(table, z, out=np.zeros_like(table), where=z != 0.0)

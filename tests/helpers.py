@@ -1,4 +1,6 @@
-"""Small helpers that only tests use: a taped sum and a one-line graph parser."""
+"""Small helpers that only tests use: a taped sum and the text writers and parser of one line."""
+
+from pathlib import Path
 
 import numpy as np
 
@@ -20,3 +22,23 @@ def tsum(a: Tensor) -> Tensor:
 def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]:
     """One graph-file line; a bad line is a DataError that starts with ``where``."""
     return _parse_graph_lines([(where, line)])[0]
+
+
+def save_vocab(tokens, path) -> None:
+    Path(path).write_text("\n".join(tokens) + "\n")
+
+
+def format_graph_line(g: FeatureGraph, target: float | None = None) -> str:
+    feats = " ; ".join(",".join(repr(float(x)) for x in f) for f in g.features)
+    src, dst = g.edge_arrays
+    keep = src <= dst  # each undirected edge once, as its step u -> v with u <= v
+    edges = " ".join(f"{u}-{v}" for u, v in zip(src[keep].tolist(), dst[keep].tolist()))
+    line = f"{g.num_nodes} | {feats} | {edges}"
+    if target is not None:
+        line += f" | {float(target)!r}"
+    return line
+
+
+def save_graphs(items, path) -> None:
+    lines = [format_graph_line(g, t) for g, t in items]
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -74,3 +74,45 @@ def test_graph_file_loads_record_io_load_spans(perfbench, tmp_path):
         for name in above
     }
     assert {"cli.cmd_eval", "cli.cmd_kernel"} <= callers
+
+
+CMD_OF_KIND = {"lm_train": "cli.cmd_train", "graph_train": "cli.cmd_train",
+               "lm_eval": "cli.cmd_eval", "graph_eval": "cli.cmd_eval", "verify": "cli.cmd_verify"}
+
+
+def test_traced_calls_after_a_warm_up_reach_every_target(perfbench, tmp_path):
+    # perfbench installs its wrappers only after one untraced call of every
+    # kind, so a callable the program captured on that first call (in a cached
+    # parser, say) would never be traced
+    worker, spans, layers = perfbench("worker"), perfbench("spans"), perfbench("layers")
+    worker.wl.write_inputs(worker.wl.SMALL, 7, 0, tmp_path)
+    runner = worker.Runner(tmp_path, 7)
+    assert all(runner.invoke(kind)[1] for kind in worker.wl.KINDS), runner.errors
+    hit = set()
+
+    class HitTracer(spans.Tracer):
+        def wrap(self, fn, target):
+            traced = super().wrap(fn, target)
+
+            def wrapper(*args, **kwargs):
+                hit.add(target)
+                return traced(*args, **kwargs)
+
+            return wrapper
+
+    tracer = HitTracer()
+    tracer.install(layers.TARGETS)
+    try:
+        for call, kind in enumerate(worker.wl.KINDS):
+            root = tracer.begin(layers.ROOT, tag=kind, run=call)
+            ok = runner.invoke(kind)[1]
+            tracer.end(root)
+            assert ok, runner.errors
+    finally:
+        tracer.uninstall()
+    assert [t.attr for t in layers.TARGETS if t not in hit] == []
+    cmds = {(s.run, s.name) for s in tracer.spans if s.name.startswith("cli.cmd_")}
+    assert cmds == {(call, CMD_OF_KIND.get(kind, "cli.cmd_kernel"))
+                    for call, kind in enumerate(worker.wl.KINDS)}
+    pairs = [s for s in tracer.spans if s.name == "seq_kernel.string_kernel"]
+    assert len(pairs) == worker.wl.SMALL.seq_pairs == 2

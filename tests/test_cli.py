@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -18,10 +19,13 @@ from kernelnn.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
+    _build_parser,
     format_value,
     main,
 )
 from kernelnn.inputs import FeatureGraph
+
+from helpers import save_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,6 +109,46 @@ def test_kernel_guard_violation_exit_code(capsys):
     assert "refuses" in err
 
 
+@pytest.mark.parametrize("options", [
+    ("--variant", "mult-unnorm"), ("--variant", "mult-norm"), ("--variant", "add-unnorm"),
+    ("--variant", "add-norm"), ("--depth", "2"),
+], ids=lambda o: "-".join(o).lstrip("-"))
+def test_kernel_seq_order_past_both_lengths_prints_zero_at_once(tmp_path, capsys, options):
+    # no n-tuple fits in a 3-token sentence, so no pass over the order runs
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("a b a\nb a b\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "kernel", "--task", "seq", "--file", str(pairs),
+                       "--vocab", str(FIXTURES / "vocab.txt"), "--n", "1000000000", *options)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert out == "0\n"
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    args = ("kernel", "--task", "seq", "--file", str(FIXTURES / "seq_pairs.txt"),
+            "--vocab", str(FIXTURES / "vocab.txt"), "--n", "2")
+    code, default, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    code, deep, _ = run(capsys, *args, "--depth", "2")
+    assert code == EXIT_OK and deep != default
+    assert run(capsys, *args) == (EXIT_OK, default, "")
+    assert _build_parser().parse_args(list(args)).depth is None
+
+    with pytest.raises(SystemExit) as refused:
+        main(["kernel", "--task", "seq", "--n", "x"])
+    assert refused.value.code == EXIT_INPUT
+    capsys.readouterr()
+    code, out, _ = run(capsys, *args, "--lambda", "0.5")
+    assert code == EXIT_OK
+    assert out.splitlines() == (FIXTURES / "seq_golden.txt").read_text().splitlines()
+
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == EXIT_OK
+    assert capsys.readouterr().out == _build_parser.__wrapped__().format_help()
+
+
 SEQ_ARGS = ("--task", "seq", "--file", str(FIXTURES / "seq_pairs.txt"),
             "--vocab", str(FIXTURES / "vocab.txt"))
 GRAPH_ARGS = ("--task", "graph", "--file", str(FIXTURES / "graphs.txt"))
@@ -147,7 +191,7 @@ def write_large_graphs(tmp_path) -> Path:
         edges += [tuple(e) for e in rng.integers(0, n, size=(n // 2, 2))]
         graphs.append((FeatureGraph.undirected(rng.normal(size=(n, 3)) / 3, edges), None))
     path = tmp_path / "large.txt"
-    kio.save_graphs(graphs, path)
+    save_graphs(graphs, path)
     return path
 
 
@@ -326,7 +370,6 @@ def test_train_and_eval_lm_round_trip(tmp_path, capsys):
 
 def test_train_and_eval_graph_round_trip(tmp_path, capsys):
     from kernelnn.inputs import FeatureGraph
-    from kernelnn.io import save_graphs
 
     rng = np.random.default_rng(0)
     items = []

@@ -8,7 +8,6 @@ from kernelnn.io import (
     ModelBundle,
     bundle_from_graph,
     bundle_from_lm,
-    format_graph_line,
     graph_from_bundle,
     lm_from_bundle,
     load_bundle,
@@ -16,14 +15,12 @@ from kernelnn.io import (
     load_graphs,
     load_vocab,
     save_bundle,
-    save_graphs,
-    save_vocab,
 )
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation
 from kernelnn.train import graph_predict, init_graph_model, init_lm_model, lm_forward
 
-from helpers import parse_graph_line
+from helpers import format_graph_line, parse_graph_line, save_graphs, save_vocab
 
 
 def test_vocab_round_trip(tmp_path):

@@ -23,7 +23,6 @@ from kernelnn.io import (
     bundle_from_lm,
     config_dict,
     config_from_dict,
-    format_graph_line,
     graph_from_bundle,
     lm_from_bundle,
     load_bundle,
@@ -34,7 +33,7 @@ from kernelnn.seq_nn import DECAYS, OUTPUTS, VARIANTS, SeqModelConfig, layer_sha
 from kernelnn.tensor import Activation
 from kernelnn.train import OptimizerState, TrainConfig, init_graph_model, init_lm_model
 
-from helpers import parse_graph_line
+from helpers import format_graph_line, parse_graph_line
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,

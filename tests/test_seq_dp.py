@@ -53,6 +53,25 @@ def test_table_holds_every_prefix_kernel():
             assert rel_error(table[i, k], string_kernel(x.prefix(i), y.prefix(k), cfg)) <= 1e-10
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.99])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("variant", SEQ_KERNEL_VARIANTS, ids=lambda v: f"{v[0][:4]}-{v[1][:6]}")
+def test_block_carries_match_oracle(monkeypatch, variant, n, lam):
+    # at the default block size no input of 16 tokens or fewer reaches the carry
+    monkeypatch.setattr(seq_dp, "BLOCK", 3)
+    cfg = SeqKernelConfig(n=n, lam=lam, composition=variant[0], normalization=variant[1])
+    rng = np.random.default_rng(n)
+    for lx in range(17):
+        ly = (5 * lx + 3) % 17
+        x, y, sim = random_kernel_pair(rng, lx, ly, onehot=lx % 2 == 0)
+        assert rel_error(seq_dp.string_kernel(sim, cfg), string_kernel(x, y, cfg)) <= 1e-10
+    x, y, sim = random_kernel_pair(rng, 7, 8, onehot=False)
+    table = seq_dp.prefix_kernel_table(sim, cfg)
+    for i in range(8):
+        for k in range(9):
+            assert rel_error(table[i, k], string_kernel(x.prefix(i), y.prefix(k), cfg)) <= 1e-10
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
 def test_order_one_closed_form_at_a_thousand_tokens(lam):
     rng = np.random.default_rng(11)
