@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="stacking depth (seq) or relabel/stack depth (graph)")
     k.add_argument("--gated", action="store_true",
                    help="graph task: gate-weighted walk kernel, parameters drawn from --seed")
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=int, default=None)
 
     v = sub.add_parser("verify", help="run equivalence/validity sweeps")
     v.add_argument("--suite", default="all", help=f"one of {sorted(SUITES)} or all")
@@ -143,6 +144,9 @@ def _kernel_depth(kernel: str, depth: int | None) -> int | None:
 
 
 def cmd_kernel(args) -> int:
+    # walk ignores --seed, and gated --lambda, until the benchmark's argv stops passing them
+    if args.seed is not None and (args.seed < 0 or args.task == "seq" or args.variant == "deep"):
+        raise ConfigError(f"--seed must be >= 0 and only wl and --gated read it, got {args.seed}")
     if args.task == "seq":
         if args.gated:
             raise ConfigError("--gated applies to --task graph only")
@@ -179,7 +183,7 @@ def cmd_kernel(args) -> int:
         cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive", depth=depth)
     elif kernel != "gated":
         cfg = GraphKernelConfig(n=args.n, lam=args.lam)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(args.seed or 0)
     for i in range(0, len(graphs), 2):
         g1, g2 = graphs[i], graphs[i + 1]
         # overflow shows as a non-finite value, checked below, not as a numpy warning
@@ -215,6 +219,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.tol is not None and args.suite == "all":  # refused before any suite runs
+        raise ConfigError("--tol needs one --suite: smoke-train and decay-ordering check none")
     all_passed = True
     for name in names:
         report = run_suite(name, seeds=args.seeds, tol=args.tol)
@@ -244,7 +250,7 @@ def _configs(doc, task: str, seed_override):
     cfg = kio.config_from_dict(model_cls, doc.get("model", {}), "model")
     tc = kio.config_from_dict(TrainConfig, doc.get("train", {}), "train")
     if seed_override is not None:
-        tc.seed = seed_override
+        tc = replace(tc, seed=seed_override)  # checked as a config seed is
     return cfg, tc, kio.config_from_dict(OptimizerState, doc.get("optimizer", {}), "optimizer")
 
 

@@ -21,6 +21,7 @@ from .seq_kernel import decay_pow
 
 MAX_ORACLE_NODES = 8
 MAX_ORACLE_WALK = 4
+MAX_ORACLE_DEPTH = 256  # one nested call per level; the stack ran out between 700 and 1 000
 
 
 def permute_graph(g: FeatureGraph, perm: Sequence[int]) -> FeatureGraph:
@@ -136,6 +137,8 @@ class _DeepLocal:
 
     def __init__(self, g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig) -> None:
         _check_local(g1, g2, cfg)
+        if cfg.depth > MAX_ORACLE_DEPTH:
+            raise GuardError(f"oracle refuses depth above {MAX_ORACLE_DEPTH}, got {cfg.depth}")
         self.g1, self.g2, self.cfg = g1, g2, cfg
         self.memo: dict = {}
         self.ends1, self.ends2 = _walk_ends(g1, cfg.n), _walk_ends(g2, cfg.n)

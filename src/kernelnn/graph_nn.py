@@ -74,7 +74,6 @@ class WLParams(NamedParams):
     """Per-layer walk weights plus relabeling transforms shared by all layers."""
 
     LISTS: ClassVar[dict[str, str]] = {"layer_W": "l{}.W{}"}
-    PREFIX: ClassVar[str] = "wl"
 
     layer_W: list[list[Tensor]]
     u1: Tensor

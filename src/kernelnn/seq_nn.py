@@ -395,25 +395,22 @@ def forward_stack(
     cfg: SeqModelConfig,
     state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> StateTrace:
     """Apply the configured layers in order; layer l+1 reads layer l's outputs.
 
     ``state`` holds each layer's start state ``(c, h)``, as
-    :meth:`StateTrace.carry` returns them.  Dropout, when enabled and
-    training, is applied to layer inputs only, with inverted scaling so
-    evaluation uses the weights unchanged.  Each layer draws its (T, d) mask
-    in one call, row by row, which consumes the rng stream exactly as one
-    draw per token does.
+    :meth:`StateTrace.carry` returns them.  Passing ``rng`` is training: with
+    ``cfg.dropout`` > 0, dropout then applies to layer inputs only, with
+    inverted scaling so evaluation (no rng) uses the weights unchanged.  Each
+    layer draws its (T, d) mask in one call, row by row, which consumes the
+    rng stream exactly as one draw per token does.
     """
     inputs = _as_matrix(x)
     if len(params) != cfg.layers:
         raise ConfigError(f"got {len(params)} layer params for {cfg.layers} layers")
     scans = []
     for l, p in enumerate(params):
-        if training and cfg.dropout > 0.0:
-            if rng is None:
-                raise ConfigError("dropout during training needs an rng")
+        if rng is not None and cfg.dropout > 0.0:
             keep = 1.0 - cfg.dropout
             mask = (rng.random(inputs.shape) < keep).astype(np.float64) / keep
             inputs = mul(inputs, Tensor(mask))

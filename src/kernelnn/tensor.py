@@ -456,19 +456,18 @@ def _map_nested(value, head: str, template: str, idx: tuple[int, ...], fn):
 
 
 class NamedParams:
-    """Flat ``prefix.name -> Tensor`` view of a dataclass of parameter tensors.
+    """Flat ``name -> Tensor`` view of a dataclass of parameter tensors.
 
-    A tensor field is named after the field and skipped while it is None.  A
-    field listed in ``LISTS`` holds (nested) lists, named by its template with
-    one index per nesting level, e.g. ``W{}`` gives ``W1, W2, ...``.  A field
-    holding a NamedParams names its tensors ``field.child_name`` (the child's
-    ``PREFIX`` is not applied); a list of them is numbered from 0, a list of
-    tensors from 1.  Other fields pass through unnamed.  Names follow field
-    order, then list order.
+    A tensor's name is its field path.  A tensor field is named after the
+    field and skipped while it is None.  A field listed in ``LISTS`` holds
+    (nested) lists, named by its template with one index per nesting level,
+    e.g. ``W{}`` gives ``W1, W2, ...``.  A field holding a NamedParams names
+    its tensors ``field.child_name``; a list of them is numbered from 0, a
+    list of tensors from 1.  Other fields pass through unnamed.  Names follow
+    field order, then list order.
     """
 
     LISTS: ClassVar[dict[str, str]] = {"W": "W{}"}
-    PREFIX: ClassVar[str] = ""
 
     def _map(self, head: str, fn: Callable[[str, Tensor], Tensor]):
         """A copy with every tensor t, named ``head`` + its own name, replaced by fn(name, t)."""
@@ -476,18 +475,16 @@ class NamedParams:
                                                  self.LISTS.get(f.name, f.name), (), fn)
                              for f in fields(self)})
 
-    def _head(self, prefix: str | None) -> str:
-        prefix = self.PREFIX if prefix is None else prefix
-        return f"{prefix}." if prefix else ""
-
-    def named(self, prefix: str | None = None) -> dict[str, Tensor]:
+    def named(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        self._map(self._head(prefix), lambda name, t: out.setdefault(name, t))
+        self._map("", lambda name, t: out.setdefault(name, t))
         return out
 
-    def with_named(self, updates: dict[str, Tensor], prefix: str | None = None):
-        """A copy with the named tensors replaced; names it does not hold are ignored."""
-        return self._map(self._head(prefix), lambda name, t: updates.get(name, t))
+    def with_named(self, updates: dict[str, Tensor]):
+        """A copy with the named tensors replaced; a name it does not hold is a ContractError."""
+        if unknown := updates.keys() - self.named().keys():
+            raise ContractError(f"no parameters named {sorted(unknown)}")
+        return self._map("", lambda name, t: updates.get(name, t))
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,

@@ -84,10 +84,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("epochs", "batch", "unroll", "max_steps"):
+        for name, lo in (("epochs", 1), ("batch", 1), ("unroll", 1), ("seed", 0), ("max_steps", 1)):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"train {name} must be >= 1, got {value}")
+            if value is not None and value < lo:
+                raise ConfigError(f"train {name} must be >= {lo}, got {value}")
 
 
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float) -> dict[str, np.ndarray]:
@@ -116,7 +116,7 @@ def step(
     gradient or stored moment.  Its moments and step count change only if
     every parameter's step is finite.
     """
-    gs = {name: np.asarray(grads.get(name, np.zeros(p.shape)), dtype=np.float64)
+    gs = {name: np.asarray(grads[name] if name in grads else np.zeros(p.shape), dtype=np.float64)
           for name, p in params.items()}
     if state.clip is not None:
         gs = clip_gradients(gs, state.clip)
@@ -227,10 +227,9 @@ def lm_forward(
     ids: Sequence[int],
     state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ):
     x = gather_columns(model.embed, ids)
-    return forward_stack(x, model.layers, model.cfg, state=state, rng=rng, training=training)
+    return forward_stack(x, model.layers, model.cfg, state=state, rng=rng)
 
 
 def lm_window_loss(
@@ -238,10 +237,9 @@ def lm_window_loss(
     window: Sequence[int],
     state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
     """Loss of predicting ``window[1:]`` from ``window[:-1]``, and the state carried out."""
-    trace = lm_forward(model, window[:-1], state=state, rng=rng, training=training)
+    trace = lm_forward(model, window[:-1], state=state, rng=rng)
     loss = lm_loss(trace.matrix(), window[1:], model.out_w, model.out_b)
     return loss, trace.carry()
 
@@ -343,7 +341,7 @@ def train_lm(
             window = train_ids[t0 : t0 + unroll + 1]
             params = model.named()
             with Tape() as tape:
-                loss, state = lm_window_loss(model, window, state, rng=rng, training=True)
+                loss, state = lm_window_loss(model, window, state, rng=rng)
             grads = _grads_by_name(tape, loss, params)
             model = model.with_named(step(params, grads, opt))
             total += loss.item() * (len(window) - 1)

@@ -182,6 +182,58 @@ def test_kernel_wl_depth_zero_is_the_base_walk_kernel(capsys):
     assert code == EXIT_OK and wl1 != walk
 
 
+KERNEL_KINDS = {
+    "seq": SEQ_ARGS,
+    "walk": GRAPH_ARGS + ("--variant", "walk"),
+    "wl": GRAPH_ARGS + ("--variant", "wl"),
+    "deep": GRAPH_ARGS + ("--variant", "deep"),
+    "gated": GRAPH_ARGS + ("--gated",),
+}
+# two values of each option; a later --variant overrides the kind's own
+KERNEL_OPTION_VALUES = {
+    "--seed": ("1", "2"),
+    "--lambda": ("0.3", "0.7"),
+    "--depth": ("1", "2"),
+    "--variant": {"seq": ("mult-norm", "add-norm"), "walk": ("walk", "wl"), "wl": ("wl", "walk"),
+                  "deep": ("deep", "walk"), "gated": ("walk", "wl")},
+    "--vocab": (str(FIXTURES / "vocab.txt"), str(FIXTURES / "lm_vocab.txt")),
+}
+# accepted, changing no value: the benchmark's argv passes them, so refusing them waits for a
+# change to the benchmark (ROADMAP item 1 step 1)
+KERNEL_OPTIONS_WITHOUT_EFFECT = {("walk", "--seed"), ("gated", "--lambda"), ("seq", "--vocab")}
+
+
+@pytest.mark.parametrize("option", sorted(KERNEL_OPTION_VALUES))
+@pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
+def test_every_kernel_option_changes_the_values_or_is_refused(capsys, kind, option):
+    values = KERNEL_OPTION_VALUES[option]
+    values = values[kind] if isinstance(values, dict) else values
+    runs = [run(capsys, "kernel", *KERNEL_KINDS[kind], option, v) for v in values]
+    codes = {code for code, _, _ in runs}
+    if codes == {EXIT_INPUT}:
+        assert (kind, option) not in KERNEL_OPTIONS_WITHOUT_EFFECT
+        assert all(out == "" and err.startswith("error: ") for _, out, err in runs)
+        return
+    assert codes == {EXIT_OK}
+    changed = runs[0][1] != runs[1][1]
+    assert changed != ((kind, option) in KERNEL_OPTIONS_WITHOUT_EFFECT)
+
+
+@pytest.mark.parametrize("kind", ["walk", "wl", "gated"])
+def test_kernel_negative_seed_is_input_error(capsys, kind):
+    code, out, err = run(capsys, "kernel", *KERNEL_KINDS[kind], "--seed", "-1")
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith("error: --seed")
+
+
+def test_kernel_deep_depth_stops_at_its_guard(capsys):
+    code, out, _ = run(capsys, "kernel", *KERNEL_KINDS["deep"], "--depth", "256")
+    assert code == EXIT_OK and out
+    code, out, err = run(capsys, "kernel", *KERNEL_KINDS["deep"], "--depth", "257")
+    assert code == EXIT_GUARD and out == ""
+    assert err.startswith("error: ") and "depth" in err
+
+
 def write_large_graphs(tmp_path) -> Path:
     """A pair of 200- and 240-node graphs: rings with random chords and a self-loop."""
     rng = np.random.default_rng(8)
@@ -293,6 +345,19 @@ def test_verify_reports_failure_with_impossible_tolerance(capsys):
     assert code == EXIT_VERIFY
     assert "status=fail" in out
     assert out.splitlines()[-1] == "suite=seq-state-kernel overall=fail"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "smoke-train", "--tol", "1"),
+    ("verify", "--suite", "decay-ordering", "--tol", "1"),
+    ("verify", "--tol", "1e-9"),
+    ("verify", "--suite", "all", "--tol", "1e-9"),
+])
+def test_verify_refuses_a_tolerance_that_a_suite_would_not_read(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""  # no suite ran, so no suite= line
+    assert err.startswith("error: --tol")
 
 
 def test_gradcheck_alias(capsys):
@@ -515,11 +580,23 @@ BAD_CONFIGS = {
     "negative-lr-decay": ({"model": MODEL, "optimizer": {"lr_decay": -1.0}}, "lr_decay"),
     "zero-epochs": ({"model": MODEL, "train": {"epochs": 0}}, "epochs"),
     "zero-max-steps": ({"model": MODEL, "train": {"max_steps": 0}}, "max_steps"),
+    "negative-seed": ({"model": MODEL, "train": {"seed": -2}}, "seed"),
     "sgd-beta1": ({"model": MODEL, "optimizer": {"beta1": 0.5}}, "beta1"),
     # graph regression runs, with the extra arguments they pass
     "graph-reg-unroll": ({"model": MODEL, "train": {"unroll": 5}}, "unroll", ()),
     "graph-reg-vocab": ({"model": MODEL}, "--vocab", ("--vocab", str(FIXTURES / "vocab.txt"))),
 }
+
+
+def test_train_seed_override_is_checked_as_a_config_seed(tmp_path, capsys):
+    vocab, corpus, config = write_lm_inputs(tmp_path)
+    out = tmp_path / "x.bundle"
+    code, stdout, err = run(capsys, "train", "--task", "lm", "--config", str(config),
+                            "--data", str(corpus), "--vocab", str(vocab), "--out", str(out),
+                            "--seed", "-5")
+    assert code == EXIT_INPUT and stdout == ""
+    assert err.startswith("error: ") and "seed" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))

@@ -267,13 +267,23 @@ def test_wl_shared_parameters_are_single_objects():
     cfg = GraphModelConfig(n=2, hidden=3, lam=0.5, layers=3)
     wl = init_wl_params(cfg, 2, rng)
     named = wl.named()
-    assert named["wl.u1"] is wl.u1 and named["wl.u2"] is wl.u2 and named["wl.v"] is wl.v
+    assert named["u1"] is wl.u1 and named["u2"] is wl.u2 and named["v"] is wl.v
     # replacing the shared transform changes every layer's relabeling
     g = random_graph(rng, 4, 2)
     before = wl_forward(g, wl, cfg).h_graph.data
-    wl2 = wl.with_named({"wl.u1": Tensor(wl.u1.data * 2.0)})
+    wl2 = wl.with_named({"u1": Tensor(wl.u1.data * 2.0)})
     after = wl_forward(g, wl2, cfg).h_graph.data
     assert not np.allclose(before, after)
+
+
+def test_wl_params_are_named_by_field_path():
+    cfg = GraphModelConfig(n=2, hidden=3, layers=2)
+    wl = init_wl_params(cfg, 2, np.random.default_rng(0))
+    assert list(wl.named()) == ["l1.W1", "l1.W2", "l2.W1", "l2.W2", "u1", "u2", "v"]
+    with pytest.raises(ContractError, match="nope"):
+        wl.with_named({"nope": wl.u1})
+    with pytest.raises(ContractError):
+        wl.with_named({"wl.u1": wl.u1})
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +378,8 @@ def test_single_layer_gradients(kind, composition, act):
     with Tape() as tape:
         loss = run(p)
     grads = tape.backward(loss)
-    for name, tensor in p.named("G").items():
-        fd = finite_diff_grad(lambda t: run(p.with_named({name: t}, "G")).item(), tensor)
+    for name, tensor in p.named().items():
+        fd = finite_diff_grad(lambda t: run(p.with_named({name: t})).item(), tensor)
         got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
         assert rel_error(got, fd) <= 1e-5
 
@@ -392,10 +402,10 @@ def test_deep_and_wl_gradients():
         loss = run_deep(deep_params)
     grads = tape.backward(loss)
     for l, p in enumerate(deep_params):
-        for name, tensor in p.named(f"D{l}").items():
+        for name, tensor in p.named().items():
             def f(t, l=l, name=name):
                 swapped = list(deep_params)
-                swapped[l] = deep_params[l].with_named({name: t}, f"D{l}")
+                swapped[l] = deep_params[l].with_named({name: t})
                 return run_deep(swapped).item()
 
             fd = finite_diff_grad(f, tensor)
@@ -443,17 +453,18 @@ def module_setup(kind, rng, d, m, act=Activation.TANH, composition=MULTIPLICATIV
     if kind == "deep":
         params = [init_graph_layer(cfg, d if l == 0 else m, rng, with_readout=True)
                   for l in range(layers)]
-        named = {k: t for l, p in enumerate(params) for k, t in p.named(f"D{l}").items()}
+        # keyed by (layer, name): both layers hold a W1
+        named = {(l, k): t for l, p in enumerate(params) for k, t in p.named().items()}
 
-        def swap(name, t):
-            return [p.with_named({name: t}, f"D{l}") for l, p in enumerate(params)]
+        def swap(key, t):
+            return [p.with_named({key[1]: t}) if l == key[0] else p for l, p in enumerate(params)]
 
         return cfg, params, deep_forward, named, swap
     params = init_graph_layer(cfg, d, rng)
     if kind == "gated":
         params.gate_b = Tensor(rng.normal(size=m))
     fwd = {"rw": rw_forward, "generalized": generalized_forward, "gated": gated_rw_forward}[kind]
-    return cfg, params, fwd, params.named("G"), lambda name, t: params.with_named({name: t}, "G")
+    return cfg, params, fwd, params.named(), lambda name, t: params.with_named({name: t})
 
 
 @pytest.mark.parametrize(

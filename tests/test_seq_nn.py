@@ -363,8 +363,8 @@ def layer_gradient_error(cfg, seed, d=2, length=4):
         loss = run(p)
     grads = tape.backward(loss)
     worst, coords = 0.0, 0
-    for name, tensor in p.named("L").items():
-        fd = finite_diff_grad(lambda t: run(p.with_named({name: t}, "L")).item(), tensor)
+    for name, tensor in p.named().items():
+        fd = finite_diff_grad(lambda t: run(p.with_named({name: t})).item(), tensor)
         got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
         worst = max(worst, rel_error(got, fd))
         coords += tensor.size
@@ -401,10 +401,10 @@ def test_highway_stack_gradients():
         loss = run(params)
     grads = tape.backward(loss)
     for l, p in enumerate(params):
-        for name, tensor in p.named(f"L{l}").items():
+        for name, tensor in p.named().items():
             def f(t, l=l, name=name):
                 swapped = list(params)
-                swapped[l] = params[l].with_named({name: t}, f"L{l}")
+                swapped[l] = params[l].with_named({name: t})
                 return run(swapped).item()
 
             fd = finite_diff_grad(f, tensor)
@@ -417,12 +417,26 @@ def test_dropout_is_deterministic_under_fixed_seed_and_off_at_eval():
     cfg = SeqModelConfig(n=1, hidden=3, lam=0.5, dropout=0.4)
     params = init_seq_stack(cfg, 2, rng_data)
     x = rand_seq(rng_data, 5, 2)
-    out1 = forward_stack(x, params, cfg, rng=np.random.default_rng(7), training=True)
-    out2 = forward_stack(x, params, cfg, rng=np.random.default_rng(7), training=True)
+    out1 = forward_stack(x, params, cfg, rng=np.random.default_rng(7))
+    out2 = forward_stack(x, params, cfg, rng=np.random.default_rng(7))
     assert np.array_equal(out1.matrix(0).data, out2.matrix(0).data)
     ev1 = forward_stack(x, params, cfg)
     ev2 = forward_stack(x, params, cfg)
     assert np.array_equal(ev1.matrix(0).data, ev2.matrix(0).data)
+
+
+def test_an_rng_without_dropout_changes_nothing_and_draws_nothing():
+    rng_data = np.random.default_rng(3)
+    cfg = SeqModelConfig(n=2, hidden=3, layers=2, lam=0.5)
+    params = init_seq_stack(cfg, 2, rng_data)
+    x = rand_seq(rng_data, 5, 2)
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    with_rng = forward_stack(x, params, cfg, rng=rng)
+    assert rng.bit_generator.state == before
+    without = forward_stack(x, params, cfg)
+    for l in range(cfg.layers):
+        assert with_rng.matrix(l).data.tobytes() == without.matrix(l).data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +467,8 @@ def scan_gradient_error(cfg, seed, d, length=4):
         loss = run(p, x)
     assert len(tape) == 3  # scan, probe product, sum
     grads = tape.backward(loss)
-    named = p.named("L")
-    checks = {name: (t, lambda v, name=name: run(p.with_named({name: v}, "L"), x).item())
+    named = p.named()
+    checks = {name: (t, lambda v, name=name: run(p.with_named({name: v}), x).item())
               for name, t in named.items()}
     checks["x"] = (x, lambda v: run(p, v).item())
     worst = 0.0
@@ -495,7 +509,7 @@ def test_dropout_masks_match_per_token_draws():
     params = init_seq_stack(cfg, 2, rng_data)
     x = rand_seq(rng_data, 6, 2)
     rng = np.random.default_rng(9)
-    got = forward_stack(x, params, cfg, rng=rng, training=True)
+    got = forward_stack(x, params, cfg, rng=rng)
     # reference: one mask draw per token, layer by layer, as separate vectors
     ref_rng = np.random.default_rng(9)
     keep = 1.0 - cfg.dropout

@@ -240,7 +240,7 @@ def test_lm_window_tape_nodes_do_not_grow_with_unroll():
     counts = []
     for unroll in (8, 32):
         with Tape() as tape:
-            lm_window_loss(model, ids[: unroll + 1], rng=np.random.default_rng(2), training=True)
+            lm_window_loss(model, ids[: unroll + 1], rng=np.random.default_rng(2))
         counts.append(len(tape))
     assert counts[0] == counts[1] <= 12
 

@@ -5,6 +5,7 @@ from kernelnn.errors import ConfigError
 from kernelnn.verify import (
     SUITES,
     CheckResult,
+    check_gradcheck,
     gram_range_residual,
     run_suite,
 )
@@ -27,6 +28,17 @@ def test_registry_covers_expected_suites():
 def test_result_line_format():
     r = CheckResult("seq-state-kernel", 3, 1.5e-12, True, detail="extra")
     assert r.line() == "suite=seq-state-kernel seed=3 max_rel_err=1.500e-12 status=pass extra"
+
+
+def test_gradcheck_checks_every_coordinate_of_both_deep_layers():
+    # both deep layers hold a W1; keyed by name alone, one layer's would go unchecked
+    assert check_gradcheck(0, 1e-5)[-1].detail == "coords:381"
+
+
+@pytest.mark.parametrize("suite", ["smoke-train", "decay-ordering"])
+def test_a_suite_that_checks_no_tolerance_refuses_one(suite):
+    with pytest.raises(ConfigError, match="--tol"):
+        run_suite(suite, seeds=1, tol=1e-3)
 
 
 def test_run_suite_respects_seed_count_and_tol():
