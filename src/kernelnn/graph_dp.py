@@ -33,12 +33,6 @@ from .inputs import FeatureGraph
 from .tensor import Segments, _sigmoid_raw
 
 
-def _neighbor_sum(k: np.ndarray, g: FeatureGraph) -> np.ndarray:
-    """``out[a] = sum of k[a'] over the steps a' -> a of g``, along the first axis."""
-    src, dst = g.edge_arrays
-    return Segments(dst, g.num_nodes).sum(k[src])
-
-
 def gated_random_walk_kernel(
     g1: FeatureGraph, g2: FeatureGraph, u: np.ndarray, b: np.ndarray, n: int
 ) -> np.ndarray:
@@ -55,10 +49,12 @@ def gated_random_walk_kernel(
     # (N1, N2, m): the gate of every node pair per coordinate, times the pair's feature dot
     z = (x1 @ u[:, :d].T)[:, None, :] + (x2 @ u[:, d:].T)[None, :, :] + b
     w = _sigmoid_raw(z) * (x1 @ x2.T)[:, :, None]
+    # into.sum(k[src])[a] sums k[a'] over the steps a' -> a: one Segments per graph and pair
+    into1, into2 = (Segments(g.edge_arrays[1], g.num_nodes) for g in (g1, g2))
     k = w
     for _ in range(n - 1):
-        along1 = _neighbor_sum(k, g1)
-        k = w * _neighbor_sum(along1.swapaxes(0, 1), g2).swapaxes(0, 1)
+        along1 = into1.sum(k[g1.edge_arrays[0]]).swapaxes(0, 1)
+        k = w * into2.sum(along1[g2.edge_arrays[0]]).swapaxes(0, 1)
     # each extended entry is exactly its nearest double plus a double remainder,
     # so fsum rounds their exact sum once; an entry beyond the double range is inf
     hi = k.astype(np.float64)

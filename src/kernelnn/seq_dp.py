@@ -25,6 +25,8 @@ product per axis.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ContractError
@@ -34,11 +36,15 @@ from .inputs import ADDITIVE, NORMALIZED, SeqKernelConfig
 BLOCK = 32  # rows per matrix product: a small inner dimension keeps the bits thread-count free
 
 
-def _decay_matrix(lam: float, size: int) -> np.ndarray:
-    """``m[i, c] = lam**(i+1-c)`` for ``c <= i+1``, else 0; ``size`` rows and ``size+1`` columns."""
-    powers = np.cumprod(np.r_[1.0, np.full(size, lam)])
-    d = np.arange(1, size + 1)[:, None] - np.arange(size + 1)
-    return np.tril(powers[np.abs(d)], 1)
+@functools.lru_cache(maxsize=64)  # 8.4 KB each at BLOCK = 32
+def _decay_matrix(lam: float, block: int) -> np.ndarray:
+    """Read-only (block, block+1) ``m[i, c] = lam**(i+1-c)`` for ``c <= i+1``, else 0; entry
+    (i, c) does not depend on ``block``, so a block of b rows reads its ``m[:b, :b+1]`` corner."""
+    powers = np.cumprod(np.r_[1.0, np.full(block, lam)])
+    d = np.arange(1, block + 1)[:, None] - np.arange(block + 1)
+    m = np.tril(powers[np.abs(d)], 1)
+    m.flags.writeable = False
+    return m
 
 
 def _scan(out: np.ndarray, m: np.ndarray) -> None:
@@ -60,21 +66,32 @@ def _prefix(e: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _longest_weights(n: int, lam: float) -> list[np.ndarray]:
+    """Filled in place: (n, lam)'s read-only weights at the longest length asked so far."""
+    return []
+
+
 def _tuple_weights(length: int, n: int, lam: float) -> list[np.ndarray]:
     """``w[j-1][i]``: decayed weight of all j-tuples in a length-i prefix, i = 0..length.
 
     Along one sequence, so the 2-D weight table is the outer product of two
     of these, and ``w[n-1]`` gives the normalizer of every prefix pair.
     """
-    w, ends = [], [1.0] * length  # weight of the j-tuples ending at each position
-    for _ in range(n):
-        acc, sums = 0.0, [0.0]
-        for v in ends:
-            acc = lam * acc + v
-            sums.append(acc)
-        w.append(np.array(sums))
-        ends = sums[:-1]
-    return w
+    longest = _longest_weights(n, lam)
+    w = longest[:]  # one read: a rebuild by another thread cannot shorten what is sliced
+    if not w or w[0].shape[0] <= length:  # a prefix of the weights is the same at any length
+        w, ends = [], [1.0] * length  # weight of the j-tuples ending at each position
+        for _ in range(n):
+            acc, sums = 0.0, [0.0]
+            for v in ends:
+                acc = lam * acc + v
+                sums.append(acc)
+            w.append(np.array(sums))
+            w[-1].flags.writeable = False
+            ends = sums[:-1]
+        longest[:] = w
+    return [a[:length + 1] for a in w]
 
 
 def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
@@ -90,7 +107,7 @@ def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
     if cfg.n > min(lx, ly):  # no n-tuple fits in the shorter sequence
         return np.zeros((lx + 1, ly + 1))
     w = _tuple_weights(max(lx, ly), cfg.n, cfg.lam)
-    m = _decay_matrix(cfg.lam, min(BLOCK, max(lx, ly)))
+    m = _decay_matrix(cfg.lam, BLOCK)
     g = s
     for j in range(1, cfg.n):
         inner = _prefix(g, m)[:-1, :-1]

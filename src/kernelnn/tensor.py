@@ -482,9 +482,11 @@ class NamedParams:
 
     def with_named(self, updates: dict[str, Tensor]):
         """A copy with the named tensors replaced; a name it does not hold is a ContractError."""
-        if unknown := updates.keys() - self.named().keys():
+        held: set[str] = set()  # every name the one walk passes
+        out = self._map("", lambda name, t: held.add(name) or updates.get(name, t))
+        if unknown := updates.keys() - held:
             raise ContractError(f"no parameters named {sorted(unknown)}")
-        return self._map("", lambda name, t: updates.get(name, t))
+        return out
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,

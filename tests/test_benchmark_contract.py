@@ -116,3 +116,25 @@ def test_traced_calls_after_a_warm_up_reach_every_target(perfbench, tmp_path):
                     for call, kind in enumerate(worker.wl.KINDS)}
     pairs = [s for s in tracer.spans if s.name == "seq_kernel.string_kernel"]
     assert len(pairs) == worker.wl.SMALL.seq_pairs == 2
+
+
+def test_a_traced_round_gives_every_per_layer_metric(perfbench, tmp_path):
+    # a traced benchmark run ends with a result line only when every per-layer
+    # metric has a value; one traced call of every kind must provide them all
+    worker, spans, layers = perfbench("worker"), perfbench("spans"), perfbench("layers")
+    worker.wl.write_inputs(worker.wl.SMALL, 7, 0, tmp_path)
+    runner = worker.Runner(tmp_path, 7)
+    assert all(runner.invoke(kind)[1] for kind in worker.wl.KINDS), runner.errors
+    tracer = spans.Tracer()
+    tracer.install(layers.TARGETS)
+    try:
+        for call, kind in enumerate(worker.wl.KINDS):
+            root = tracer.begin(layers.ROOT, tag=kind, run=call)
+            ok = runner.invoke(kind)[1]
+            tracer.end(root)
+            assert ok, runner.errors
+    finally:
+        tracer.uninstall()
+    for name in ("lm", "graph", "oracle"):
+        metrics = layers.layer_metrics(tracer.spans, tracer.missing, worker.wl.WORKLOADS[name])
+        assert [m for m, v in metrics.items() if v["value"] is None] == [], name

@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import io
 import json
 import math
 import os
@@ -163,6 +165,37 @@ IGNORED_KERNEL_OPTIONS = {
     "gated-variant": GRAPH_ARGS + ("--gated", "--variant", "wl"),
     "graph-vocab": GRAPH_ARGS + ("--vocab", str(FIXTURES / "vocab.txt")),
 }
+
+
+# `kernel --task seq` pinned byte for byte over a sweep of the options, as it printed
+# when tests/fixtures/seq_sweep_golden.json was written.  Away from lambda = 0.5 the
+# one-hot values are not dyadic, so a reordered sum changes their last digits.
+# Rewrite the fixture (only on purpose, when an output is meant to change) with
+# ``PYTHONPATH=src python tests/test_cli.py``.
+SEQ_SWEEP_GOLDEN = FIXTURES / "seq_sweep_golden.json"
+SEQ_SWEEP = {
+    f"{variant} n {n} lambda {lam} depth {depth}":
+        ("--variant", variant, "--n", str(n), "--lambda", lam, "--depth", str(depth))
+    for variant in ("mult-unnorm", "mult-norm", "add-unnorm", "add-norm")
+    for n in (1, 2, 3) for lam in ("0", "0.3", "0.9") for depth in (1, 2)
+}
+
+
+def seq_sweep_lines(case: str) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["kernel", *SEQ_ARGS, *SEQ_SWEEP[case]])
+    assert code == EXIT_OK
+    return out.getvalue().splitlines()
+
+
+def test_seq_sweep_fixture_names_every_case():
+    assert sorted(json.loads(SEQ_SWEEP_GOLDEN.read_text())) == sorted(SEQ_SWEEP)
+
+
+@pytest.mark.parametrize("case", sorted(SEQ_SWEEP))
+def test_kernel_seq_sweep_matches_golden(case):
+    assert seq_sweep_lines(case) == json.loads(SEQ_SWEEP_GOLDEN.read_text())[case]
 
 
 @pytest.mark.parametrize("case", sorted(IGNORED_KERNEL_OPTIONS))
@@ -779,3 +812,9 @@ def test_graph_reg_untargeted_record_is_named_by_its_line(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert f"{data}:4: " in err and "target" in err
     assert not out.exists()
+
+
+if __name__ == "__main__":
+    goldens = {case: seq_sweep_lines(case) for case in SEQ_SWEEP}
+    SEQ_SWEEP_GOLDEN.write_text(json.dumps(goldens, indent=1) + "\n")
+    print(f"wrote {len(goldens)} cases to {SEQ_SWEEP_GOLDEN}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """The dynamic-programming string kernels against the exhaustive oracles and closed forms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelnn import seq_dp
+from kernelnn.cli import EXIT_OK, main
 from kernelnn.errors import ContractError
 from kernelnn.inputs import SeqKernelConfig
 from kernelnn.seq_kernel import deep_sequence_kernel, string_kernel
@@ -53,6 +56,35 @@ def test_table_holds_every_prefix_kernel():
             assert rel_error(table[i, k], string_kernel(x.prefix(i), y.prefix(k), cfg)) <= 1e-10
 
 
+def _clear_caches():
+    seq_dp._decay_matrix.cache_clear()
+    seq_dp._longest_weights.cache_clear()
+
+
+def assert_warm_and_cold_caches_agree():
+    """Tables built with the caches as earlier calls left them, then cold, then warm from empty,
+    over interleaved lambdas and lengths that cross BLOCK, all have the same bits.
+
+    The last pass leaves every lambda in the caches at the current BLOCK.
+    """
+    rng = np.random.default_rng(21)
+    cases = [(rng.normal(size=(length, (7 * length + 3) % 41)),
+              SeqKernelConfig(n=n, lam=lam, composition=variant[0], normalization=variant[1]))
+             for length in rng.permutation(41)
+             for n, lam in ((1, 0.0), (3, 0.3), (2, 0.5), (3, 0.99))
+             for variant in SEQ_KERNEL_VARIANTS]
+    warm = [seq_dp.prefix_kernel_table(sim, cfg).tobytes() for sim, cfg in cases]
+    for (sim, cfg), table in zip(cases, warm):
+        _clear_caches()
+        assert seq_dp.prefix_kernel_table(sim, cfg).tobytes() == table
+    _clear_caches()
+    assert [seq_dp.prefix_kernel_table(sim, cfg).tobytes() for sim, cfg in cases] == warm
+
+
+def test_warm_and_cold_caches_agree_before_a_block_change():
+    assert_warm_and_cold_caches_agree()
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.99])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("variant", SEQ_KERNEL_VARIANTS, ids=lambda v: f"{v[0][:4]}-{v[1][:6]}")
@@ -70,6 +102,46 @@ def test_block_carries_match_oracle(monkeypatch, variant, n, lam):
     for i in range(8):
         for k in range(9):
             assert rel_error(table[i, k], string_kernel(x.prefix(i), y.prefix(k), cfg)) <= 1e-10
+
+
+def test_warm_and_cold_caches_agree_after_a_block_change(monkeypatch):
+    assert_warm_and_cold_caches_agree()
+    monkeypatch.setattr(seq_dp, "BLOCK", 3)  # the block size is part of the decay matrix's key
+    assert_warm_and_cold_caches_agree()
+    monkeypatch.undo()
+    assert_warm_and_cold_caches_agree()
+
+
+def test_cached_set_up_is_read_only():
+    m = seq_dp._decay_matrix(0.5, seq_dp.BLOCK)
+    w = seq_dp._tuple_weights(5, 2, 0.5)
+    for array in (m, w[0], w[1]):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_tuple_weights_slice_the_longest_build():
+    _clear_caches()
+    seq_dp._tuple_weights(40, 3, 0.3)
+    warm = seq_dp._tuple_weights(7, 3, 0.3)
+    assert [len(a) for a in seq_dp._longest_weights(3, 0.3)] == [41] * 3  # one entry, the longest
+    _clear_caches()
+    cold = seq_dp._tuple_weights(7, 3, 0.3)
+    assert [a.tobytes() for a in warm] == [a.tobytes() for a in cold]
+
+
+def test_kernel_call_builds_the_decay_matrix_once(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(" ".join(rng.choice(list("abcd"), size=8 + i % 9)) + "\n"
+                             for i in range(32)))
+    _clear_caches()
+    code = main(["kernel", "--task", "seq", "--file", str(pairs), "--vocab",
+                 str(Path(__file__).parent / "fixtures" / "vocab.txt"), "--n", "3",
+                 "--lambda", "0.3", "--variant", "mult-norm"])
+    assert code == EXIT_OK and len(capsys.readouterr().out.splitlines()) == 16
+    assert seq_dp._decay_matrix.cache_info().misses == 1
+    assert seq_dp._longest_weights.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.3, 0.999])
