@@ -10,7 +10,7 @@ from .errors import (
     ShapeError,
 )
 from .graph_kernel import random_walk_kernel, wl_kernel
-from .graph_nn import GraphModelConfig, rw_forward, wl_forward
+from .graph_nn import GraphModelConfig, graph_forward, init_graph, wl_forward
 from .inputs import FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
 from .seq_kernel import gram_matrix, string_kernel
 from .seq_nn import SeqModelConfig, forward_layer, forward_stack
@@ -34,7 +34,8 @@ __all__ = [
     "random_walk_kernel",
     "wl_kernel",
     "GraphModelConfig",
-    "rw_forward",
+    "init_graph",
+    "graph_forward",
     "wl_forward",
     "KernelNNError",
     "ShapeError",

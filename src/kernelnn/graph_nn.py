@@ -1,9 +1,12 @@
 """Graph modules whose node states aggregate walk scores.
 
 State j at node v scores j-node walks ending at v against reference walks
-built from the weight rows.  Variants: plain decay, generalized composition
-with nonlinear neighbor aggregation, stacked layers with per-layer readouts,
-relabeling iterations with shared transforms, and per-edge sigmoid gates.
+built from the weight rows.  ``GraphModelConfig.module`` names the module,
+:func:`init_graph` draws its parameters and :func:`graph_forward` runs it:
+``walk``, one layer joining its neighbor aggregate to the projection by
+``composition``; ``gated``, the walk layer with a learned per-edge sigmoid
+decay; ``deep``, stacked layers with activated neighbor aggregation and a
+readout matrix each; ``wl``, relabeling iterations with shared transforms.
 
 Every module runs on whole node matrices: the states of order j are one
 (N, hidden) matrix, ``C_j = lam * (A C_{j-1}) * (X W_j^T)`` with the
@@ -22,6 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, check_fields
 from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
+from .seq_nn import logit
 from .tensor import (
     Activation,
     NamedParams,
@@ -40,6 +44,8 @@ from .tensor import (
     segment_sum,
 )
 
+MODULES = ("walk", "gated", "deep", "wl")
+
 
 @dataclass
 class GraphModelConfig:
@@ -49,24 +55,48 @@ class GraphModelConfig:
     composition: str = MULTIPLICATIVE
     activation: Activation = Activation.IDENTITY
     layers: int = 1
-    gated: bool = False
+    module: str = "wl"
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.module not in MODULES:
+            raise ConfigError(f"unknown module {self.module!r}; choose from {', '.join(MODULES)}")
         if self.n < 1 or self.hidden < 1 or self.layers < 1:
             raise ConfigError(f"n, hidden and layers must be positive, got {self}")
         if self.lam < 0.0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if self.composition not in (MULTIPLICATIVE, ADDITIVE):
             raise ConfigError(f"unknown composition {self.composition!r}")
+        # the walk-kernel oracles that check gated and wl are multiplicative only
+        if self.module in ("gated", "wl") and self.composition == ADDITIVE:
+            raise ConfigError(f"the {self.module} module composes multiplicatively only")
+        if self.module in ("walk", "gated") and self.layers != 1:
+            raise ConfigError(f"the {self.module} module has one layer, got layers={self.layers}")
+        if self.module == "gated" and not 0.0 < self.lam < 1.0:
+            raise ConfigError(f"the gated module starts its gate bias at logit(lambda), "
+                              f"which needs lambda in (0, 1), got {self.lam}")
 
 
 @dataclass
-class GraphLayerParams(NamedParams):
+class WalkParams(NamedParams):
     W: list[Tensor]
-    readout: Tensor | None = None
-    gate_u: Tensor | None = None
-    gate_b: Tensor | None = None
+
+
+@dataclass
+class GatedParams(NamedParams):
+    W: list[Tensor]
+    gate_u: Tensor
+    gate_b: Tensor
+
+
+@dataclass
+class DeepParams(NamedParams):
+    """Per-layer walk weights and readout matrices."""
+
+    LISTS: ClassVar[dict[str, str]] = {"W": "l{}.W{}", "readout": "l{}.readout"}
+
+    W: list[list[Tensor]]
+    readout: list[Tensor]
 
 
 @dataclass
@@ -125,27 +155,29 @@ class GraphStateTrace:
         return self.states[layer][j - 1].data.sum(axis=0)
 
 
-def init_graph_layer(
-    cfg: GraphModelConfig,
-    in_dim: int,
-    rng: np.random.Generator,
-    with_readout: bool = False,
-) -> GraphLayerParams:
-    m = cfg.hidden
-    shapes = {f"W{j}": (m, in_dim) for j in range(1, cfg.n + 1)}
-    if with_readout:
-        shapes["readout"] = (m, m)
-    if cfg.gated:
+def init_graph(cfg: GraphModelConfig, in_dim: int,
+               rng: np.random.Generator) -> WalkParams | GatedParams | DeepParams | WLParams:
+    """The module's tensors drawn by the init rule, layer by layer; a deep layer
+    reads the previous layer's output, and the gates start at lam."""
+    m, deep = cfg.hidden, cfg.module == "deep"
+    names = [[f"l{l}.W{j}" for j in range(1, cfg.n + 1)] for l in range(1, cfg.layers + 1)]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for l, ws in enumerate(names):
+        shapes.update(dict.fromkeys(ws, (m, m if deep and l > 0 else in_dim)))
+        if deep:
+            shapes[f"l{l + 1}.readout"] = (m, m)
+    if cfg.module == "wl":
+        shapes.update(dict.fromkeys(("u1", "u2", "v"), (in_dim, in_dim)))
+    if cfg.module == "gated":
         shapes.update(gate_u=(m, 2 * in_dim), gate_b=(m,))
-    t = init_params(shapes, rng, {"gate_b": 0.0})
-    return GraphLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t)
-
-
-def init_wl_params(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> WLParams:
-    ws = [[f"l{l}.W{j}" for j in range(1, cfg.n + 1)] for l in range(1, cfg.layers + 1)]
-    shapes = {name: (cfg.hidden, in_dim) for names in ws for name in names}
-    t = init_params({**shapes, **dict.fromkeys(("u1", "u2", "v"), (in_dim, in_dim))}, rng)
-    return WLParams(layer_W=[[t.pop(name) for name in names] for names in ws], **t)
+    fill = {"gate_b": logit(cfg.lam)} if cfg.module == "gated" else None
+    t = init_params(shapes, rng, fill)
+    ws = [[t.pop(name) for name in layer] for layer in names]
+    if deep:
+        return DeepParams(ws, [t.pop(f"l{l}.readout") for l in range(1, cfg.layers + 1)])
+    if cfg.module == "wl":
+        return WLParams(ws, **t)
+    return GatedParams(ws[0], **t) if cfg.module == "gated" else WalkParams(ws[0])
 
 
 def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
@@ -154,16 +186,9 @@ def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
             raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
 
 
-def _walk_states(
-    src: Segments,
-    dst: Segments,
-    x: Tensor,
-    ws: Sequence[Tensor],
-    lam: float,
-    composition: str = MULTIPLICATIVE,
-    act: Activation = Activation.IDENTITY,
-    gate: Tensor | None = None,
-) -> list[Tensor]:
+def _walk_states(src: Segments, dst: Segments, x: Tensor, ws: Sequence[Tensor],
+                 cfg: GraphModelConfig, act: Activation = Activation.IDENTITY,
+                 gate: Tensor | None = None) -> list[Tensor]:
     """The walk recursion over node matrices, one (N, hidden) state matrix per order.
 
     ``C_1 = X W_1^T``; ``C_j`` joins the projection ``X W_j^T`` with the
@@ -177,64 +202,40 @@ def _walk_states(
     for p in proj[1:]:
         prev = states[-1]
         if gate is None:
-            agg = scale(neighbor_sum(act(prev), src, dst), lam)
+            agg = scale(neighbor_sum(act(prev), src, dst), cfg.lam)
         else:
             agg = segment_sum(mul(gate, gather_rows(prev, src)), dst)
-        states.append(add(agg, p) if composition == ADDITIVE else mul(agg, p))
+        states.append(add(agg, p) if cfg.composition == ADDITIVE else mul(agg, p))
     return states
 
 
-def _single_layer(
-    g: FeatureGraph,
-    p: GraphLayerParams,
-    cfg: GraphModelConfig,
-    composition: str = MULTIPLICATIVE,
-    act: Activation = Activation.IDENTITY,
-    gate: Tensor | None = None,
-) -> GraphStateTrace:
-    """Project, recurse, sum the final states per graph, activate."""
+def _walk(g: FeatureGraph, p: WalkParams | GatedParams, cfg: GraphModelConfig) -> GraphStateTrace:
+    """Project, recurse, sum the final states per graph, activate; the gated
+    module's (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``."""
     src, dst, members = _segments(g)
     x = Tensor(g.matrix)
+    gate = None
+    if isinstance(p, GatedParams):
+        pairs = Tensor(np.hstack([g.matrix[src.ids], g.matrix[dst.ids]]))
+        gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
     _check_weights(p.W, cfg.hidden, x.shape[1])
-    states = _walk_states(src, dst, x, p.W, cfg.lam, composition, act, gate)
+    states = _walk_states(src, dst, x, p.W, cfg, gate=gate)
     pre = segment_sum(states[-1], members)
     return GraphStateTrace(g, [states], [x], [pre], cfg.activation(pre))
 
 
-def rw_forward(
-    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
-) -> GraphStateTrace:
-    """Single-layer walk module: per graph, act(sum of final node states)."""
-    return _single_layer(g, p, cfg)
-
-
-def generalized_forward(
-    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
-) -> GraphStateTrace:
-    """Composition-switch module: project the node, then join aggregated neighbors.
-
-    Multiplicative composition with identity activation coincides with
-    :func:`rw_forward`; the additive branch keeps the projected feature alive
-    on edgeless nodes.
-    """
-    return _single_layer(g, p, cfg, cfg.composition, cfg.activation)
-
-
-def deep_forward(
-    g: FeatureGraph, params: Sequence[GraphLayerParams], cfg: GraphModelConfig
-) -> GraphStateTrace:
-    """Stack of generalized layers with per-layer readout of the final width state."""
-    if len(params) != cfg.layers:
-        raise ConfigError(f"got {len(params)} layer params for {cfg.layers} layers")
+def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTrace:
+    """Stacked layers aggregating activated neighbor states; the output is the last readout."""
+    if len(p.W) != cfg.layers or len(p.readout) != cfg.layers:
+        raise ConfigError(f"got {len(p.W)} weight lists and {len(p.readout)} readouts "
+                          f"for {cfg.layers} layers")
     src, dst, members = _segments(g)
     x = Tensor(g.matrix)
     states, nodes, readouts = [], [], []
-    for p in params:
-        if p.readout is None:
-            raise ConfigError("deep layers need a readout matrix")
-        _check_weights(p.W, cfg.hidden, x.shape[1])
-        layer = _walk_states(src, dst, x, p.W, cfg.lam, cfg.composition, cfg.activation)
-        x = cfg.activation(matvec(p.readout, layer[-1]))
+    for ws, readout in zip(p.W, p.readout):
+        _check_weights(ws, cfg.hidden, x.shape[1])
+        layer = _walk_states(src, dst, x, ws, cfg, cfg.activation)
+        x = cfg.activation(matvec(readout, layer[-1]))
         states.append(layer)
         nodes.append(x)
         readouts.append(segment_sum(x, members))
@@ -256,7 +257,7 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     states, nodes, readouts = [], [], []
     for ws in p.layer_W:
         _check_weights(ws, cfg.hidden, x.shape[1])
-        layer = _walk_states(src, dst, x, ws, cfg.lam)
+        layer = _walk_states(src, dst, x, ws, cfg)
         states.append(layer)
         readouts.append(segment_sum(layer[-1], members))
         inner = act(matvec(p.v, x))
@@ -265,16 +266,14 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     return GraphStateTrace(g, states, nodes, readouts, accumulate(readouts))
 
 
-def gated_rw_forward(
-    g: FeatureGraph, p: GraphLayerParams, cfg: GraphModelConfig
-) -> GraphStateTrace:
-    """Walk module with a learned per-edge decay instead of the constant.
+_FORWARDS = {"walk": (WalkParams, _walk), "gated": (GatedParams, _walk),
+             "deep": (DeepParams, _deep), "wl": (WLParams, wl_forward)}
 
-    The (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``.
-    """
-    if p.gate_u is None or p.gate_b is None:
-        raise ConfigError("gated walk module needs gate_u and gate_b parameters")
-    src, dst = g.edge_arrays
-    pairs = Tensor(np.hstack([g.matrix[src], g.matrix[dst]]))
-    gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
-    return _single_layer(g, p, cfg, gate=gate)
+
+def graph_forward(g: FeatureGraph, params, cfg: GraphModelConfig) -> GraphStateTrace:
+    """The module ``cfg.module`` on a graph, or on a union of graphs with one output row each."""
+    kind, forward = _FORWARDS[cfg.module]
+    if type(params) is not kind:
+        raise ConfigError(f"the {cfg.module} module runs on {kind.__name__}, "
+                          f"got {type(params).__name__}")
+    return forward(g, params, cfg)

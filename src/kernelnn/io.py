@@ -391,5 +391,8 @@ def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
 def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
     if bundle.kind != "graph-reg":
         raise DataError(f"bundle kind {bundle.kind!r} is not a graph regressor")
-    cfg, in_dim = _bundle_config(GraphModelConfig, bundle.config, "in_dim")
+    config = bundle.config
+    if "module" not in config and config.get("gated") is False:  # written before modules had names
+        config = {k: v for k, v in config.items() if k != "gated"}
+    cfg, in_dim = _bundle_config(GraphModelConfig, config, "in_dim")
     return _restore(init_graph_model(cfg, in_dim, np.random.default_rng(0)), bundle.params)

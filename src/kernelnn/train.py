@@ -14,8 +14,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
-from .graph_nn import GraphModelConfig, WLParams, init_wl_params, wl_forward
-from .inputs import MULTIPLICATIVE, FeatureGraph
+from .graph_nn import GraphModelConfig, WLParams, init_graph, wl_forward
+from .inputs import FeatureGraph
 from .seq_nn import SeqLayerParams, SeqModelConfig, forward_stack, init_seq_stack
 from .tensor import (
     NamedParams,
@@ -259,11 +259,9 @@ class GraphRegModel(NamedParams):
 
 
 def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> GraphRegModel:
-    if cfg.gated or cfg.composition != MULTIPLICATIVE:
-        raise ConfigError(
-            "the WL graph regressor supports neither gated walks nor additive composition"
-        )
-    wl = init_wl_params(cfg, in_dim, rng)
+    if cfg.module != "wl":
+        raise ConfigError(f"the WL graph regressor trains module 'wl' only, got {cfg.module!r}")
+    wl = init_graph(cfg, in_dim, rng)
     head = init_params({"head_w": (cfg.hidden,), "head_b": ()}, rng, {"head_b": 0.0})
     return GraphRegModel(cfg, wl, **head)
 

@@ -9,7 +9,7 @@ the acceptance tests call them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,15 +25,7 @@ from .graph_kernel import (
     wl_kernel,
     wl_relabel,
 )
-from .graph_nn import (
-    GraphModelConfig,
-    deep_forward,
-    gated_rw_forward,
-    init_graph_layer,
-    init_wl_params,
-    rw_forward,
-    wl_forward,
-)
+from .graph_nn import GraphModelConfig, WalkParams, graph_forward, init_graph
 from .inputs import ADDITIVE, FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
 from .seq_kernel import (
     MAX_ORACLE_LEN,
@@ -50,7 +42,6 @@ from .seq_nn import (
     init_seq_layer,
     init_seq_stack,
     layer_shapes,
-    logit,
 )
 from .tensor import Activation, Tape, Tensor, add, dot, finite_diff_grad, rel_error, row
 from .train import (
@@ -209,9 +200,9 @@ def check_graph_state_kernel(seed: int, tol: float) -> list[CheckResult]:
         m = int(rng.integers(2, 5))
         lam = float(rng.uniform(0.1, 0.9))
         g = _random_graph(rng, int(rng.integers(2, 7)), d)
-        cfg = GraphModelConfig(n=n, hidden=m, lam=lam)
-        p = init_graph_layer(cfg, d, rng)
-        trace = rw_forward(g, p, cfg)
+        cfg = GraphModelConfig(n=n, hidden=m, lam=lam, module="walk")
+        p = init_graph(cfg, d, rng)
+        trace = graph_forward(g, p, cfg)
         total = trace.state_sum(n)
         kcfg = GraphKernelConfig(n=n, lam=lam)
         ws = [w.data for w in p.W]
@@ -248,18 +239,12 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
     x = _random_sequence(rng, length, d)
     for variant in ("mult-unnorm", "mult-norm", "add-norm"):
         for decay in ("gated-input", "gated-input-state"):
-            gated_cfg = SeqModelConfig(
-                n=2, hidden=m, lam=lam, variant=variant, decay=decay,
-                activation=Activation.TANH,
-            )
-            const_cfg = SeqModelConfig(
-                n=2, hidden=m, lam=lam, variant=variant, activation=Activation.TANH
-            )
-            p = init_seq_layer(gated_cfg, d, rng)
+            gated_cfg = SeqModelConfig(n=2, hidden=m, lam=lam, variant=variant, decay=decay,
+                                       activation=Activation.TANH)
+            p = init_seq_layer(gated_cfg, d, rng)  # gate biases start at logit(lam)
             p.gate_u = Tensor(np.zeros(layer_shapes(gated_cfg, d)["gate_u"]))
-            p.gate_b = Tensor(np.full(m, logit(lam)))
             tg = forward_layer(x, p, gated_cfg)
-            tc = forward_layer(x, p, const_cfg)
+            tc = forward_layer(x, p, replace(gated_cfg, decay="constant"))
             for j in (1, 2):
                 for t in range(1, length + 1):
                     worst = max(
@@ -267,16 +252,13 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
                     )
     # graph module
     g = _random_graph(rng, 5, d)
-    gated_gcfg = GraphModelConfig(n=3, hidden=m, lam=lam, gated=True)
-    plain_gcfg = GraphModelConfig(n=3, hidden=m, lam=lam)
-    gp = init_graph_layer(gated_gcfg, d, rng)
+    gated_gcfg = GraphModelConfig(n=3, hidden=m, lam=lam, module="gated")
+    gp = init_graph(gated_gcfg, d, rng)  # gate biases start at logit(lam)
     gp.gate_u = Tensor(np.zeros((m, 2 * d)))
-    gp.gate_b = Tensor(np.full(m, logit(lam)))
-    tg = gated_rw_forward(g, gp, gated_gcfg)
-    tc = rw_forward(g, gp, plain_gcfg)
-    for j in (1, 2, 3):
-        for v in range(g.num_nodes):
-            worst = max(worst, float(np.max(np.abs(tg.state(j, v).data - tc.state(j, v).data))))
+    tg = graph_forward(g, gp, gated_gcfg)
+    tc = graph_forward(g, WalkParams(gp.W), replace(gated_gcfg, module="walk"))
+    for a, b in zip(tg.states[0], tc.states[0]):
+        worst = max(worst, float(np.max(np.abs(a.data - b.data))))
     return [CheckResult("gated-degeneration", seed, worst, worst <= tol)]
 
 
@@ -318,8 +300,8 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
     out.append(CheckResult("deep-rkhs", seed, worst, worst <= tol, detail="sequence"))
     # graph stack, depth 2, additive composition
     gcfg = GraphModelConfig(n=2, hidden=m, lam=lam, composition=ADDITIVE,
-                            activation=Activation.IDENTITY, layers=2)
-    gparams = [init_graph_layer(gcfg, d if l == 0 else m, rng, with_readout=True) for l in range(2)]
+                            activation=Activation.IDENTITY, layers=2, module="deep")
+    gparams = init_graph(gcfg, d, rng)
     graphs = [_random_graph(rng, int(rng.integers(3, 6)), d) for _ in range(6)]
     kgcfg = GraphKernelConfig(n=2, lam=lam, composition=ADDITIVE, depth=2)
     points = [(gi, v) for gi, g in enumerate(graphs) for v in range(g.num_nodes)]
@@ -329,7 +311,7 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
             for gi, v in points
         ]
     )
-    traces = [deep_forward(g, gparams, gcfg) for g in graphs]
+    traces = [graph_forward(g, gparams, gcfg) for g in graphs]
     worst_g = 0.0
     for i in range(m):
         values = np.array([traces[gi].nodes[-1].data[v, i] for gi, v in points])
@@ -343,8 +325,8 @@ def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
     d, m, lam, layers, n = 2, 3, 0.5, 2, 2
     g = _random_graph(rng, int(rng.integers(3, 6)), d)
     cfg = GraphModelConfig(n=n, hidden=m, lam=lam, layers=layers, activation=Activation.IDENTITY)
-    wl = init_wl_params(cfg, d, rng)
-    trace = wl_forward(g, wl, cfg)
+    wl = init_graph(cfg, d, rng)
+    trace = graph_forward(g, wl, cfg)
     relabel = WLRelabelParams(u1=wl.u1.data, u2=wl.u2.data, v=wl.v.data,
                               activation=Activation.IDENTITY)
     kcfg = GraphKernelConfig(n=n, lam=lam)
@@ -359,14 +341,14 @@ def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
     return [CheckResult("wl-chain", seed, err, err <= tol)]
 
 
-def _tape_vs_fd(run, params, named: dict, swap) -> tuple[float, int]:
-    """Worst tape-vs-finite-difference error over the named tensors, and their coordinates."""
+def _tape_vs_fd(run, params) -> tuple[float, int]:
+    """Worst tape-vs-finite-difference error over every named tensor, and their coordinates."""
     with Tape() as tape:
         loss = run(params)
     grads = tape.backward(loss)
     worst, coords = 0.0, 0
-    for name, tensor in named.items():
-        fd = finite_diff_grad(lambda t: run(swap(name, t)).item(), tensor)
+    for name, tensor in params.named().items():
+        fd = finite_diff_grad(lambda t: run(params.with_named({name: t})).item(), tensor)
         got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
         worst = max(worst, rel_error(got, fd))
         coords += tensor.size
@@ -387,37 +369,18 @@ def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
             loss = term if loss is None else add(loss, term)
         return loss
 
-    return _tape_vs_fd(run, p, p.named(), lambda name, t: p.with_named({name: t}))
+    return _tape_vs_fd(run, p)
 
 
-def _graph_grad_error(kind: str, cfg: GraphModelConfig, rng) -> tuple[float, int]:
+def _graph_grad_error(cfg: GraphModelConfig, rng) -> tuple[float, int]:
     d = 2
     g = _random_graph(rng, 4, d)
     probe = rng.normal(size=cfg.hidden)
-    if kind == "wl":
-        params = init_wl_params(cfg, d, rng)
-        fwd = wl_forward
-        named = params.named()
-        swap = lambda name, t: params.with_named({name: t})
-    elif kind == "deep":
-        params = [
-            init_graph_layer(cfg, d if l == 0 else cfg.hidden, rng, with_readout=True)
-            for l in range(cfg.layers)
-        ]
-        fwd = deep_forward
-        named = {(l, k): t for l, p in enumerate(params) for k, t in p.named().items()}
-        swap = lambda key, t: [p.with_named({key[1]: t}) if l == key[0] else p
-                               for l, p in enumerate(params)]
-    else:
-        params = init_graph_layer(cfg, d, rng)
-        fwd = gated_rw_forward if kind == "gated" else rw_forward
-        named = params.named()
-        swap = lambda name, t: params.with_named({name: t})
 
     def run(ps):
-        return dot(Tensor(probe), fwd(g, ps, cfg).h_graph)
+        return dot(Tensor(probe), graph_forward(g, ps, cfg).h_graph)
 
-    return _tape_vs_fd(run, params, named, swap)
+    return _tape_vs_fd(run, init_graph(cfg, d, rng))
 
 
 def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
@@ -434,13 +397,13 @@ def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
                 CheckResult("gradcheck", seed, err, err <= tol, detail=f"seq:{variant}:{decay}")
             )
     for kind, cfg in (
-        ("rw", GraphModelConfig(n=2, hidden=3, lam=0.5, activation=Activation.TANH)),
-        ("gated", GraphModelConfig(n=2, hidden=3, lam=0.5, gated=True, activation=Activation.TANH)),
-        ("deep", GraphModelConfig(n=2, hidden=3, lam=0.5, composition=ADDITIVE,
-                                  activation=Activation.TANH, layers=2)),
-        ("wl", GraphModelConfig(n=2, hidden=3, lam=0.5, layers=2, activation=Activation.TANH)),
+        ("rw", GraphModelConfig(n=2, hidden=3, activation=Activation.TANH, module="walk")),
+        ("gated", GraphModelConfig(n=2, hidden=3, activation=Activation.TANH, module="gated")),
+        ("deep", GraphModelConfig(n=2, hidden=3, composition=ADDITIVE,
+                                  activation=Activation.TANH, layers=2, module="deep")),
+        ("wl", GraphModelConfig(n=2, hidden=3, layers=2, activation=Activation.TANH)),
     ):
-        err, coords = _graph_grad_error(kind, cfg, rng)
+        err, coords = _graph_grad_error(cfg, rng)
         total_coords += coords
         out.append(CheckResult("gradcheck", seed, err, err <= tol, detail=f"graph:{kind}"))
     out.append(

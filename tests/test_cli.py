@@ -647,9 +647,11 @@ def test_train_rejects_unknown_keys_and_mistyped_values(tmp_path, capsys, case):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("model", [{"gated": True}, {"composition": "additive"}],
-                         ids=["gated", "additive"])
-def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model):
+@pytest.mark.parametrize("model,named", [({"gated": True}, "'gated'"),
+                                         ({"composition": "additive"}, "multiplicatively"),
+                                         ({"module": "deep"}, "WL graph regressor")],
+                         ids=["gated", "additive", "module"])
+def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model, named):
     data = tmp_path / "graphs.txt"
     data.write_text("2 | 1,0 ; 0,1 | 0-1 | 1.5\n")
     config = tmp_path / "config.json"
@@ -660,7 +662,7 @@ def test_train_graph_reg_rejects_unimplemented_options(tmp_path, capsys, model):
         "--data", str(data), "--out", str(out),
     )
     assert code == EXIT_INPUT
-    assert "WL graph regressor" in err
+    assert named in err
     assert not out.exists()
 
 
@@ -799,6 +801,27 @@ def test_eval_of_a_graph_bundle_rejects_vocab(tmp_path, capsys):
                             "--vocab", str(FIXTURES / "vocab.txt"))
     assert code == EXIT_INPUT
     assert stdout == "" and "--vocab" in err
+
+
+def test_eval_reads_a_graph_bundle_written_before_modules_had_names(tmp_path, capsys):
+    # such a bundle's config holds "gated": false where it now holds "module": "wl"
+    data = str(FIXTURES / "graph_reg.txt")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 2, "hidden": 3, "layers": 2},
+                                  "optimizer": {"kind": "adam", "lr": 0.02}}))
+    out = tmp_path / "graph.bundle"
+    assert run(capsys, "train", "--task", "graph-reg", "--config", str(config),
+               "--data", data, "--out", str(out))[0] == EXIT_OK
+    code, want, _ = run(capsys, "eval", "--bundle", str(out), "--data", data)
+    assert code == EXIT_OK and want
+    doc = json.loads(out.read_text())
+    assert doc["config"].pop("module") == "wl"
+    old = tmp_path / "old.bundle"
+    for gated, exit_code, printed in ((False, EXIT_OK, want), (True, EXIT_INPUT, "")):
+        old.write_text(json.dumps({**doc, "config": {**doc["config"], "gated": gated}}))
+        code, got, err = run(capsys, "eval", "--bundle", str(old), "--data", data)
+        assert (code, got) == (exit_code, printed)
+    assert "'gated'" in err  # no bundle ever held a gated module
 
 
 def test_graph_reg_untargeted_record_is_named_by_its_line(tmp_path, capsys):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kernelnn.graph_nn import GraphModelConfig, init_graph_layer, init_wl_params
+from kernelnn.graph_nn import GraphModelConfig, init_graph
 from kernelnn.io import bundle_from_graph, bundle_from_lm, save_bundle
 from kernelnn.seq_nn import DECAYS, VARIANTS, SeqModelConfig
 from kernelnn.train import init_graph_model, init_lm_model
@@ -28,10 +28,10 @@ def _bundle_digest(bundle, tmp: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _named_digest(params) -> str:
+def _named_digest(params, strip: str = "") -> str:
     h = hashlib.sha256()
     for name, t in params.named().items():
-        h.update(f"{name}{t.shape}".encode())
+        h.update(f"{name.removeprefix(strip)}{t.shape}".encode())
         h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     return h.hexdigest()
 
@@ -52,12 +52,14 @@ def init_digests(tmp: Path) -> dict[str, str]:
         model = init_graph_model(cfg, 4, np.random.default_rng(SEED))
         out[f"graph-reg n={n} layers={layers}"] = _bundle_digest(bundle_from_graph(model, SEED),
                                                                  tmp)
-        wl = init_wl_params(cfg, 4, np.random.default_rng(SEED))
+        wl = init_graph(cfg, 4, np.random.default_rng(SEED))
         out[f"wl n={n} layers={layers}"] = _named_digest(wl)
-    for n, readout, gated in itertools.product((1, 3), (False, True), (False, True)):
-        cfg = GraphModelConfig(n=n, hidden=3, gated=gated)
-        p = init_graph_layer(cfg, 4, np.random.default_rng(SEED), with_readout=readout)
-        out[f"graph-layer n={n} readout={readout} gated={gated}"] = _named_digest(p)
+    layer_modules = {"readout=False gated=False": "walk", "readout=False gated=True": "gated",
+                     "readout=True gated=False": "deep"}
+    for n, (layer, module) in itertools.product((1, 3), layer_modules.items()):
+        p = init_graph(GraphModelConfig(n=n, hidden=3, module=module), 4, np.random.default_rng(SEED))
+        # a one-layer deep stack names its tensors l1.W1, l1.readout; a layer's are W1, readout
+        out[f"graph-layer n={n} {layer}"] = _named_digest(p, strip="l1.")
     return out
 
 

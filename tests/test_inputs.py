@@ -18,13 +18,7 @@ from kernelnn.graph_kernel import (
     reference_walk,
     wl_relabel,
 )
-from kernelnn.graph_nn import (
-    GraphModelConfig,
-    gated_rw_forward,
-    init_graph_layer,
-    init_wl_params,
-    wl_forward,
-)
+from kernelnn.graph_nn import GraphModelConfig, graph_forward, init_graph
 from kernelnn.inputs import FeatureGraph, GraphKernelConfig
 from kernelnn.tensor import Activation, rel_error
 
@@ -69,13 +63,13 @@ def small_graph(rng, d):
 
 
 def wl_chain_pair():
-    """wl_forward's output and the sum of walk kernels over relabelings it must equal."""
+    """The wl module's output and the sum of walk kernels over relabelings it must equal."""
     rng = np.random.default_rng(21)
     d, m, lam, layers, n = 2, 3, 0.5, 2, 2
     g = small_graph(rng, d)
     cfg = GraphModelConfig(n=n, hidden=m, lam=lam, layers=layers, activation=Activation.TANH)
-    wl = init_wl_params(cfg, d, rng)
-    got = wl_forward(g, wl, cfg).h_graph.data
+    wl = init_graph(cfg, d, rng)
+    got = graph_forward(g, wl, cfg).h_graph.data
     relabel = WLRelabelParams(u1=wl.u1.data, u2=wl.u2.data, v=wl.v.data,
                               activation=Activation.TANH)
     want = np.zeros(m)
@@ -92,9 +86,9 @@ def gated_state_pair():
     rng = np.random.default_rng(22)
     d, m, n = 2, 3, 3
     g = small_graph(rng, d)
-    cfg = GraphModelConfig(n=n, hidden=m, gated=True)
-    p = init_graph_layer(cfg, d, rng)
-    got = gated_rw_forward(g, p, cfg).state_sum(n)
+    cfg = GraphModelConfig(n=n, hidden=m, module="gated")
+    p = init_graph(cfg, d, rng)
+    got = graph_forward(g, p, cfg).state_sum(n)
     return got, gated_walk_state_sum(g, [w.data for w in p.W], p.gate_u.data, p.gate_b.data)
 
 

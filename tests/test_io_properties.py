@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelnn.errors import ConfigError, DataError
-from kernelnn.graph_nn import GraphModelConfig
+from kernelnn.graph_nn import MODULES, GraphModelConfig
 from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from kernelnn.io import (
     ModelBundle,
@@ -216,7 +216,8 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**20),
                  st.lists(st.integers(), max_size=2),
                  st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
 NAMES = {"variant": VARIANTS, "decay": DECAYS, "output": OUTPUTS, "kind": ("sgd", "adam"),
-         "composition": (MULTIPLICATIVE, ADDITIVE), "activation": [a.value for a in Activation]}
+         "composition": (MULTIPLICATIVE, ADDITIVE), "module": MODULES,
+         "activation": [a.value for a in Activation]}
 BY_TYPE = {int: st.integers(1, 4), float: st.floats(-0.1, 1.1), bool: st.booleans(),
            type(None): st.none()}
 
