@@ -13,7 +13,7 @@ from .graph_kernel import random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig, graph_forward, init_graph, wl_forward
 from .inputs import FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
 from .seq_kernel import gram_matrix, string_kernel
-from .seq_nn import SeqModelConfig, forward_layer, forward_stack
+from .seq_nn import SeqModelConfig, forward_stack, init_seq_stack
 from .tensor import Activation, Tape, Tensor, finite_diff_grad, rel_error
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "string_kernel",
     "gram_matrix",
     "SeqModelConfig",
-    "forward_layer",
+    "init_seq_stack",
     "forward_stack",
     "FeatureGraph",
     "GraphKernelConfig",

@@ -123,10 +123,10 @@ class GraphStateTrace:
     """Everything a forward pass over a graph produced, layer by layer.
 
     ``states[l][j-1]`` is the (N, hidden) matrix of cell state j, one row per
-    node of the graph; ``nodes[l]`` holds the node vectors of layer l (the
-    input features for single-layer modules, the readout or relabeled
-    vectors for stacks); ``readouts[l]`` the (B, hidden) per-graph readouts
-    and ``out`` the (B, hidden) module output, one row per member graph.
+    node of the graph; ``nodes[l]`` the node vectors layer l walks (in
+    ``deep``, the readout vectors layer l hands to layer l+1); ``readouts[l]``
+    the (B, hidden) per-graph readouts and ``out`` the (B, hidden) module
+    output, one row per member graph.
     """
 
     graph: FeatureGraph
@@ -245,9 +245,9 @@ def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTr
 def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Relabeling iterations with walk readouts, summed across layers.
 
-    Per-layer readouts are pre-activation sums of the final walk states; the
-    relabeling ``act(H u1^T + (A act(H v^T)) u2^T)`` uses the same u1, u2, v
-    at every layer.
+    Per-layer readouts are pre-activation sums of the final walk states.  Only
+    between layers is the node matrix relabeled, ``act(H u1^T + (A act(H v^T)) u2^T)``
+    with the same u1, u2, v each time: no output reads a last relabel.
     """
     if len(p.layer_W) != cfg.layers:
         raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
@@ -255,14 +255,15 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     x = Tensor(g.matrix)
     act = cfg.activation
     states, nodes, readouts = [], [], []
-    for ws in p.layer_W:
+    for l, ws in enumerate(p.layer_W):
+        if l:
+            inner = act(matvec(p.v, x))
+            x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, src, dst))))
         _check_weights(ws, cfg.hidden, x.shape[1])
         layer = _walk_states(src, dst, x, ws, cfg)
+        nodes.append(x)
         states.append(layer)
         readouts.append(segment_sum(layer[-1], members))
-        inner = act(matvec(p.v, x))
-        x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, src, dst))))
-        nodes.append(x)
     return GraphStateTrace(g, states, nodes, readouts, accumulate(readouts))
 
 

@@ -53,6 +53,9 @@ class SeqModelConfig:
             raise ConfigError(f"unknown decay mode {self.decay!r}")
         if not 0.0 <= self.lam < 1.0:
             raise ConfigError(f"lambda must lie in [0, 1), got {self.lam}")
+        if self.decay != "constant" and self.lam == 0.0:
+            raise ConfigError(f"decay {self.decay!r} starts its bias at logit(lambda), "
+                              f"which needs lambda in (0, 1), got 0")
         if self.output not in OUTPUTS:
             raise ConfigError(f"unknown output mode {self.output!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -95,20 +98,17 @@ def layer_shapes(cfg: SeqModelConfig, in_dim: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
-def init_seq_layer(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> SeqLayerParams:
-    """:func:`layer_shapes` drawn by the init rule; gate and decay biases start at logit(lam)."""
-    bias = logit(cfg.lam) if cfg.lam > 0.0 else 0.0
-    t = init_params(layer_shapes(cfg, in_dim), rng,
-                    {"gate_b": bias, "decay_logit": bias, "comb": 1.0, "hw_b": -1.0})
-    return SeqLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t)
-
-
 def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> list[SeqLayerParams]:
+    """:func:`layer_shapes` of each layer drawn by the init rule, layer by layer; layer 1
+    reads ``in_dim`` features, every later one the layer below, and the gate and decay
+    biases start at logit(lam)."""
+    fill = {"comb": 1.0, "hw_b": -1.0}
+    if cfg.decay != "constant":
+        fill.update(gate_b=logit(cfg.lam), decay_logit=logit(cfg.lam))
     params = []
-    d = in_dim
-    for _ in range(cfg.layers):
-        params.append(init_seq_layer(cfg, d, rng))
-        d = cfg.hidden
+    for l in range(cfg.layers):
+        t = init_params(layer_shapes(cfg, in_dim if l == 0 else cfg.hidden), rng, fill)
+        params.append(SeqLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t))
     return params
 
 
@@ -161,12 +161,12 @@ def _as_matrix(x) -> Tensor:
     elif not isinstance(x, Tensor):
         x = list(x)
         if not x:
-            raise ContractError("forward_layer needs a nonempty sequence")
+            raise ContractError("forward_stack needs a nonempty sequence")
         x = stack(x)
     if x.data.ndim != 2:
         raise ShapeError(f"a window matrix must be 2-d, got shape {x.shape}")
     if x.shape[0] == 0:
-        raise ContractError("forward_layer needs a nonempty sequence")
+        raise ContractError("forward_stack needs a nonempty sequence")
     return x
 
 
@@ -371,24 +371,6 @@ def _scan(
     return LayerScan(c=c, pre=pre, decay=lam, h=out)
 
 
-def forward_layer(
-    x,
-    p: SeqLayerParams,
-    cfg: SeqModelConfig,
-    state: tuple[np.ndarray, np.ndarray] | None = None,
-) -> StateTrace:
-    """Run one recurrent layer over a token sequence and record the full trace.
-
-    ``x`` is a FeatureSequence, a list of 1-d tensors or a (T, d) tensor;
-    ``state`` is the start state ``(c, h)`` of shapes (n, hidden) and
-    (hidden,), zero when unset.  With ``cfg.highway`` the cell input is always
-    scaled by (1 - decay), the pre-activation is the last state, and the
-    output mixes it with the layer input, h = f * pre + (1 - f) * x, with no
-    activation, so an identity-activation stack stays exactly linear-gated.
-    """
-    return StateTrace([_scan(_as_matrix(x), p, cfg, state)])
-
-
 def forward_stack(
     x,
     params: Sequence[SeqLayerParams],
@@ -398,12 +380,18 @@ def forward_stack(
 ) -> StateTrace:
     """Apply the configured layers in order; layer l+1 reads layer l's outputs.
 
-    ``state`` holds each layer's start state ``(c, h)``, as
-    :meth:`StateTrace.carry` returns them.  Passing ``rng`` is training: with
-    ``cfg.dropout`` > 0, dropout then applies to layer inputs only, with
-    inverted scaling so evaluation (no rng) uses the weights unchanged.  Each
-    layer draws its (T, d) mask in one call, row by row, which consumes the
-    rng stream exactly as one draw per token does.
+    ``x`` is a FeatureSequence, a list of 1-d tensors or a (T, d) tensor.
+    ``state`` holds each layer's start state ``(c, h)``, of shapes (n, hidden)
+    and (hidden,), as :meth:`StateTrace.carry` returns them; zero when unset.
+    With ``cfg.highway`` a layer's cell input is always scaled by
+    (1 - decay), its pre-activation is the last state, and its output mixes
+    that with the layer input, h = f * pre + (1 - f) * x, with no
+    activation, so an identity-activation stack stays exactly linear-gated.
+    Passing ``rng`` is training: with ``cfg.dropout`` > 0, dropout then
+    applies to layer inputs only, with inverted scaling so evaluation (no
+    rng) uses the weights unchanged.  Each layer draws its (T, d) mask in one
+    call, row by row, which consumes the rng stream exactly as one draw per
+    token does.
     """
     inputs = _as_matrix(x)
     if len(params) != cfg.layers:

@@ -168,10 +168,6 @@ def lm_loss(h: Tensor, targets: Sequence[int], out_w: Tensor, out_b: Tensor) -> 
     return softmax_cross_entropy(linear(h, out_w, out_b), targets)
 
 
-def perplexity(loss: float) -> float:
-    return math.exp(loss)
-
-
 def _head(readout: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
     """One scalar prediction per row of a (B, hidden) readout: ``readout @ head_w + head_b``."""
     return add(matvec(readout, head_w), head_b)
@@ -222,16 +218,6 @@ def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator
     return SeqLMModel(cfg, embed, layers=layers, **out)
 
 
-def lm_forward(
-    model: SeqLMModel,
-    ids: Sequence[int],
-    state: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-    rng: np.random.Generator | None = None,
-):
-    x = gather_columns(model.embed, ids)
-    return forward_stack(x, model.layers, model.cfg, state=state, rng=rng)
-
-
 def lm_window_loss(
     model: SeqLMModel,
     window: Sequence[int],
@@ -239,7 +225,8 @@ def lm_window_loss(
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, list[tuple[np.ndarray, np.ndarray]]]:
     """Loss of predicting ``window[1:]`` from ``window[:-1]``, and the state carried out."""
-    trace = lm_forward(model, window[:-1], state=state, rng=rng)
+    x = gather_columns(model.embed, window[:-1])
+    trace = forward_stack(x, model.layers, model.cfg, state=state, rng=rng)
     loss = lm_loss(trace.matrix(), window[1:], model.out_w, model.out_b)
     return loss, trace.carry()
 
@@ -264,11 +251,6 @@ def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generato
     wl = init_graph(cfg, in_dim, rng)
     head = init_params({"head_w": (cfg.hidden,), "head_b": ()}, rng, {"head_b": 0.0})
     return GraphRegModel(cfg, wl, **head)
-
-
-def graph_predict(model: GraphRegModel, g: FeatureGraph) -> Tensor:
-    """The head's prediction for every member graph, in order."""
-    return _head(wl_forward(g, model.wl, model.cfg).out, model.head_w, model.head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +280,7 @@ def _grads_by_name(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[
 
 
 def eval_lm(model: SeqLMModel, ids: Sequence[int]) -> tuple[float, float]:
-    """Mean cross-entropy and perplexity over a token stream, dropout off."""
+    """Mean cross-entropy over a token stream and its exponential (the ppl), dropout off."""
     if len(ids) < 2:
         raise DataError("evaluation needs at least two tokens")
     total, count = 0.0, 0
@@ -309,7 +291,7 @@ def eval_lm(model: SeqLMModel, ids: Sequence[int]) -> tuple[float, float]:
         total += loss.item() * (len(window) - 1)
         count += len(window) - 1
     mean = total / count
-    return mean, perplexity(mean)
+    return mean, math.exp(mean)
 
 
 def train_lm(
@@ -348,7 +330,7 @@ def train_lm(
             if tc.max_steps is not None and steps >= tc.max_steps:
                 break
         mean = total / max(count, 1)
-        records.append(MetricRecord(epoch, "train", mean, perplexity(mean), "ppl"))
+        records.append(MetricRecord(epoch, "train", mean, math.exp(mean), "ppl"))
         if valid_ids is not None:
             vloss, vppl = eval_lm(model, valid_ids)
             records.append(MetricRecord(epoch, "valid", vloss, vppl, "ppl"))
@@ -362,7 +344,7 @@ def eval_graph_reg(model: GraphRegModel, graphs: FeatureGraph, targets: Sequence
     """Root mean squared error of the head over a graph set, one forward pass over its union."""
     if len(graphs.sizes) != len(targets):
         raise DataError(f"{len(graphs.sizes)} graphs vs {len(targets)} targets")
-    pred = graph_predict(model, graphs).data
+    pred = _head(wl_forward(graphs, model.wl, model.cfg).out, model.head_w, model.head_b).data
     return math.sqrt(float(np.mean((pred - np.asarray(targets, dtype=np.float64)) ** 2)))
 
 

@@ -35,14 +35,7 @@ from .seq_kernel import (
     string_kernel,
     unrolled_state,
 )
-from .seq_nn import (
-    SeqModelConfig,
-    forward_layer,
-    forward_stack,
-    init_seq_layer,
-    init_seq_stack,
-    layer_shapes,
-)
+from .seq_nn import SeqModelConfig, forward_stack, init_seq_stack, layer_shapes
 from .tensor import Activation, Tape, Tensor, add, dot, finite_diff_grad, rel_error, row
 from .train import (
     OptimizerState,
@@ -111,9 +104,9 @@ def check_seq_state_kernel(seed: int, tol: float) -> list[CheckResult]:
         length = int(rng.integers(n, 7))
         lam = float(rng.uniform(0.05, 0.95))
         cfg = SeqModelConfig(n=n, hidden=m, lam=lam, activation=Activation.IDENTITY)
-        p = init_seq_layer(cfg, d, rng)
+        (p,) = init_seq_stack(cfg, d, rng)
         x = _random_sequence(rng, length, d)
-        trace = forward_layer(x, p, cfg)
+        trace = forward_stack(x, [p], cfg)
         ws = [w.data for w in p.W]
         kcfg = SeqKernelConfig(n=n, lam=lam)
         for t in range(1, length + 1):
@@ -216,9 +209,9 @@ def check_cnn_degeneration(seed: int, tol: float) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     n, d, m, length = 3, 3, 4, 6
     cfg = SeqModelConfig(n=n, hidden=m, lam=0.0, variant="add-norm", activation=Activation.TANH)
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     x = _random_sequence(rng, length, d)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     worst = 0.0
     for t in range(1, length + 1):
         pre = np.zeros(m)
@@ -241,10 +234,10 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
         for decay in ("gated-input", "gated-input-state"):
             gated_cfg = SeqModelConfig(n=2, hidden=m, lam=lam, variant=variant, decay=decay,
                                        activation=Activation.TANH)
-            p = init_seq_layer(gated_cfg, d, rng)  # gate biases start at logit(lam)
+            (p,) = init_seq_stack(gated_cfg, d, rng)  # gate biases start at logit(lam)
             p.gate_u = Tensor(np.zeros(layer_shapes(gated_cfg, d)["gate_u"]))
-            tg = forward_layer(x, p, gated_cfg)
-            tc = forward_layer(x, p, replace(gated_cfg, decay="constant"))
+            tg = forward_stack(x, [p], gated_cfg)
+            tc = forward_stack(x, [p], replace(gated_cfg, decay="constant"))
             for j in (1, 2):
                 for t in range(1, length + 1):
                     worst = max(
@@ -269,9 +262,9 @@ def check_variants(seed: int, tol: float) -> list[CheckResult]:
         n, d, m, length = 3, 2, 3, 5
         lam = float(rng.uniform(0.1, 0.9))
         cfg = SeqModelConfig(n=n, hidden=m, lam=lam, variant=variant, activation=Activation.IDENTITY)
-        p = init_seq_layer(cfg, d, rng)
+        (p,) = init_seq_stack(cfg, d, rng)
         x = _random_sequence(rng, length, d)
-        trace = forward_layer(x, p, cfg)
+        trace = forward_stack(x, [p], cfg)
         ws = [w.data for w in p.W]
         worst = 0.0
         for t in range(1, length + 1):
@@ -357,12 +350,12 @@ def _tape_vs_fd(run, params) -> tuple[float, int]:
 
 def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
     d, length = 2, 3
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     x = _random_sequence(rng, length, d)
     probes = [rng.normal(size=cfg.hidden) for _ in range(length)]
 
     def run(params):
-        h = forward_layer(x, params, cfg).matrix(0)
+        h = forward_stack(x, [params], cfg).matrix(0)
         loss = None
         for t, r in enumerate(probes):
             term = dot(Tensor(r), row(h, t))

@@ -42,6 +42,8 @@ def init_digests(tmp: Path) -> dict[str, str]:
     extras = {"plain": {}, "combination": {"output": "combination"}, "highway": {"highway": True}}
     for layers, decay, variant, extra, lam in itertools.product(
             (1, 2), DECAYS, VARIANTS, extras, (0.0, 0.3)):
+        if decay != "constant" and lam == 0.0:
+            continue  # refused: these decays start a bias at logit(lam)
         cfg = SeqModelConfig(n=2, hidden=3, layers=layers, decay=decay, variant=variant,
                              lam=lam, **extras[extra])
         model = init_lm_model(cfg, 5, np.random.default_rng(SEED))

@@ -281,9 +281,12 @@ ACTIVATIONS = st.sampled_from(list(Activation))
 def seq_configs(draw):
     highway = draw(st.booleans())
     output = "last-state" if highway else draw(st.sampled_from(OUTPUTS))
+    decay = draw(st.sampled_from(DECAYS))
+    # a decay other than constant starts a bias at logit(lam), so lam = 0 is refused there
+    lam = draw(RATES if decay == "constant" else st.floats(0.0, 0.99, exclude_min=True))
     return SeqModelConfig(n=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
                           layers=draw(st.integers(1, 2)), variant=draw(st.sampled_from(VARIANTS)),
-                          decay=draw(st.sampled_from(DECAYS)), lam=draw(RATES),
+                          decay=decay, lam=lam,
                           activation=draw(ACTIVATIONS), output=output, highway=highway,
                           dropout=draw(RATES))
 

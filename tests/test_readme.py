@@ -1,4 +1,4 @@
-"""README's module list keeps up with the package."""
+"""README keeps up with the package: its module list, and its library example runs."""
 
 import re
 from pathlib import Path
@@ -17,3 +17,9 @@ def whats_inside() -> str:
 @pytest.mark.parametrize("module", MODULES)
 def test_readme_describes_every_module(module):
     assert f"`kernelnn.{module}`" in whats_inside()
+
+
+def test_library_example_runs_as_written():
+    text = (ROOT / "README.md").read_text()
+    example = re.search(r"^## Library example$.*?^```python$(.*?)^```$", text, re.M | re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelnn.seq_nn import DECAYS, VARIANTS, SeqModelConfig, _scan, init_seq_layer
+from kernelnn.seq_nn import DECAYS, VARIANTS, SeqModelConfig, _scan, init_seq_stack
 from kernelnn.tensor import Activation, Tape, Tensor
 
 GOLDEN = Path(__file__).parent / "fixtures" / "scan_golden.json"
@@ -43,7 +43,7 @@ def case_digests(case: str) -> dict[str, str]:
     cfg = SeqModelConfig(n=3, hidden=4, decay=decay, variant=variant, lam=0.3,
                          activation=act, **OUTPUTS[output])
     rng = np.random.default_rng(SEED)
-    p = init_seq_layer(cfg, 4, rng)
+    (p,) = init_seq_stack(cfg, 4, rng)
     p = p.with_named({name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape))
                       for name, t in p.named().items()})
     x = Tensor(rng.normal(size=(6, 4)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,10 @@ from kernelnn.seq_kernel import (
     unrolled_state,
 )
 from kernelnn.seq_nn import (
+    DECAYS,
     SeqLayerParams,
     SeqModelConfig,
-    forward_layer,
     forward_stack,
-    init_seq_layer,
     init_seq_stack,
     logit,
 )
@@ -57,9 +58,9 @@ def test_states_equal_reference_kernels(n):
         d, m, length = int(rng.integers(2, 5)), int(rng.integers(2, 5)), int(rng.integers(n, 7))
         lam = float(rng.uniform(0.1, 0.9))
         cfg = SeqModelConfig(n=n, hidden=m, lam=lam, activation=Activation.IDENTITY)
-        p = init_seq_layer(cfg, d, rng)
+        (p,) = init_seq_stack(cfg, d, rng)
         x = rand_seq(rng, length, d)
-        trace = forward_layer(x, p, cfg)
+        trace = forward_stack(x, [p], cfg)
         ws = [w.data for w in p.W]
         for j in (1, n):
             kcfg = SeqKernelConfig(n=j, lam=lam)
@@ -74,9 +75,9 @@ def test_cnn_degeneration_at_lambda_zero():
     rng = np.random.default_rng(4)
     n, d, m, length = 3, 3, 4, 6
     cfg = SeqModelConfig(n=n, hidden=m, lam=0.0, variant="add-norm", activation=Activation.TANH)
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     x = rand_seq(rng, length, d)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     for t in range(1, length + 1):
         pre = np.zeros(m)
         for j in range(1, n + 1):
@@ -88,9 +89,9 @@ def test_cnn_degeneration_at_lambda_zero():
 
 def test_all_zero_input_gives_sigma_of_zero():
     cfg = SeqModelConfig(n=2, hidden=3, lam=0.5, activation=Activation.SIGMOID)
-    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
+    (p,) = init_seq_stack(cfg, 2, np.random.default_rng(0))
     x = FeatureSequence([np.zeros(2)] * 4)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     for t in range(1, 5):
         assert np.allclose(trace.state(2, t).data, 0.0)
         assert np.allclose(trace.matrix(0).data[t - 1], 0.5)
@@ -103,9 +104,9 @@ def test_variants_match_unrolled_oracles(variant):
         n, d, m, length = 3, 2, 3, 5
         lam = float(rng.uniform(0.1, 0.9))
         cfg = SeqModelConfig(n=n, hidden=m, lam=lam, variant=variant, activation=Activation.IDENTITY)
-        p = init_seq_layer(cfg, d, rng)
+        (p,) = init_seq_stack(cfg, d, rng)
         x = rand_seq(rng, length, d)
-        trace = forward_layer(x, p, cfg)
+        trace = forward_stack(x, [p], cfg)
         ws = [w.data for w in p.W]
         for t in range(1, length + 1):
             want = unrolled_state(x, ws, lam, variant, t=t)
@@ -121,13 +122,13 @@ def test_gated_constant_degeneration(variant, decay):
     gated = SeqModelConfig(
         n=n, hidden=m, lam=lam, variant=variant, decay=decay, activation=Activation.TANH
     )
-    p = init_seq_layer(gated, d, rng)
+    (p,) = init_seq_stack(gated, d, rng)
     gate_in = d if decay == "gated-input" else d + m
     p.gate_u = Tensor(np.zeros((m, gate_in)))
     p.gate_b = Tensor(np.full(m, logit(lam)))
     x = rand_seq(rng, length, d)
-    t_gated = forward_layer(x, p, gated)
-    t_const = forward_layer(x, p, base)
+    t_gated = forward_stack(x, [p], gated)
+    t_const = forward_stack(x, [p], base)
     for j in range(1, n + 1):
         for t in range(1, length + 1):
             diff = np.max(np.abs(t_gated.state(j, t).data - t_const.state(j, t).data))
@@ -140,9 +141,9 @@ def test_gated_forward_matches_enumeration_oracle():
     cfg = SeqModelConfig(
         n=n, hidden=m, lam=0.5, decay="gated-input-state", activation=Activation.TANH
     )
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     x = rand_seq(rng, length, d)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     gates = trace.decay_arrays(m)
     ws = [w.data for w in p.W]
     for t in range(1, length + 1):
@@ -160,9 +161,9 @@ def test_lstm_like_matches_gated_oracle_per_coordinate():
         n=1, hidden=m, lam=0.5, variant="mult-norm", decay="gated-input-state",
         activation=Activation.TANH,
     )
-    p = init_seq_layer(cfg, 2, rng)
+    (p,) = init_seq_stack(cfg, 2, rng)
     x = rand_seq(rng, 6, 2)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     gates = trace.decay_arrays(m)
     for t in range(1, 7):
         for i in range(m):
@@ -176,10 +177,10 @@ def test_learned_decay_equals_constant_at_matching_logit():
     lam = 0.37
     cfg_l = SeqModelConfig(n=2, hidden=3, lam=lam, decay="learned", activation=Activation.TANH)
     cfg_c = SeqModelConfig(n=2, hidden=3, lam=lam, decay="constant", activation=Activation.TANH)
-    p = init_seq_layer(cfg_l, 2, rng)
+    (p,) = init_seq_stack(cfg_l, 2, rng)
     x = rand_seq(rng, 5, 2)
-    t_l = forward_layer(x, p, cfg_l)
-    t_c = forward_layer(x, p, cfg_c)
+    t_l = forward_stack(x, [p], cfg_l)
+    t_c = forward_stack(x, [p], cfg_c)
     for t in range(1, 6):
         assert np.max(np.abs(t_l.state(2, t).data - t_c.state(2, t).data)) <= 1e-12
 
@@ -192,11 +193,11 @@ def test_learned_decay_equals_constant_at_matching_logit():
 def test_causality_future_edits_do_not_touch_past_states():
     rng = np.random.default_rng(6)
     cfg = SeqModelConfig(n=2, hidden=3, lam=0.5, decay="gated-input-state")
-    p = init_seq_layer(cfg, 2, rng)
+    (p,) = init_seq_stack(cfg, 2, rng)
     x = rand_seq(rng, 5, 2)
     edited = FeatureSequence(list(x.tokens[:3]) + [rng.normal(size=2) for _ in range(2)])
-    t1 = forward_layer(x, p, cfg)
-    t2 = forward_layer(edited, p, cfg)
+    t1 = forward_stack(x, [p], cfg)
+    t2 = forward_stack(edited, [p], cfg)
     for j in (1, 2):
         for t in range(0, 4):
             assert np.array_equal(t1.state(j, t, 0).data, t2.state(j, t, 0).data)
@@ -205,10 +206,10 @@ def test_causality_future_edits_do_not_touch_past_states():
 def test_combination_output_is_weighted_state_sum():
     rng = np.random.default_rng(12)
     cfg = SeqModelConfig(n=3, hidden=2, lam=0.4, output="combination")
-    p = init_seq_layer(cfg, 2, rng)
+    (p,) = init_seq_stack(cfg, 2, rng)
     p.comb = Tensor(rng.normal(size=3))
     x = rand_seq(rng, 4, 2)
-    trace = forward_layer(x, p, cfg)
+    trace = forward_stack(x, [p], cfg)
     for t in range(1, 5):
         want = sum(p.comb.data[j] * trace.state(j + 1, t).data for j in range(3))
         assert np.allclose(trace.scans[0].pre[t - 1], want, rtol=1e-12, atol=1e-12)
@@ -216,8 +217,8 @@ def test_combination_output_is_weighted_state_sum():
 
 def test_zero_init_state():
     cfg = SeqModelConfig(n=2, hidden=3, lam=0.5)
-    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
-    trace = forward_layer(rand_seq(np.random.default_rng(1), 3, 2), p, cfg)
+    (p,) = init_seq_stack(cfg, 2, np.random.default_rng(0))
+    trace = forward_stack(rand_seq(np.random.default_rng(1), 3, 2), [p], cfg)
     for j in (1, 2):
         assert np.array_equal(trace.state(j, 0).data, np.zeros(3))
 
@@ -259,47 +260,37 @@ def test_carried_state_continues_the_window(decay, highway):
 
 def test_a_start_state_of_the_wrong_shape_is_a_shape_error():
     cfg = SeqModelConfig(n=2, hidden=3, lam=0.5)
-    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
+    (p,) = init_seq_stack(cfg, 2, np.random.default_rng(0))
     x = rand_seq(np.random.default_rng(1), 3, 2)
     for state in ((np.zeros((2, 3)), np.zeros(2)), (np.zeros((3, 3)), np.zeros(3))):
         with pytest.raises(ShapeError):
-            forward_layer(x, p, cfg, state=state)
+            forward_stack(x, [p], cfg, state=[state])
 
 
 def test_empty_sequence_rejected():
     cfg = SeqModelConfig(n=1, hidden=2, lam=0.5)
-    p = init_seq_layer(cfg, 2, np.random.default_rng(0))
+    (p,) = init_seq_stack(cfg, 2, np.random.default_rng(0))
     with pytest.raises(ContractError):
-        forward_layer(FeatureSequence((), dim=2), p, cfg)
+        forward_stack(FeatureSequence((), dim=2), [p], cfg)
 
 
 def test_gated_mode_without_gate_params_is_config_error():
     cfg = SeqModelConfig(n=1, hidden=2, lam=0.5, decay="gated-input")
     p = SeqLayerParams(W=[Tensor(np.zeros((2, 2)))])
     with pytest.raises(ConfigError):
-        forward_layer(FeatureSequence([np.ones(2)]), p, cfg)
+        forward_stack(FeatureSequence([np.ones(2)]), [p], cfg)
 
 
 def test_shape_mismatch_raises():
     cfg = SeqModelConfig(n=1, hidden=2, lam=0.5)
     p = SeqLayerParams(W=[Tensor(np.zeros((2, 3)))])
     with pytest.raises(ShapeError):
-        forward_layer(FeatureSequence([np.ones(2)]), p, cfg)
+        forward_stack(FeatureSequence([np.ones(2)]), [p], cfg)
 
 
 # ---------------------------------------------------------------------------
 # stacks and highway
 # ---------------------------------------------------------------------------
-
-
-def test_single_layer_stack_matches_forward_layer():
-    rng = np.random.default_rng(3)
-    cfg = SeqModelConfig(n=2, hidden=3, lam=0.6)
-    params = init_seq_stack(cfg, 2, rng)
-    x = rand_seq(rng, 4, 2)
-    stacked = forward_stack(x, params, cfg)
-    single = forward_layer(x, params[0], cfg)
-    assert np.array_equal(stacked.matrix(0).data, single.matrix(0).data)
 
 
 def test_highway_transform_gate_zero_passes_input_through():
@@ -351,12 +342,12 @@ def test_two_layer_states_lie_in_deep_kernel_gram_range():
 
 def layer_gradient_error(cfg, seed, d=2, length=4):
     rng = np.random.default_rng(seed)
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     x = rand_seq(rng, length, d)
     probes = [rng.normal(size=cfg.hidden) for _ in range(length)]
 
     def run(params):
-        h = forward_layer(x, params, cfg).matrix(0)
+        h = forward_stack(x, [params], cfg).matrix(0)
         return accumulate([dot(Tensor(r), row(h, t)) for t, r in enumerate(probes)])
 
     with Tape() as tape:
@@ -451,7 +442,7 @@ def scan_gradient_error(cfg, seed, d, length=4):
     (T, hidden) output matrix, so every gradient flows through the scan node.
     """
     rng = np.random.default_rng(seed)
-    p = init_seq_layer(cfg, d, rng)
+    (p,) = init_seq_stack(cfg, d, rng)
     p = p.with_named({name: Tensor(rng.uniform(-0.8, 0.8, size=t.shape))
                       for name, t in p.named().items()})
     x = Tensor(rng.normal(size=(length, d)))
@@ -460,7 +451,7 @@ def scan_gradient_error(cfg, seed, d, length=4):
     probe = Tensor(rng.normal(size=(length, cfg.hidden)))
 
     def run(params, inputs):
-        trace = forward_layer(inputs, params, cfg, state=(init_c, init_h))
+        trace = forward_stack(inputs, [params], cfg, state=[(init_c, init_h)])
         return tsum(mul(probe, trace.matrix()))
 
     with Tape() as tape:
@@ -494,10 +485,23 @@ def test_highway_scan_gradients_match_finite_differences(variant, decay):
     assert scan_gradient_error(cfg, seed=22, d=3) <= 1e-5
 
 
+@pytest.mark.parametrize("decay", DECAYS)
+def test_only_constant_decay_takes_lambda_zero(decay):
+    # the other decays start a bias at logit(lam), which lam = 0 has not
+    if decay != "constant":
+        with pytest.raises(ConfigError, match="logit"):
+            SeqModelConfig(n=2, hidden=3, lam=0.0, decay=decay)
+        return
+    cfg = SeqModelConfig(n=2, hidden=3, layers=2, lam=0.0, decay=decay)
+    trace = forward_stack(rand_seq(np.random.default_rng(1), 4, 2),
+                          init_seq_stack(cfg, 2, np.random.default_rng(0)), cfg)
+    assert all(np.all(scan.decay == 0.0) for scan in trace.scans)
+
+
 def test_highway_layers_hold_only_the_parameters_they_read():
     for decay in ("constant", "learned"):
         cfg = SeqModelConfig(n=1, hidden=3, lam=0.5, decay=decay, highway=True)
-        p = init_seq_layer(cfg, 3, np.random.default_rng(0))
+        (p,) = init_seq_stack(cfg, 3, np.random.default_rng(0))
         assert p.gate_u is None and p.gate_b is None and p.comb is None
     with pytest.raises(ConfigError):
         SeqModelConfig(n=1, hidden=3, highway=True, output="combination")
@@ -514,9 +518,10 @@ def test_dropout_masks_match_per_token_draws():
     ref_rng = np.random.default_rng(9)
     keep = 1.0 - cfg.dropout
     inputs = [np.array(t) for t in x.tokens]
+    one = replace(cfg, layers=1)
     for l, p in enumerate(params):
         masks = [(ref_rng.random(v.shape[0]) < keep).astype(np.float64) / keep for v in inputs]
-        layer = forward_layer([Tensor(v * mk) for v, mk in zip(inputs, masks)], p, cfg)
+        layer = forward_stack([Tensor(v * mk) for v, mk in zip(inputs, masks)], [p], one)
         assert np.array_equal(got.matrix(l).data, layer.matrix(0).data)
         inputs = list(layer.matrix(0).data)
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -6,7 +6,7 @@ import pytest
 from kernelnn.errors import ConfigError, DataError, EvaluationError
 from kernelnn.graph_nn import GraphModelConfig, graph_forward
 from kernelnn.inputs import FeatureGraph
-from kernelnn.seq_nn import SeqModelConfig
+from kernelnn.seq_nn import DECAYS, SeqModelConfig
 from kernelnn.tensor import Activation, Tape, Tensor
 from kernelnn.train import (
     OptimizerState,
@@ -346,3 +346,59 @@ def test_graph_step_tape_nodes_do_not_grow_with_batch_or_graph_size():
                 regression_loss(readout, rng.normal(size=batch), model.head_w, model.head_b)
             counts.append(len(tape))
     assert len(set(counts)) == 1 and counts[0] <= 100
+
+
+def recorded_steps(monkeypatch) -> list:
+    """Every (tape, loss) pair a training loop differentiates, in order."""
+    steps, backward = [], Tape.backward
+
+    def recording(tape, root):
+        steps.append((tape, root))
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", recording)
+    return steps
+
+
+def unreachable_ops(tape, loss) -> list[str]:
+    """The ops on ``tape`` whose outputs the loss never reads, walking parents back from it."""
+    live, dead = {loss}, []
+    for node in reversed(tape._nodes):
+        if node.out in live:
+            live.update(node.parents)
+        else:
+            dead.append(node.op)
+    return dead
+
+
+@pytest.mark.parametrize("head", ["last-state", "combination", "highway"])
+@pytest.mark.parametrize("decay", DECAYS)
+def test_every_op_an_lm_step_records_reaches_its_loss(monkeypatch, decay, head):
+    cfg = SeqModelConfig(n=2, hidden=4, layers=2, variant="mult-norm", decay=decay, lam=0.5,
+                         output="combination" if head == "combination" else "last-state",
+                         highway=head == "highway", dropout=0.3)
+    model = init_lm_model(cfg, 6, np.random.default_rng(0))
+    ids = [int(i) for i in np.random.default_rng(1).integers(0, 6, size=20)]
+    steps = recorded_steps(monkeypatch)
+    train_lm(model, ids, TrainConfig(unroll=8, max_steps=2), OptimizerState(lr=0.1))
+    assert len(steps) == 2
+    for tape, loss in steps:
+        ops = [node.op for node in tape._nodes]
+        assert ops.count("seq_scan") == 2 and ops.count("mul") == 2  # one dropout mask per layer
+        assert unreachable_ops(tape, loss) == []
+
+
+# deep's per-layer readouts are left out: they are trace output, and nothing trains deep
+@pytest.mark.parametrize("layers,nodes", [(1, 15), (2, 33), (3, 51)])
+def test_every_op_a_graph_step_records_reaches_its_loss(monkeypatch, layers, nodes):
+    # the benchmark's graph model (n 3, hidden 16, tanh) at one to three layers: 11 ops per
+    # layer, 7 per relabel between two layers, and 4 for the head and the loss
+    cfg = GraphModelConfig(n=3, hidden=16, lam=0.5, layers=layers, activation=Activation.TANH)
+    graphs, targets = synthetic_graph_task(np.random.default_rng(14), count=6)
+    model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(1))
+    steps = recorded_steps(monkeypatch)
+    train_graph_reg(model, graphs, targets, TrainConfig(batch=4, max_steps=1),
+                    OptimizerState(lr=0.01))
+    ((tape, loss),) = steps
+    assert unreachable_ops(tape, loss) == []
+    assert len(tape) == nodes
