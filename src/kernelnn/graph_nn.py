@@ -24,12 +24,11 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, check_fields
-from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
+from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, Segments
 from .seq_nn import logit
 from .tensor import (
     Activation,
     NamedParams,
-    Segments,
     Tensor,
     accumulate,
     add,
@@ -70,6 +69,10 @@ class GraphModelConfig:
         # the walk-kernel oracles that check gated and wl are multiplicative only
         if self.module in ("gated", "wl") and self.composition == ADDITIVE:
             raise ConfigError(f"the {self.module} module composes multiplicatively only")
+        # at n = 1 the state is the projection: no neighbor aggregate reads lam or composition
+        if self.n == 1 and (self.lam != GraphModelConfig.lam or self.composition == ADDITIVE):
+            raise ConfigError(f"at n = 1 no module reads lam or composition; leave them at their "
+                              f"defaults, got lam={self.lam}, composition={self.composition!r}")
         if self.module in ("walk", "gated") and self.layers != 1:
             raise ConfigError(f"the {self.module} module has one layer, got layers={self.layers}")
         if self.module == "gated" and not 0.0 < self.lam < 1.0:
@@ -109,13 +112,6 @@ class WLParams(NamedParams):
     u1: Tensor
     u2: Tensor
     v: Tensor
-
-
-def _segments(g: FeatureGraph) -> tuple[Segments, Segments, Segments]:
-    """The sources and destinations of the walk steps, and each node's member graph."""
-    src, dst = g.edge_arrays
-    members = np.repeat(np.arange(len(g.sizes)), g.sizes)
-    return Segments(src, g.num_nodes), Segments(dst, g.num_nodes), Segments(members, len(g.sizes))
 
 
 @dataclass(eq=False)
@@ -212,7 +208,7 @@ def _walk_states(src: Segments, dst: Segments, x: Tensor, ws: Sequence[Tensor],
 def _walk(g: FeatureGraph, p: WalkParams | GatedParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Project, recurse, sum the final states per graph, activate; the gated
     module's (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``."""
-    src, dst, members = _segments(g)
+    src, dst, members = g.segments
     x = Tensor(g.matrix)
     gate = None
     if isinstance(p, GatedParams):
@@ -229,7 +225,7 @@ def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTr
     if len(p.W) != cfg.layers or len(p.readout) != cfg.layers:
         raise ConfigError(f"got {len(p.W)} weight lists and {len(p.readout)} readouts "
                           f"for {cfg.layers} layers")
-    src, dst, members = _segments(g)
+    src, dst, members = g.segments
     x = Tensor(g.matrix)
     states, nodes, readouts = [], [], []
     for ws, readout in zip(p.W, p.readout):
@@ -251,7 +247,7 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     """
     if len(p.layer_W) != cfg.layers:
         raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
-    src, dst, members = _segments(g)
+    src, dst, members = g.segments
     x = Tensor(g.matrix)
     act = cfg.activation
     states, nodes, readouts = [], [], []

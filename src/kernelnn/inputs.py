@@ -1,4 +1,5 @@
-"""The input types both sides share: feature sequences and graphs, kernel configs.
+"""The input types both sides share: feature sequences and graphs, kernel configs,
+and the row groupings that the graph modules and the gated DP sum over.
 
 The recurrent modules and the exhaustive oracles that check them both read
 these types, so they live here, apart from either side: this module imports
@@ -79,17 +80,45 @@ class SeqKernelConfig:
             raise ContractError(f"unknown normalization {self.normalization!r}")
 
 
+class Segments:
+    """Row i of a (rows, ...) array belongs to segment ``ids[i]`` of ``count``.
+
+    ``sum`` adds the rows of each segment in row order with one
+    ``np.add.reduceat``: O(rows), no (count, rows) matrix, and an empty
+    segment sums to zero.
+    """
+
+    def __init__(self, ids, count: int) -> None:
+        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+        if ids.size and (ids.min() < 0 or ids.max() >= count):
+            raise ContractError(f"segment ids out of range for {count} segments")
+        self.ids = ids
+        self.count = count
+        self.order = np.argsort(ids, kind="stable") if np.any(ids[1:] < ids[:-1]) else None
+        sizes = np.bincount(ids, minlength=count)
+        self.present = np.flatnonzero(sizes)
+        self.starts = (np.cumsum(sizes) - sizes)[self.present]
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.count, *rows.shape[1:]), dtype=rows.dtype)
+        if self.ids.size:
+            src = rows if self.order is None else rows[self.order]
+            out[self.present] = np.add.reduceat(src, self.starts, axis=0)
+        return out
+
+
 class FeatureGraph:
     """Node feature vectors plus the walk steps between nodes.
 
     ``matrix`` is the read-only (num_nodes, dim) feature matrix and
-    ``features[v]`` its row v.  ``edge_arrays`` is the ``(src, dst)`` of every
-    walk step u -> v, once each, sorted by v and then by u, so every
-    aggregation accumulates in ascending node order; ``neighbors[v]``, derived
-    from it on first use, holds the nodes that may immediately precede v on a
-    walk, ascending.  ``sizes`` holds the node counts of the member graphs on
-    consecutive node ranges: ``(num_nodes,)``, or one per graph of a
-    :meth:`union`.
+    ``features[v]`` its row v.  ``edge_arrays`` is the read-only ``(src, dst)``
+    of every walk step u -> v, once each, sorted by v and then by u, so every
+    aggregation accumulates in ascending node order.  ``sizes`` holds the
+    node counts of the member graphs on consecutive node ranges:
+    ``(num_nodes,)``, or one per graph of a :meth:`union`.  Derived from the
+    read-only arrays on first use and then kept: ``neighbors[v]``, the nodes
+    that may immediately precede v on a walk, ascending, and ``segments``,
+    the walk-step groupings, of which ``into`` is the one by destination.
     """
 
     def __init__(self, features: Sequence, steps=()) -> None:
@@ -121,8 +150,9 @@ class FeatureGraph:
 
     def _adopt(self, x: np.ndarray, steps: tuple[np.ndarray, np.ndarray],
                sizes: tuple[int, ...]) -> "FeatureGraph":
-        """Take ``x`` read-only and checked steps, sorted by dst and then src, once each."""
-        x.flags.writeable = False
+        """Take ``x`` and checked steps, sorted by dst and then src, once each, read-only."""
+        for a in (x, *steps):
+            a.flags.writeable = False
         self.matrix, self.edge_arrays, self.sizes = x, steps, sizes
         return self
 
@@ -196,6 +226,18 @@ class FeatureGraph:
         src, dst = (a.tolist() for a in self.edge_arrays)
         ends = [bisect_right(dst, v) for v in range(self.num_nodes)]
         return tuple(tuple(src[a:b]) for a, b in zip([0, *ends], ends))
+
+    @cached_property
+    def segments(self) -> tuple[Segments, Segments, Segments]:
+        """The walk steps grouped by source and by destination, and the nodes by member graph."""
+        members = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        return (Segments(self.edge_arrays[0], self.num_nodes), self.into,
+                Segments(members, len(self.sizes)))
+
+    @cached_property
+    def into(self) -> Segments:
+        """The walk steps grouped by destination, all that the gated DP reads."""
+        return Segments(self.edge_arrays[1], self.num_nodes)
 
 
 def _step_pairs(steps) -> np.ndarray:

@@ -16,6 +16,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import ContractError, EvaluationError, ShapeError
+from .inputs import Segments
 
 Array = np.ndarray
 
@@ -56,7 +57,8 @@ class Tensor:
 
 
 def _frozen(arr: Array) -> Array:
-    if not np.isfinite(arr).all():
+    # the ufunc's own reduce: ndarray.all() adds a Python-level wrapper per call
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise EvaluationError("tensor holds non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -235,33 +237,6 @@ def stack(rows: Sequence[Tensor]) -> Tensor:
         return tuple(g)
 
     return emit(np.stack([r.data for r in rows]), "stack", tuple(rows), bwd)
-
-
-class Segments:
-    """Row i of a (rows, ...) array belongs to segment ``ids[i]`` of ``count``.
-
-    ``sum`` adds the rows of each segment in row order with one
-    ``np.add.reduceat``: O(rows), no (count, rows) matrix, and an empty
-    segment sums to zero.
-    """
-
-    def __init__(self, ids, count: int) -> None:
-        ids = np.asarray(ids, dtype=np.intp).reshape(-1)
-        if ids.size and (ids.min() < 0 or ids.max() >= count):
-            raise ContractError(f"segment ids out of range for {count} segments")
-        self.ids = ids
-        self.count = count
-        self.order = np.argsort(ids, kind="stable") if np.any(ids[1:] < ids[:-1]) else None
-        sizes = np.bincount(ids, minlength=count)
-        self.present = np.flatnonzero(sizes)
-        self.starts = (np.cumsum(sizes) - sizes)[self.present]
-
-    def sum(self, rows: Array) -> Array:
-        out = np.zeros((self.count, *rows.shape[1:]), dtype=rows.dtype)
-        if self.ids.size:
-            src = rows if self.order is None else rows[self.order]
-            out[self.present] = np.add.reduceat(src, self.starts, axis=0)
-        return out
 
 
 def _check_rows(op: str, a: Tensor, rows: int) -> None:
@@ -512,24 +487,24 @@ def finite_diff_grad(f: Callable[[Tensor], float], x: Tensor, eps: float = 1e-6)
     """Central-difference gradient of scalar ``f`` at ``x``, one coordinate at a time.
 
     Independent of the tape machinery on purpose: this is the oracle the
-    tape is checked against.
+    tape is checked against.  Each side of coordinate i is one copy of ``x``
+    with only entry i moved, in C order whatever the layout of ``x.data``.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
     base = x.data
-    grad = np.zeros_like(base)
-    flat = grad.reshape(-1)
+    grad = np.empty(base.shape)
     for i in range(base.size):
-        bump = np.zeros_like(base).reshape(-1)
-        bump[i] = eps
-        bump = bump.reshape(base.shape)
-        hi = float(f(Tensor(base + bump)))
-        lo = float(f(Tensor(base - bump)))
+        up, down = base.copy(), base.copy()
+        up.flat[i] += eps
+        down.flat[i] -= eps
+        hi = float(f(Tensor._adopt(up)))
+        lo = float(f(Tensor._adopt(down)))
         if not (np.isfinite(hi) and np.isfinite(lo)):
             idx = tuple(int(k) for k in np.unravel_index(i, base.shape))
             raise EvaluationError(f"non-finite value while perturbing coordinate {idx}")
-        flat[i] = (hi - lo) / (2.0 * eps)
-    return Tensor(grad)
+        grad.flat[i] = (hi - lo) / (2.0 * eps)
+    return Tensor._adopt(grad)
 
 
 def rel_error(a, b) -> float:

@@ -81,7 +81,9 @@ def test_state_sums_equal_reference_walk_kernels(n):
         d, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         lam = float(rng.uniform(0.2, 0.9))
         g = random_graph(rng, int(rng.integers(2, 7)), d)
-        cfg = GraphModelConfig(n=n, hidden=m, lam=lam, module="walk")
+        # at n = 1 no state reads lam, and the config refuses all but the default
+        cfg = GraphModelConfig(n=n, hidden=m, lam=lam if n > 1 else GraphModelConfig.lam,
+                               module="walk")
         p = init_graph(cfg, d, rng)
         trace = graph_forward(g, p, cfg)
         total = trace.state_sum(n)
@@ -365,6 +367,16 @@ def test_every_field_changes_the_output_or_is_refused(module, field):
 
     a, b = out(base), out(replace(base, **{field: CHANGES[field]}))
     assert a.shape != b.shape or not np.allclose(a, b)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_order_one_refuses_what_no_state_reads(module):
+    base = GraphModelConfig(n=1, hidden=3, module=module)  # the defaults are accepted
+    with pytest.raises(ConfigError, match="at n = 1 no module reads lam or composition"):
+        replace(base, lam=0.3)
+    refused = REFUSED.get((module, "composition"), "at n = 1 no module reads lam or composition")
+    with pytest.raises(ConfigError, match=refused):
+        replace(base, composition=ADDITIVE)
 
 
 def test_unknown_module_lists_the_four():

@@ -1,16 +1,20 @@
 """Property tests: ``FeatureGraph(features, steps)`` stores each valid step once,
 sorted by destination and then source, or names the first bad index;
-``undirected`` is the constructor on both directions of every edge; and
-``split`` undoes ``union`` bit for bit."""
+``undirected`` is the constructor on both directions of every edge;
+``split`` undoes ``union`` bit for bit; and every way of making a graph leaves
+its edge arrays read-only, so the groupings cached from them stay true."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernelnn import graph_dp, inputs
 from kernelnn.errors import ContractError, ShapeError
-from kernelnn.graph_kernel import deep_local_kernel, enumerate_walks
-from kernelnn.inputs import ADDITIVE, FeatureGraph, GraphKernelConfig
+from kernelnn.graph_kernel import WLRelabelParams, deep_local_kernel, enumerate_walks, wl_relabel
+from kernelnn.graph_nn import MODULES, GraphModelConfig, graph_forward, init_graph
+from kernelnn.inputs import ADDITIVE, FeatureGraph, GraphKernelConfig, Segments
+from kernelnn.tensor import Activation
 
 # derandomized, so every run of the suite tries the same inputs
 settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,
@@ -194,3 +198,73 @@ def test_deep_local_kernel_is_zero_exactly_where_no_walk_ends(steps, order):
 def test_chain_steps_from_each_node_to_the_next(n):
     g = FeatureGraph.chain(features(n))
     assert_steps(g, [(v, v + 1) for v in range(n - 1)])
+
+
+def made_graphs() -> dict[str, FeatureGraph]:
+    """One graph from each way of making one."""
+    rng = np.random.default_rng(5)
+    g = FeatureGraph(rng.normal(size=(4, 2)), [(0, 1), (2, 1), (3, 3), (1, 0)])
+    relabel = WLRelabelParams(*rng.normal(size=(3, 2, 2)), activation=Activation.TANH)
+    union = FeatureGraph.union([g, FeatureGraph.chain(features(3))])
+    return {"constructor": g, "undirected": FeatureGraph.undirected(features(3), [(0, 1), (1, 2)]),
+            "chain": FeatureGraph.chain(features(3)), "union": union,
+            "split": union.split(union.sizes)[0], "wl_relabel": wl_relabel(g, relabel)}
+
+
+@pytest.mark.parametrize("made", sorted(made_graphs()))
+def test_edge_arrays_are_read_only(made):
+    g = made_graphs()[made]
+    for a in g.edge_arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("made", sorted(made_graphs()))
+def test_cached_segments_equal_a_fresh_build(made):
+    g = made_graphs()[made]
+    src, dst = g.edge_arrays
+    members = np.repeat(np.arange(len(g.sizes)), g.sizes)
+    fresh = (Segments(src, g.num_nodes), Segments(dst, g.num_nodes),
+             Segments(members, len(g.sizes)))
+    assert g.segments[1] is g.into
+    for got, want in zip(g.segments, fresh, strict=True):
+        assert got.count == want.count
+        for field in ("ids", "order", "present", "starts"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+
+
+def count_segment_builds(monkeypatch) -> list[int]:
+    built = []
+    init = Segments.__init__
+
+    def counted(self, ids, count):
+        built.append(count)
+        init(self, ids, count)
+
+    monkeypatch.setattr(inputs.Segments, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_one_graph_forwarded_twice_builds_its_groupings_once(monkeypatch, module):
+    g = made_graphs()["constructor"]
+    cfg = GraphModelConfig(n=2, hidden=3, layers=2 if module in ("deep", "wl") else 1,
+                           module=module)
+    p = init_graph(cfg, 2, np.random.default_rng(6))
+    built = count_segment_builds(monkeypatch)
+    first = graph_forward(g, p, cfg).out.data
+    assert len(built) == 3
+    assert np.array_equal(graph_forward(g, p, cfg).out.data, first) and len(built) == 3
+
+
+def test_gated_dp_builds_one_grouping_per_graph_and_keeps_it(monkeypatch):
+    g1, g2 = made_graphs()["constructor"], made_graphs()["union"]
+    built = count_segment_builds(monkeypatch)
+    rng = np.random.default_rng(7)
+    u, b = rng.normal(size=(2, 4)), rng.normal(size=2)
+    first = graph_dp.gated_random_walk_kernel(g1, g2, u, b, 3)
+    assert built == [g1.num_nodes, g2.num_nodes]  # the destination groupings only
+    assert np.array_equal(graph_dp.gated_random_walk_kernel(g1, g2, u, b, 3), first)
+    assert g1.segments[1] is g1.into and len(built) == 4  # the full set adds the other two

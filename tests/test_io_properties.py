@@ -293,9 +293,11 @@ def seq_configs(draw):
 
 @st.composite
 def graph_configs(draw):
-    return GraphModelConfig(n=draw(st.integers(1, 3)), hidden=draw(st.integers(1, 4)),
-                            lam=draw(st.floats(0.0, 2.0)), activation=draw(ACTIVATIONS),
-                            layers=draw(st.integers(1, 2)))
+    n = draw(st.integers(1, 3))
+    # at n = 1 no state reads lam, and the config refuses all but the default
+    lam = draw(st.floats(0.0, 2.0)) if n > 1 else GraphModelConfig.lam
+    return GraphModelConfig(n=n, hidden=draw(st.integers(1, 4)), lam=lam,
+                            activation=draw(ACTIVATIONS), layers=draw(st.integers(1, 2)))
 
 
 def saved_bytes(bundle, path: Path) -> bytes:

@@ -268,9 +268,62 @@ def test_finite_diff_reports_bad_coordinate():
     assert "(1,)" in str(err.value)
 
 
+def test_finite_diff_evaluates_each_side_of_each_coordinate_once():
+    # a plain bump-array central difference, written out here as the reference
+    rng = np.random.default_rng(3)
+    base, w = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    calls = []
+
+    def f(t):
+        calls.append(t.data.copy())
+        return float(np.sum(np.sin(t.data) * w))
+
+    got = finite_diff_grad(f, Tensor(base), eps=1e-5)
+    assert len(calls) == 2 * base.size
+    want = np.zeros(base.size)
+    for i in range(base.size):
+        bump = np.zeros(base.size)
+        bump[i] = 1e-5
+        bump = bump.reshape(base.shape)
+        hi = float(np.sum(np.sin(base + bump) * w))
+        lo = float(np.sum(np.sin(base - bump) * w))
+        want[i] = (hi - lo) / 2e-5
+        assert np.array_equal(calls[2 * i], base + bump)
+        assert np.array_equal(calls[2 * i + 1], base - bump)
+    assert got.data.tobytes() == want.reshape(base.shape).tobytes()
+
+
+def test_finite_diff_reads_coordinates_in_c_order_whatever_the_layout():
+    w = np.arange(6.0).reshape(2, 3)
+    x = Tensor(np.asfortranarray(np.ones((2, 3))))
+    g = finite_diff_grad(lambda t: float(np.sum(t.data * w)), x, eps=0.5)
+    assert np.array_equal(g.data, w)
+
+
 def test_tensor_rejects_non_finite():
     with pytest.raises(EvaluationError):
         Tensor([1.0, float("inf")])
+
+
+@pytest.mark.parametrize("entries", [[1e308, 1e308], [-1e308, -1e308], [1e308, 1e308, -1.0]])
+def test_tensor_accepts_finite_entries_whose_sum_overflows(entries):
+    assert Tensor(entries).data.tolist() == entries
+
+
+@pytest.mark.parametrize("entries", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [1.0, np.nan, 2.0], [[1e308, 1e308], [np.inf, 0.0]]])
+def test_tensor_rejects_any_non_finite_entry(entries):
+    with pytest.raises(EvaluationError, match="non-finite"):
+        Tensor(entries)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        emit(np.array(entries, dtype=np.float64), "given", (), lambda g: ())
+
+
+def test_tensor_checks_zero_d_and_empty_arrays():
+    assert Tensor(2.5).item() == 2.5 and Tensor(np.zeros((0, 3))).shape == (0, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EvaluationError):
+            Tensor(bad)
 
 
 def test_tensor_data_read_only():

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from kernelnn.errors import ConfigError
+from kernelnn.graph_nn import GraphModelConfig, graph_forward, init_graph
+from kernelnn.inputs import FeatureGraph
+from kernelnn.tensor import dot
 from kernelnn.verify import (
     SUITES,
     CheckResult,
+    _tape_vs_fd,
     check_gradcheck,
     gram_range_residual,
     run_suite,
@@ -33,6 +37,27 @@ def test_result_line_format():
 def test_gradcheck_checks_every_coordinate_of_both_deep_layers():
     # both deep layers hold a W1; keyed by name alone, one layer's would go unchecked
     assert check_gradcheck(0, 1e-5)[-1].detail == "coords:381"
+
+
+@pytest.mark.parametrize("module", ["deep", "wl", "gated"])
+def test_finite_differences_swap_in_one_tensor_at_a_time_and_put_it_back(module):
+    g = FeatureGraph.undirected(np.random.default_rng(1).normal(size=(4, 2)),
+                                [(0, 1), (1, 2), (2, 3)])
+    cfg = GraphModelConfig(n=2, hidden=3, layers=1 if module == "gated" else 2, module=module)
+    p = init_graph(cfg, 2, np.random.default_rng(2))
+    held = p.named()
+    swapped = []
+
+    def run(params):
+        swapped.append([name for name, t in params.named().items() if t is not held[name]])
+        h = graph_forward(g, params, cfg).h_graph
+        return dot(h, h)
+
+    worst, _ = _tape_vs_fd(run, p)
+    # the taped run, then both sides of every coordinate, tensor by tensor
+    assert swapped == [[]] + [[name] for name, t in held.items() for _ in range(2 * t.size)]
+    assert all(a is b for a, b in zip(p.named().values(), held.values(), strict=True))
+    assert worst < 1e-6
 
 
 @pytest.mark.parametrize("suite", ["smoke-train", "decay-ordering"])
