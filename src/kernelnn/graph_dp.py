@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .inputs import FeatureGraph
+from .inputs import FeatureGraph, Segments
 from .tensor import _sigmoid_raw
 
 
@@ -49,8 +49,8 @@ def gated_random_walk_kernel(
     # (N1, N2, m): the gate of every node pair per coordinate, times the pair's feature dot
     z = (x1 @ u[:, :d].T)[:, None, :] + (x2 @ u[:, d:].T)[None, :, :] + b
     w = _sigmoid_raw(z) * (x1 @ x2.T)[:, :, None]
-    # into.sum(k[src])[a] sums k[a'] over the steps a' -> a; each graph keeps its groupings
-    into1, into2 = g1.into, g2.into
+    # into.sum(k[src])[a] sums k[a'] over the steps a' -> a: one Segments per graph and pair
+    into1, into2 = (Segments(g.edge_arrays[1], g.num_nodes) for g in (g1, g2))
     k = w
     for _ in range(n - 1):
         along1 = into1.sum(k[g1.edge_arrays[0]]).swapaxes(0, 1)

@@ -118,7 +118,7 @@ class FeatureGraph:
     ``(num_nodes,)``, or one per graph of a :meth:`union`.  Derived from the
     read-only arrays on first use and then kept: ``neighbors[v]``, the nodes
     that may immediately precede v on a walk, ascending, and ``segments``,
-    the walk-step groupings, of which ``into`` is the one by destination.
+    the walk-step groupings the graph modules sum over.
     """
 
     def __init__(self, features: Sequence, steps=()) -> None:
@@ -152,7 +152,7 @@ class FeatureGraph:
                sizes: tuple[int, ...]) -> "FeatureGraph":
         """Take ``x`` and checked steps, sorted by dst and then src, once each, read-only."""
         for a in (x, *steps):
-            a.flags.writeable = False
+            a.setflags(write=False)
         self.matrix, self.edge_arrays, self.sizes = x, steps, sizes
         return self
 
@@ -230,14 +230,10 @@ class FeatureGraph:
     @cached_property
     def segments(self) -> tuple[Segments, Segments, Segments]:
         """The walk steps grouped by source and by destination, and the nodes by member graph."""
+        src, dst = self.edge_arrays
         members = np.repeat(np.arange(len(self.sizes)), self.sizes)
-        return (Segments(self.edge_arrays[0], self.num_nodes), self.into,
+        return (Segments(src, self.num_nodes), Segments(dst, self.num_nodes),
                 Segments(members, len(self.sizes)))
-
-    @cached_property
-    def into(self) -> Segments:
-        """The walk steps grouped by destination, all that the gated DP reads."""
-        return Segments(self.edge_arrays[1], self.num_nodes)
 
 
 def _step_pairs(steps) -> np.ndarray:

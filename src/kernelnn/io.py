@@ -394,5 +394,7 @@ def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
     config = bundle.config
     if "module" not in config and config.get("gated") is False:  # written before modules had names
         config = {k: v for k, v in config.items() if k != "gated"}
+    if config.get("n") == 1:  # written before n = 1 refused a lam, which no module reads there
+        config = {k: v for k, v in config.items() if k != "lam"}
     cfg, in_dim = _bundle_config(GraphModelConfig, config, "in_dim")
     return _restore(init_graph_model(cfg, in_dim, np.random.default_rng(0)), bundle.params)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -57,10 +58,11 @@ class Tensor:
 
 
 def _frozen(arr: Array) -> Array:
-    # the ufunc's own reduce: ndarray.all() adds a Python-level wrapper per call
+    # the ufunc's own reduce and setflags: ndarray.all() and the flags object
+    # each add a Python-level step to every tensor made
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise EvaluationError("tensor holds non-finite entries")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -430,6 +432,21 @@ def _map_nested(value, head: str, template: str, idx: tuple[int, ...], fn):
     return fn(head + template.format(*idx), value) if isinstance(value, Tensor) else value
 
 
+def _setter(holder, target: Tensor):
+    """A setter for the slot of ``holder``, a list or NamedParams at any depth, holding ``target``."""
+    if isinstance(holder, list):
+        put, items = holder.__setitem__, enumerate(holder)
+    else:
+        put = partial(setattr, holder)
+        items = ((f.name, getattr(holder, f.name)) for f in fields(holder))
+    for key, value in items:
+        if value is target:
+            return partial(put, key)
+        if isinstance(value, (list, NamedParams)) and (found := _setter(value, target)):
+            return found
+    return None
+
+
 class NamedParams:
     """Flat ``name -> Tensor`` view of a dataclass of parameter tensors.
 
@@ -454,6 +471,13 @@ class NamedParams:
         out: dict[str, Tensor] = {}
         self._map("", lambda name, t: out.setdefault(name, t))
         return out
+
+    def setter(self, name: str) -> Callable[[Tensor], None]:
+        """A function that puts a tensor in place of the one named ``name``, in this
+        object itself: a caller that swaps one tensor many times walks the layout once."""
+        if (target := self.named().get(name)) is None:
+            raise ContractError(f"no parameters named {[name]}")
+        return _setter(self, target)
 
     def with_named(self, updates: dict[str, Tensor]):
         """A copy with the named tensors replaced; a name it does not hold is a ContractError."""

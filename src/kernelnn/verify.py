@@ -9,8 +9,7 @@ the acceptance tests call them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
-from functools import partial
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -338,21 +337,6 @@ def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
     return [CheckResult("wl-chain", seed, err, err <= tol)]
 
 
-def _slot(holder, target: Tensor):
-    """A setter for the slot that holds ``target`` in ``holder``, a list or params, at any depth."""
-    if isinstance(holder, list):
-        put, items = holder.__setitem__, enumerate(holder)
-    else:
-        put = partial(setattr, holder)
-        items = ((f.name, getattr(holder, f.name)) for f in fields(holder))
-    for key, value in items:
-        if value is target:
-            return partial(put, key)
-        if (isinstance(value, list) or is_dataclass(value)) and (found := _slot(value, target)):
-            return found
-    return None
-
-
 def _tape_vs_fd(run, params) -> tuple[float, int]:
     """Worst tape-vs-finite-difference error over every named tensor, and their coordinates.
 
@@ -363,8 +347,8 @@ def _tape_vs_fd(run, params) -> tuple[float, int]:
         loss = run(params)
     grads = tape.backward(loss)
     worst, coords = 0.0, 0
-    for tensor in params.named().values():
-        put = _slot(params, tensor)
+    for name, tensor in params.named().items():
+        put = params.setter(name)
 
         def swapped(t: Tensor) -> float:
             put(t)

@@ -824,6 +824,24 @@ def test_eval_reads_a_graph_bundle_written_before_modules_had_names(tmp_path, ca
     assert "'gated'" in err  # no bundle ever held a gated module
 
 
+def test_eval_reads_an_order_one_graph_bundle_written_with_another_lam(tmp_path, capsys):
+    # n = 1 now refuses a lam other than the default, which no module reads there
+    data = str(FIXTURES / "graph_reg.txt")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"n": 1, "hidden": 3},
+                                  "optimizer": {"kind": "adam", "lr": 0.02}}))
+    out = tmp_path / "graph.bundle"
+    assert run(capsys, "train", "--task", "graph-reg", "--config", str(config),
+               "--data", data, "--out", str(out))[0] == EXIT_OK
+    code, want, _ = run(capsys, "eval", "--bundle", str(out), "--data", data)
+    assert code == EXIT_OK and want
+    doc = json.loads(out.read_text())
+    old = tmp_path / "old.bundle"
+    for lam in (0.0, 0.3, 2.0):
+        old.write_text(json.dumps({**doc, "config": {**doc["config"], "lam": lam}}))
+        assert run(capsys, "eval", "--bundle", str(old), "--data", data)[:2] == (EXIT_OK, want)
+
+
 def test_graph_reg_untargeted_record_is_named_by_its_line(tmp_path, capsys):
     data = tmp_path / "graphs.txt"
     data.write_text("# header\n\n1 | 1,2 | | 0.5\n1 | 3,4 |\n")

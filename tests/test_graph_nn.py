@@ -285,6 +285,20 @@ def test_wl_params_are_named_by_field_path():
         wl.with_named({"wl.u1": wl.u1})
 
 
+@pytest.mark.parametrize("name", ["l1.W1", "l2.W2", "v"])
+def test_setter_puts_one_tensor_in_place_by_name(name):
+    cfg = GraphModelConfig(n=2, hidden=3, layers=2)
+    wl = init_graph(cfg, 2, np.random.default_rng(0))
+    held = wl.named()
+    put, new = wl.setter(name), Tensor(np.zeros(held[name].shape))
+    put(new)
+    assert wl.named() == {k: new if k == name else t for k, t in held.items()}
+    put(held[name])
+    assert wl.named() == held
+    with pytest.raises(ContractError, match="nope"):
+        wl.setter("nope")
+
+
 # ---------------------------------------------------------------------------
 # gated
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernelnn import graph_dp, inputs
+from kernelnn import inputs
 from kernelnn.errors import ContractError, ShapeError
 from kernelnn.graph_kernel import WLRelabelParams, deep_local_kernel, enumerate_walks, wl_relabel
 from kernelnn.graph_nn import MODULES, GraphModelConfig, graph_forward, init_graph
@@ -227,7 +227,6 @@ def test_cached_segments_equal_a_fresh_build(made):
     members = np.repeat(np.arange(len(g.sizes)), g.sizes)
     fresh = (Segments(src, g.num_nodes), Segments(dst, g.num_nodes),
              Segments(members, len(g.sizes)))
-    assert g.segments[1] is g.into
     for got, want in zip(g.segments, fresh, strict=True):
         assert got.count == want.count
         for field in ("ids", "order", "present", "starts"):
@@ -258,13 +257,3 @@ def test_one_graph_forwarded_twice_builds_its_groupings_once(monkeypatch, module
     assert len(built) == 3
     assert np.array_equal(graph_forward(g, p, cfg).out.data, first) and len(built) == 3
 
-
-def test_gated_dp_builds_one_grouping_per_graph_and_keeps_it(monkeypatch):
-    g1, g2 = made_graphs()["constructor"], made_graphs()["union"]
-    built = count_segment_builds(monkeypatch)
-    rng = np.random.default_rng(7)
-    u, b = rng.normal(size=(2, 4)), rng.normal(size=2)
-    first = graph_dp.gated_random_walk_kernel(g1, g2, u, b, 3)
-    assert built == [g1.num_nodes, g2.num_nodes]  # the destination groupings only
-    assert np.array_equal(graph_dp.gated_random_walk_kernel(g1, g2, u, b, 3), first)
-    assert g1.segments[1] is g1.into and len(built) == 4  # the full set adds the other two
