@@ -33,9 +33,9 @@ from .tensor import (
     accumulate,
     add,
     gather_rows,
-    init_params,
     linear,
     matvec,
+    model_params,
     mul,
     neighbor_sum,
     row,
@@ -152,9 +152,10 @@ class GraphStateTrace:
 
 
 def init_graph(cfg: GraphModelConfig, in_dim: int,
-               rng: np.random.Generator) -> WalkParams | GatedParams | DeepParams | WLParams:
+               rng: np.random.Generator | None) -> WalkParams | GatedParams | DeepParams | WLParams:
     """The module's tensors drawn by the init rule, layer by layer; a deep layer
-    reads the previous layer's output, and the gates start at lam."""
+    reads the previous layer's output, and the gates start at lam.  With ``rng``
+    None, a skeleton (:func:`model_params`)."""
     m, deep = cfg.hidden, cfg.module == "deep"
     names = [[f"l{l}.W{j}" for j in range(1, cfg.n + 1)] for l in range(1, cfg.layers + 1)]
     shapes: dict[str, tuple[int, ...]] = {}
@@ -167,7 +168,7 @@ def init_graph(cfg: GraphModelConfig, in_dim: int,
     if cfg.module == "gated":
         shapes.update(gate_u=(m, 2 * in_dim), gate_b=(m,))
     fill = {"gate_b": logit(cfg.lam)} if cfg.module == "gated" else None
-    t = init_params(shapes, rng, fill)
+    t = model_params(shapes, rng, fill)
     ws = [[t.pop(name) for name in layer] for layer in names]
     if deep:
         return DeepParams(ws, [t.pop(f"l{l}.readout") for l in range(1, cfg.layers + 1)])

@@ -165,8 +165,9 @@ class FeatureGraph:
     @classmethod
     def chain(cls, features: Sequence) -> "FeatureGraph":
         """Directed path whose only maximal walk visits the features in order."""
-        steps = np.arange(len(features) - 1)
-        return cls(features, np.column_stack([steps, steps + 1]))
+        x = _feature_matrix(features)
+        src = np.arange(len(x) - 1, dtype=np.intp)  # already sorted by dst, once each
+        return object.__new__(cls)._adopt(x, (src, src + 1), (len(x),))
 
     @classmethod
     def union(cls, graphs: Sequence["FeatureGraph"]) -> "FeatureGraph":

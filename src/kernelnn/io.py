@@ -367,7 +367,8 @@ def bundle_from_graph(model: GraphRegModel, seed: int) -> ModelBundle:
 
 
 def _restore(model, params: dict[str, np.ndarray]):
-    """``model`` with every tensor replaced by the bundle's, which must match name for name."""
+    """``model`` with every tensor replaced by the bundle's float64 array, which must match
+    name for name; each array is adopted as it is, not copied, and becomes read-only."""
     expected = model.named()
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
@@ -378,14 +379,14 @@ def _restore(model, params: dict[str, np.ndarray]):
             raise DataError(
                 f"bundle param {name!r} has shape {params[name].shape}, expected {t.shape}"
             )
-    return model.with_named({name: Tensor(params[name]) for name in expected})
+    return model.with_named({name: Tensor._adopt(params[name]) for name in expected})
 
 
 def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:
     if bundle.kind != "seq-lm":
         raise DataError(f"bundle kind {bundle.kind!r} is not a language model")
     cfg, vocab_size = _bundle_config(SeqModelConfig, bundle.config, "vocab_size")
-    return _restore(init_lm_model(cfg, vocab_size, np.random.default_rng(0)), bundle.params)
+    return _restore(init_lm_model(cfg, vocab_size, None), bundle.params)
 
 
 def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
@@ -397,4 +398,4 @@ def graph_from_bundle(bundle: ModelBundle) -> GraphRegModel:
     if config.get("n") == 1:  # written before n = 1 refused a lam, which no module reads there
         config = {k: v for k, v in config.items() if k != "lam"}
     cfg, in_dim = _bundle_config(GraphModelConfig, config, "in_dim")
-    return _restore(init_graph_model(cfg, in_dim, np.random.default_rng(0)), bundle.params)
+    return _restore(init_graph_model(cfg, in_dim, None), bundle.params)

@@ -94,18 +94,15 @@ def _tuple_weights(length: int, n: int, lam: float) -> list[np.ndarray]:
     return [a[:length + 1] for a in w]
 
 
-def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
-    """``table[i, k]`` = the string kernel between ``x[:i]`` and ``y[:k]``.
-
-    ``sim`` is the (Lx, Ly) matrix of token inner products; the table is
-    (Lx+1, Ly+1), and prefixes shorter than ``cfg.n`` give 0.
-    """
+def _raw_table(sim, cfg: SeqKernelConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unnormalized table, and the decayed n-tuple weight of each prefix length
+    (None where no n-tuple fits and the table is 0)."""
     s = np.asarray(sim, dtype=np.float64)
     if s.ndim != 2:
         raise ContractError(f"similarity matrix must be 2-d, got shape {s.shape}")
     lx, ly = s.shape
     if cfg.n > min(lx, ly):  # no n-tuple fits in the shorter sequence
-        return np.zeros((lx + 1, ly + 1))
+        return np.zeros((lx + 1, ly + 1)), None
     w = _tuple_weights(max(lx, ly), cfg.n, cfg.lam)
     m = _decay_matrix(cfg.lam, BLOCK)
     g = s
@@ -115,16 +112,29 @@ def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
             g = s * np.outer(w[j - 1][:lx], w[j - 1][:ly]) + inner
         else:
             g = s * inner
-    table = _prefix(g, m)
-    if cfg.normalization == NORMALIZED:
-        z = np.outer(w[-1][:lx + 1], w[-1][:ly + 1])
+    return _prefix(g, m), w[-1]
+
+
+def prefix_kernel_table(sim, cfg: SeqKernelConfig) -> np.ndarray:
+    """``table[i, k]`` = the string kernel between ``x[:i]`` and ``y[:k]``.
+
+    ``sim`` is the (Lx, Ly) matrix of token inner products; the table is
+    (Lx+1, Ly+1), and prefixes shorter than ``cfg.n`` give 0.
+    """
+    table, w = _raw_table(sim, cfg)
+    if cfg.normalization == NORMALIZED and w is not None:
+        z = np.outer(w[:table.shape[0]], w[:table.shape[1]])
         table = np.divide(table, z, out=np.zeros_like(table), where=z != 0.0)
     return table
 
 
 def string_kernel(sim, cfg: SeqKernelConfig) -> float:
-    """The string kernel between two whole sequences, from their similarity matrix."""
-    return float(prefix_kernel_table(sim, cfg)[-1, -1])
+    """The string kernel between two whole sequences, from their similarity matrix:
+    the last entry of :func:`prefix_kernel_table`, normalizing only that entry."""
+    table, w = _raw_table(sim, cfg)
+    normalized = cfg.normalization == NORMALIZED and w is not None
+    z = w[table.shape[0] - 1] * w[table.shape[1] - 1] if normalized else 1.0
+    return float(table[-1, -1] / z) if z != 0.0 else 0.0
 
 
 def deep_sequence_kernel(sim, depth: int, cfg: SeqKernelConfig) -> float:

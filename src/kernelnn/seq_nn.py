@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, EvaluationError, ShapeError, check_fields
 from .inputs import FeatureSequence
-from .tensor import Activation, NamedParams, Tensor, _sigmoid_raw, emit, init_params, mul, stack
+from .tensor import Activation, NamedParams, Tensor, _sigmoid_raw, emit, model_params, mul, stack
 
 VARIANTS = ("mult-unnorm", "mult-norm", "add-norm")
 DECAYS = ("constant", "learned", "gated-input", "gated-input-state")
@@ -98,16 +99,17 @@ def layer_shapes(cfg: SeqModelConfig, in_dim: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
-def init_seq_stack(cfg: SeqModelConfig, in_dim: int, rng: np.random.Generator) -> list[SeqLayerParams]:
+def init_seq_stack(cfg: SeqModelConfig, in_dim: int,
+                   rng: np.random.Generator | None) -> list[SeqLayerParams]:
     """:func:`layer_shapes` of each layer drawn by the init rule, layer by layer; layer 1
     reads ``in_dim`` features, every later one the layer below, and the gate and decay
-    biases start at logit(lam)."""
+    biases start at logit(lam).  With ``rng`` None, a skeleton (:func:`model_params`)."""
     fill = {"comb": 1.0, "hw_b": -1.0}
     if cfg.decay != "constant":
         fill.update(gate_b=logit(cfg.lam), decay_logit=logit(cfg.lam))
     params = []
     for l in range(cfg.layers):
-        t = init_params(layer_shapes(cfg, in_dim if l == 0 else cfg.hidden), rng, fill)
+        t = model_params(layer_shapes(cfg, in_dim if l == 0 else cfg.hidden), rng, fill)
         params.append(SeqLayerParams(W=[t.pop(f"W{j}") for j in range(1, cfg.n + 1)], **t))
     return params
 
@@ -201,13 +203,14 @@ def _scan(
 
     The recurrence c_j[t] = lam_t c_j[t-1] + s_t inner_j[t], with
     inner_j[t] = c_{j-1}[t-1] (times or plus) W_j x_t and s_t = 1 - lam_t (or
-    1 for unnormalized layers), runs as one loop.  Per step it does only what
-    reads the previous step: inner and the cell update and, where the previous
-    output feeds the step, the gate (gated-input-state), the highway mix and
-    the output.  The rest is whole-window: the projections and the input parts
-    of the gate and highway pre-activations (one matmul each), 1 - lam where
-    the decay does not read the state, and pre and h where no step reads them.
-    The hand-written backprop through time carries the cell adjoint and keeps
+    1 for unnormalized layers), runs as one loop over row views made once per
+    window; a step makes only the ufunc calls that read the previous step:
+    inner and the cell update and, where the previous output feeds the step,
+    the gate (gated-input-state), the highway mix and the output.  The rest is
+    whole-window: the projections and the input parts of the gate and highway
+    pre-activations (one matmul each), 1 - lam where the decay does not read
+    the state, and pre and h where no step reads them.  Backprop through time
+    runs over the same views reversed, carrying the cell adjoint and keeping
     it per step; the projection adjoints, and the decay adjoints where the
     decay does not read the state, are whole-window ops on those.
     """
@@ -256,29 +259,29 @@ def _scan(
     act = (np.tanh if cfg.activation is Activation.TANH
            else lambda z, out: np.copyto(out, cfg.activation.f(z)))
     buf, hw_buf = np.empty((n, m)), np.empty(m)
+    hw_rows = zip(hw_x, f, f_rest, xd) if cfg.highway else repeat(None)
     h_prev = h0
-    for t in range(steps):
-        a, ct, lt = c[t], c[t + 1], lam[t]
+    for a, a_low, ct, ct_last, lt, rt, inn, inn_hi, proj_hi, pre_t, h_t, hw in zip(
+            c[:-1], c[:-1, :-1], c[1:], c[1:, -1], lam, rest, inner, inner[:, 1:], proj[:, 1:],
+            pre, h, hw_rows):
         if with_state:
             np.add(lt, gate_h @ h_prev, out=lt)
             _sigmoid_raw(lt, out=lt)
-            np.subtract(1.0, lt, out=rest[t])
-        inn = inner[t]
-        mix(a[:-1], proj[t, 1:], out=inn[1:])
+            np.subtract(1.0, lt, out=rt)
+        mix(a_low, proj_hi, out=inn_hi)
         np.multiply(lt, a, out=ct)
-        np.add(ct, np.multiply(rest[t], inn, out=buf) if normalized else inn, out=ct)
+        np.add(ct, np.multiply(rt, inn, out=buf) if normalized else inn, out=ct)
         if stepwise:
-            pre_t = ct[-1] if comb is None else np.matmul(comb, ct, out=pre[t])
-            h_t = h[t]
-            if cfg.highway:
-                f_t = f[t]
-                np.add(hw_x[t], hw_h @ h_prev, out=f_t)
-                _sigmoid_raw(f_t, out=f_t)
-                np.subtract(1.0, f_t, out=f_rest[t])
-                np.multiply(f_t, pre_t, out=h_t)
-                np.add(h_t, np.multiply(f_rest[t], xd[t], out=hw_buf), out=h_t)
-            else:
+            pre_t = ct_last if comb is None else np.matmul(comb, ct, out=pre_t)
+            if hw is None:
                 act(pre_t, h_t)
+            else:
+                hw_x_t, f_t, f_rest_t, x_t = hw
+                np.add(hw_x_t, hw_h @ h_prev, out=f_t)
+                _sigmoid_raw(f_t, out=f_t)
+                np.subtract(1.0, f_t, out=f_rest_t)
+                np.multiply(f_t, pre_t, out=h_t)
+                np.add(h_t, np.multiply(f_rest_t, x_t, out=hw_buf), out=h_t)
             h_prev = h_t
     if comb is None:
         pre[:] = c[1:, -1]
@@ -306,40 +309,55 @@ def _scan(
             g_f = np.empty((steps, m))
             pre_x = pre - xd
         g_next = np.zeros(m)  # reaches h[t] through step t+1's gate and highway inputs
-        for t in reversed(range(steps)):
-            gc = g_c[t]
-            if stepwise:
-                if cfg.highway:
-                    gh = np.add(g_h[t], g_next, out=g_hw[t])
-                    g_pre_t = gh * f[t]
-                    g_f_t = np.multiply(gh, pre_x[t], out=g_f[t])
-                    g_f_t *= f[t]
-                    g_f_t *= f_rest[t]
-                else:
-                    g_pre_t = (g_h[t] + g_next) * d_act[t]
+        g_pre_t = np.empty(m)  # the adjoint of pre[t] where a step computes it
+        gate_h_t = gate_h.T if with_state else None
+        hw_h_t = hw_h.T if cfg.highway else None
+        comb_col = None if comb is None else comb[:, None]
+        pre_rows = repeat(None) if cfg.highway else (d_act if stepwise else g_pre)[::-1]
+        gate_rows = zip(g_lam[::-1], g_gate[::-1]) if with_state else repeat(None)
+        hw_rows = (zip(g_hw[::-1], f[::-1], f_rest[::-1], pre_x[::-1], g_f[::-1])
+                   if cfg.highway else repeat(None))
+        # row t of each array, t from the last step down; g_prev is g_c[t - 1], None at t = 0
+        for (gc, gc_last, g_inn, g_inn_hi, g_prev, g_prev_low, g_h_t, c_t, lam_t, rest_t,
+             proj_hi, lam_part_t, pre_row, gate, hw) in zip(
+                g_c[::-1], g_c[::-1, -1], g_proj[::-1], g_proj[::-1, 1:],
+                chain(g_c[-2::-1], [None]), chain(g_c[-2::-1, :-1], [None]), g_h[::-1],
+                c[:0:-1], lam[::-1], rest[::-1], proj[::-1, 1:], lam_part[::-1],
+                pre_rows, gate_rows, hw_rows):
+            if hw is not None:
+                g_hw_t, f_t, f_rest_t, pre_x_t, g_f_t = hw
+                gh = np.add(g_h_t, g_next, out=g_hw_t)
+                np.multiply(gh, f_t, out=g_pre_t)
+                np.multiply(gh, pre_x_t, out=g_f_t)
+                np.multiply(g_f_t, f_t, out=g_f_t)
+                np.multiply(g_f_t, f_rest_t, out=g_f_t)
+            elif stepwise:
+                np.multiply(np.add(g_h_t, g_next, out=g_pre_t), pre_row, out=g_pre_t)
             else:
-                g_pre_t = g_pre[t]
+                g_pre_t = pre_row
             if comb is None:
-                gc[-1] += g_pre_t
+                np.add(gc_last, g_pre_t, out=gc_last)
             else:
-                gc += comb[:, None] * g_pre_t
-                g_comb += c[t + 1] @ g_pre_t
-            g_inn = np.multiply(rest[t], gc, out=g_proj[t]) if normalized else gc
+                np.add(gc, np.multiply(comb_col, g_pre_t, out=buf), out=gc)
+                np.add(g_comb, c_t @ g_pre_t, out=g_comb)
+            if normalized:
+                np.multiply(rest_t, gc, out=g_inn)
             if with_state:
-                g_lam_t = np.add.reduce(np.multiply(gc, lam_part[t], out=buf), 0, out=g_lam[t])
-                g_gate_t = np.multiply(g_lam_t, lam[t], out=g_gate[t])
-                g_gate_t *= rest[t]
-            if t == 0:
+                g_lam_t, g_gate_t = gate
+                np.add.reduce(np.multiply(gc, lam_part_t, out=buf), 0, out=g_lam_t)
+                np.multiply(g_lam_t, lam_t, out=g_gate_t)
+                np.multiply(g_gate_t, rest_t, out=g_gate_t)
+            if g_prev is None:
                 break
-            g_prev = np.multiply(lam[t], gc, out=g_c[t - 1])
-            g_prev[:-1] += g_inn[1:] if additive else np.multiply(g_inn[1:], proj[t, 1:],
-                                                                  out=buf[1:])
+            np.multiply(lam_t, gc, out=g_prev)
+            np.add(g_prev_low, g_inn_hi if additive
+                   else np.multiply(g_inn_hi, proj_hi, out=buf[1:]), out=g_prev_low)
             if with_state:
-                g_next = gate_h.T @ g_gate_t
+                g_next = gate_h_t @ g_gate_t
                 if cfg.highway:
-                    g_next += hw_h.T @ g_f_t
+                    g_next += hw_h_t @ g_f_t
             elif cfg.highway:
-                g_next = hw_h.T @ g_f_t
+                g_next = hw_h_t @ g_f_t
         if not with_state:
             g_lam = (g_c * lam_part).sum(axis=1)
         if not additive:

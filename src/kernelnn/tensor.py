@@ -312,7 +312,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def bwd(g: Array):
         return g @ wd, g.T @ xd, g.sum(axis=0)
 
-    return emit(xd @ wd.T + b.data, "linear", (x, w, b), bwd)
+    z = xd @ wd.T
+    return emit(np.add(z, b.data, out=z), "linear", (x, w, b), bwd)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
@@ -326,7 +327,8 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
         raise ContractError(f"targets out of range for {z.shape[1]} classes")
     rows = np.arange(ys.size)
     top = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - top)
+    ez = np.subtract(z, top)
+    np.exp(ez, out=ez)
     total = ez.sum(axis=1, keepdims=True)
     per_row = top[:, 0] + np.log(total[:, 0]) - z[rows, ys]
     inv = 1.0 / ys.size
@@ -334,7 +336,7 @@ def softmax_cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     def bwd(g: Array):
         out = ez / total
         out[rows, ys] -= 1.0
-        return (out * (float(g) * inv),)
+        return (np.multiply(out, float(g) * inv, out=out),)
 
     return emit(np.sum(per_row) * inv, "softmax_cross_entropy", (logits,), bwd)
 
@@ -355,10 +357,10 @@ def accumulate(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def _sigmoid_raw(z: Array, out: Array | None = None) -> Array:
-    # exp of a non-positive argument only, so nothing overflows; one division
-    # serves both signs, 1/(1+e) for z >= 0 and e/(1+e) below
-    e = np.exp(-np.abs(z))
-    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+    # exp of -|z| only, so nothing overflows; one division serves both signs:
+    # the numerator max(e, sign z) is 1 for z >= 0 (e = 1 at z = 0) and e below
+    e = np.exp(np.copysign(z, -1.0))
+    return np.divide(np.fmax(e, np.sign(z)), np.add(1.0, e), out=out)
 
 
 class Activation(Enum):
@@ -500,6 +502,18 @@ def init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
             a = 1.0 / math.sqrt(shape[-1])
             out[name] = Tensor(rng.uniform(-a, a, size=shape))
     return out
+
+
+def model_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator | None,
+                 fill: dict[str, float] | None = None) -> dict[str, Tensor]:
+    """:func:`init_params` given an rng; given None, a skeleton that draws nothing:
+    each tensor a read-only zero view of its shape, for a decoder to replace by name."""
+    if rng is not None:
+        return init_params(shapes, rng, fill)
+    skeleton = {name: Tensor.__new__(Tensor) for name in shapes}
+    for name, shape in shapes.items():  # a zero view is finite and read-only: nothing to scan
+        skeleton[name].data = np.broadcast_to(0.0, shape)
+    return skeleton
 
 
 # ---------------------------------------------------------------------------

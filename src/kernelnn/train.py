@@ -24,9 +24,9 @@ from .tensor import (
     add,
     dot,
     gather_columns,
-    init_params,
     linear,
     matvec,
+    model_params,
     scale,
     softmax_cross_entropy,
     sub,
@@ -210,11 +210,13 @@ class SeqLMModel(NamedParams):
         return self.embed.shape[1]
 
 
-def init_lm_model(cfg: SeqModelConfig, vocab_size: int, rng: np.random.Generator) -> SeqLMModel:
-    embed = init_params({"embed": (cfg.hidden, vocab_size)}, rng)["embed"]
+def init_lm_model(cfg: SeqModelConfig, vocab_size: int,
+                  rng: np.random.Generator | None) -> SeqLMModel:
+    """The model's tensors by the init rule; with ``rng`` None, a skeleton that draws nothing."""
+    embed = model_params({"embed": (cfg.hidden, vocab_size)}, rng)["embed"]
     layers = init_seq_stack(cfg, cfg.hidden, rng)
-    out = init_params({"out_w": (vocab_size, cfg.hidden), "out_b": (vocab_size,)}, rng,
-                      {"out_b": 0.0})
+    out = model_params({"out_w": (vocab_size, cfg.hidden), "out_b": (vocab_size,)}, rng,
+                       {"out_b": 0.0})
     return SeqLMModel(cfg, embed, layers=layers, **out)
 
 
@@ -245,11 +247,13 @@ class GraphRegModel(NamedParams):
         return self.wl.v.shape[1]
 
 
-def init_graph_model(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator) -> GraphRegModel:
+def init_graph_model(cfg: GraphModelConfig, in_dim: int,
+                     rng: np.random.Generator | None) -> GraphRegModel:
+    """The model's tensors by the init rule; with ``rng`` None, a skeleton that draws nothing."""
     if cfg.module != "wl":
         raise ConfigError(f"the WL graph regressor trains module 'wl' only, got {cfg.module!r}")
     wl = init_graph(cfg, in_dim, rng)
-    head = init_params({"head_w": (cfg.hidden,), "head_b": ()}, rng, {"head_b": 0.0})
+    head = model_params({"head_w": (cfg.hidden,), "head_b": ()}, rng, {"head_b": 0.0})
     return GraphRegModel(cfg, wl, **head)
 
 

@@ -1,4 +1,5 @@
-"""Small helpers that only tests use: a taped sum and the text writers and parser of one line."""
+"""Small helpers that only tests use: a taped sum, a reference sigmoid and the text writers
+and parser of one line."""
 
 from pathlib import Path
 
@@ -17,6 +18,13 @@ def tsum(a: Tensor) -> Tensor:
         return (np.full(shape, float(g)),)
 
     return emit(np.sum(a.data), "sum", (a,), bwd)
+
+
+def sigmoid_reference(z: np.ndarray) -> np.ndarray:
+    """The logistic function as ``tensor._sigmoid_raw`` computed it with ``np.where``:
+    exp of -|z| only, and 1/(1+e) for z >= 0, e/(1+e) below."""
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e)
 
 
 def parse_graph_line(line: str, where: str) -> tuple[FeatureGraph, float | None]:

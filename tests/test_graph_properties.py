@@ -200,6 +200,18 @@ def test_chain_steps_from_each_node_to_the_next(n):
     assert_steps(g, [(v, v + 1) for v in range(n - 1)])
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_is_the_checked_constructor_on_its_steps(n):
+    rows = np.random.default_rng(n).normal(size=(n, 3))
+    got = FeatureGraph.chain(list(rows))
+    want = FeatureGraph(list(rows), [(v, v + 1) for v in range(n - 1)])
+    assert got.matrix.tobytes() == want.matrix.tobytes() and got.matrix.shape == want.matrix.shape
+    assert got.sizes == want.sizes
+    for a, b in zip((got.matrix, *got.edge_arrays), (want.matrix, *want.edge_arrays), strict=True):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+        assert a.tobytes() == b.tobytes()
+
+
 def made_graphs() -> dict[str, FeatureGraph]:
     """One graph from each way of making one."""
     rng = np.random.default_rng(5)

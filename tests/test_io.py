@@ -1,6 +1,11 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from kernelnn import graph_nn, seq_nn, tensor, train
+from kernelnn.cli import EXIT_OK, main
 from kernelnn.errors import DataError
 from kernelnn.graph_nn import GraphModelConfig
 from kernelnn.inputs import FeatureGraph
@@ -8,6 +13,7 @@ from kernelnn.io import (
     ModelBundle,
     bundle_from_graph,
     bundle_from_lm,
+    flatten_corpus,
     graph_from_bundle,
     lm_from_bundle,
     load_bundle,
@@ -18,7 +24,14 @@ from kernelnn.io import (
 )
 from kernelnn.seq_nn import SeqModelConfig
 from kernelnn.tensor import Activation
-from kernelnn.train import eval_graph_reg, init_graph_model, init_lm_model, lm_window_loss
+from kernelnn.train import (
+    MetricRecord,
+    eval_graph_reg,
+    eval_lm,
+    init_graph_model,
+    init_lm_model,
+    lm_window_loss,
+)
 
 from helpers import format_graph_line, parse_graph_line, save_graphs, save_vocab
 
@@ -158,6 +171,67 @@ def test_graph_model_bundle_round_trip(tmp_path):
         assert np.array_equal(t.data, restored.named()[name].data), name
     g = FeatureGraph.undirected([np.ones(2), -np.ones(2), np.array([0.5, 2.0])], [(0, 1), (1, 2)])
     assert eval_graph_reg(model, g, [0.0]) == eval_graph_reg(restored, g, [0.0])
+
+
+def _refuse_draws(monkeypatch) -> None:
+    """From here on ``init_params`` raises wherever a module looks it up: nothing may draw."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("drew a random init")
+
+    for module in (tensor, seq_nn, graph_nn, train):
+        if hasattr(module, "init_params"):
+            monkeypatch.setattr(module, "init_params", refuse)
+
+
+def _eval_lines(bundle_path, data, vocab=None) -> list[str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "--bundle", str(bundle_path), "--data", str(data),
+                     *(["--vocab", str(vocab)] if vocab else [])])
+    assert code == EXIT_OK
+    return out.getvalue().splitlines()
+
+
+def test_lm_bundle_decode_draws_nothing_and_keeps_every_bit(tmp_path, monkeypatch):
+    cfg = SeqModelConfig(n=2, hidden=4, layers=2, variant="mult-norm", decay="gated-input-state",
+                         output="combination")
+    model = init_lm_model(cfg, vocab_size=4, rng=np.random.default_rng(8))
+    path, again = tmp_path / "lm.bundle", tmp_path / "again.bundle"
+    save_bundle(bundle_from_lm(model, seed=8), path)
+    vocab_path, data = tmp_path / "vocab.txt", tmp_path / "data.txt"
+    save_vocab(["<unk>", "a", "b", "c"], vocab_path)
+    data.write_text("a b c a\nc b a b c\n")
+    loss, ppl = eval_lm(model, flatten_corpus(load_corpus(data, load_vocab(vocab_path)[0])))
+    _refuse_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="drew"):
+        init_lm_model(cfg, vocab_size=4, rng=np.random.default_rng(8))
+    restored = lm_from_bundle(load_bundle(path))
+    for name, t in model.named().items():
+        assert t.data.tobytes() == restored.named()[name].data.tobytes(), name
+    save_bundle(bundle_from_lm(restored, seed=8), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert _eval_lines(path, data, vocab_path) == [MetricRecord(0, "eval", loss, ppl, "ppl").line()]
+
+
+def test_graph_bundle_decode_draws_nothing_and_keeps_every_bit(tmp_path, monkeypatch):
+    cfg = GraphModelConfig(n=2, hidden=3, layers=2)
+    model = init_graph_model(cfg, in_dim=2, rng=np.random.default_rng(8))
+    path, again = tmp_path / "graph.bundle", tmp_path / "again.bundle"
+    save_bundle(bundle_from_graph(model, seed=8), path)
+    rng, data = np.random.default_rng(9), tmp_path / "graphs.txt"
+    save_graphs([(FeatureGraph.undirected(rng.normal(size=(3, 2)), [(0, 1), (1, 2)]), 0.5),
+                 (FeatureGraph.undirected(rng.normal(size=(2, 2)), [(0, 1)]), -1.0)], data)
+    graphs, targets = zip(*load_graphs(data))
+    rmse = eval_graph_reg(model, FeatureGraph.union(graphs), list(targets))
+    _refuse_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="drew"):
+        init_graph_model(cfg, in_dim=2, rng=np.random.default_rng(8))
+    restored = graph_from_bundle(load_bundle(path))
+    for name, t in model.named().items():
+        assert t.data.tobytes() == restored.named()[name].data.tobytes(), name
+    save_bundle(bundle_from_graph(restored, seed=8), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert _eval_lines(path, data) == [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse").line()]
 
 
 def _layer_names(layer, names):

@@ -45,6 +45,20 @@ def test_deep_sequence_kernel_matches_oracle(depth, variant):
                          deep_sequence_kernel(x, y, depth, cfg)) <= 1e-10
 
 
+@pytest.mark.parametrize("variant", SEQ_KERNEL_VARIANTS, ids=lambda v: f"{v[0][:4]}-{v[1][:6]}")
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.99])
+def test_string_kernel_is_the_tables_last_entry_bit_for_bit(variant, lam):
+    rng = np.random.default_rng(int(lam * 100))
+    lengths = [(0, 0), (0, 6), (5, 0), (1, 1), (4, 3), (40, 40), (40, 17),
+               *(tuple(rng.integers(0, 41, 2)) for _ in range(4))]
+    for n in range(1, 5):
+        cfg = SeqKernelConfig(n=n, lam=lam, composition=variant[0], normalization=variant[1])
+        for lx, ly in lengths:
+            sim = rng.normal(size=(lx, ly))
+            want = seq_dp.prefix_kernel_table(sim, cfg)[-1, -1]
+            assert np.float64(seq_dp.string_kernel(sim, cfg)).tobytes() == want.tobytes()
+
+
 def test_table_holds_every_prefix_kernel():
     rng = np.random.default_rng(3)
     cfg = SeqKernelConfig(n=2, lam=0.7, composition="additive", normalization="normalized")

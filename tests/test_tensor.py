@@ -20,9 +20,10 @@ from kernelnn.tensor import (
     scale,
     segment_sum,
     sub,
+    _sigmoid_raw,
 )
 
-from helpers import tsum
+from helpers import sigmoid_reference, tsum
 
 
 def test_matvec_identity():
@@ -330,3 +331,23 @@ def test_tensor_data_read_only():
     t = Tensor([1.0])
     with pytest.raises(ValueError):
         t.data[0] = 2.0
+
+
+SIGMOID_EDGES = [0.0, 5e-324, 745.0, 11400.0, 1e308, np.inf]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_sigmoid_matches_its_where_form_bit_for_bit(dtype):
+    rng = np.random.default_rng(11)
+    edges = np.array(SIGMOID_EDGES + [-v for v in SIGMOID_EDGES])
+    z = np.concatenate([edges, rng.normal(size=4000) * 10.0 ** rng.integers(-3, 4, 4000),
+                        rng.uniform(-800, 800, 1000)]).astype(dtype)
+    want = sigmoid_reference(z)
+    out = np.empty_like(z)
+    for got in (_sigmoid_raw(z), _sigmoid_raw(z, out=out)):
+        assert got.dtype == want.dtype == dtype
+        # every value and the sign of every zero; a longdouble's padding bytes hold no value
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert dtype != np.float64 or got.tobytes() == want.tobytes()
+    assert _sigmoid_raw(z, out=out) is out
+    assert np.isnan(_sigmoid_raw(np.array([np.nan, -np.nan], dtype=dtype))).all()
