@@ -9,10 +9,12 @@ decay; ``deep``, stacked layers with activated neighbor aggregation and a
 readout matrix each; ``wl``, relabeling iterations with shared transforms.
 
 Every module runs on whole node matrices: the states of order j are one
-(N, hidden) matrix, ``C_j = lam * (A C_{j-1}) * (X W_j^T)`` with the
-neighbor sum ``A C`` taken over an edge list.  A minibatch is one
-``FeatureGraph.union`` of graphs (a block-diagonal A), with one output row
-per member graph.
+(N, hidden) matrix, ``C_j = lam * (A C_{j-1}) * (X W_j^T)``.  A minibatch is
+one ``FeatureGraph.union`` of graphs (a block-diagonal A), with one output row
+per member graph.  Only the neighbor sum ``A C`` leaves the flat rows, for one
+padded dense block per member (``FeatureGraph.adjacency``) while the blocks stay
+within the dense limits of ``inputs``, and otherwise the edge list; the gated
+module's gates sum over the edge list.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, ShapeError, check_fields
-from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, Segments
+from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from .seq_nn import logit
 from .tensor import (
     Activation,
@@ -183,8 +185,8 @@ def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
             raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
 
 
-def _walk_states(src: Segments, dst: Segments, x: Tensor, ws: Sequence[Tensor],
-                 cfg: GraphModelConfig, act: Activation = Activation.IDENTITY,
+def _walk_states(g: FeatureGraph, x: Tensor, ws: Sequence[Tensor], cfg: GraphModelConfig,
+                 act: Activation = Activation.IDENTITY,
                  gate: Tensor | None = None) -> list[Tensor]:
     """The walk recursion over node matrices, one (N, hidden) state matrix per order.
 
@@ -199,9 +201,9 @@ def _walk_states(src: Segments, dst: Segments, x: Tensor, ws: Sequence[Tensor],
     for p in proj[1:]:
         prev = states[-1]
         if gate is None:
-            agg = scale(neighbor_sum(act(prev), src, dst), cfg.lam)
+            agg = scale(neighbor_sum(act(prev), g.adjacency), cfg.lam)
         else:
-            agg = segment_sum(mul(gate, gather_rows(prev, src)), dst)
+            agg = segment_sum(mul(gate, gather_rows(prev, g.segments[0])), g.segments[1])
         states.append(add(agg, p) if cfg.composition == ADDITIVE else mul(agg, p))
     return states
 
@@ -209,15 +211,14 @@ def _walk_states(src: Segments, dst: Segments, x: Tensor, ws: Sequence[Tensor],
 def _walk(g: FeatureGraph, p: WalkParams | GatedParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Project, recurse, sum the final states per graph, activate; the gated
     module's (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``."""
-    src, dst, members = g.segments
     x = Tensor(g.matrix)
     gate = None
     if isinstance(p, GatedParams):
-        pairs = Tensor(np.hstack([g.matrix[src.ids], g.matrix[dst.ids]]))
+        pairs = Tensor(np.hstack([g.matrix[ids] for ids in g.edge_arrays]))
         gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
     _check_weights(p.W, cfg.hidden, x.shape[1])
-    states = _walk_states(src, dst, x, p.W, cfg, gate=gate)
-    pre = segment_sum(states[-1], members)
+    states = _walk_states(g, x, p.W, cfg, gate=gate)
+    pre = segment_sum(states[-1], g.members)
     return GraphStateTrace(g, [states], [x], [pre], cfg.activation(pre))
 
 
@@ -226,16 +227,15 @@ def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTr
     if len(p.W) != cfg.layers or len(p.readout) != cfg.layers:
         raise ConfigError(f"got {len(p.W)} weight lists and {len(p.readout)} readouts "
                           f"for {cfg.layers} layers")
-    src, dst, members = g.segments
     x = Tensor(g.matrix)
     states, nodes, readouts = [], [], []
     for ws, readout in zip(p.W, p.readout):
         _check_weights(ws, cfg.hidden, x.shape[1])
-        layer = _walk_states(src, dst, x, ws, cfg, cfg.activation)
+        layer = _walk_states(g, x, ws, cfg, cfg.activation)
         x = cfg.activation(matvec(readout, layer[-1]))
         states.append(layer)
         nodes.append(x)
-        readouts.append(segment_sum(x, members))
+        readouts.append(segment_sum(x, g.members))
     return GraphStateTrace(g, states, nodes, readouts, readouts[-1])
 
 
@@ -248,19 +248,18 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     """
     if len(p.layer_W) != cfg.layers:
         raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
-    src, dst, members = g.segments
     x = Tensor(g.matrix)
     act = cfg.activation
     states, nodes, readouts = [], [], []
     for l, ws in enumerate(p.layer_W):
         if l:
             inner = act(matvec(p.v, x))
-            x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, src, dst))))
+            x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, g.adjacency))))
         _check_weights(ws, cfg.hidden, x.shape[1])
-        layer = _walk_states(src, dst, x, ws, cfg)
+        layer = _walk_states(g, x, ws, cfg)
         nodes.append(x)
         states.append(layer)
-        readouts.append(segment_sum(layer[-1], members))
+        readouts.append(segment_sum(layer[-1], g.members))
     return GraphStateTrace(g, states, nodes, readouts, accumulate(readouts))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import weakref
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
@@ -266,7 +267,14 @@ def _decode_array(obj, where: str) -> np.ndarray:
         raise DataError(f"{where}: undecodable tensor payload ({exc})") from None
     if not np.isfinite(arr).all():
         raise DataError(f"{where}: non-finite value")
+    arr.setflags(write=False)
+    _SCANNED[id(arr)] = arr
     return arr
+
+
+# every live array _decode_array made, by id: scanned there and read-only since, so
+# _restore adopts it without scanning it again
+_SCANNED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictionary()
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
@@ -368,7 +376,9 @@ def bundle_from_graph(model: GraphRegModel, seed: int) -> ModelBundle:
 
 def _restore(model, params: dict[str, np.ndarray]):
     """``model`` with every tensor replaced by the bundle's float64 array, which must match
-    name for name; each array is adopted as it is, not copied, and becomes read-only."""
+    name for name; each array is adopted as it is, not copied, and becomes read-only.  An
+    array :func:`load_bundle` decoded is not scanned again, since it named any non-finite
+    entry with its file and parameter; any other is, as every new tensor is."""
     expected = model.named()
     missing = sorted(set(expected) - set(params))
     extra = sorted(set(params) - set(expected))
@@ -379,7 +389,11 @@ def _restore(model, params: dict[str, np.ndarray]):
             raise DataError(
                 f"bundle param {name!r} has shape {params[name].shape}, expected {t.shape}"
             )
-    return model.with_named({name: Tensor._adopt(params[name]) for name in expected})
+    return model.with_named({name: _adopted(params[name]) for name in expected})
+
+
+def _adopted(arr: np.ndarray) -> Tensor:
+    return Tensor._adopt(arr, finite=_SCANNED.get(id(arr)) is arr)
 
 
 def lm_from_bundle(bundle: ModelBundle) -> SeqLMModel:

@@ -17,7 +17,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .errors import ContractError, EvaluationError, ShapeError
-from .inputs import Segments
+from .inputs import Adjacency, Segments
 
 Array = np.ndarray
 
@@ -34,10 +34,15 @@ class Tensor:
         self.data = _frozen(np.array(data, dtype=np.float64))
 
     @classmethod
-    def _adopt(cls, arr: Array) -> "Tensor":
-        """Wrap a float64 array that nothing writes afterwards, without copying it."""
+    def _adopt(cls, arr: Array, finite: bool = False) -> "Tensor":
+        """Wrap a float64 array that nothing writes afterwards, without copying it;
+        ``finite`` skips the scan of an array whose every entry the caller checked."""
         out = cls.__new__(cls)
-        out.data = _frozen(arr)
+        if finite:
+            arr.setflags(write=False)
+            out.data = arr
+        else:
+            out.data = _frozen(arr)
         return out
 
     @property
@@ -266,20 +271,15 @@ def segment_sum(a: Tensor, seg: Segments) -> Tensor:
     return emit(seg.sum(a.data), "segment_sum", (a,), bwd)
 
 
-def neighbor_sum(a: Tensor, src: Segments, dst: Segments) -> Tensor:
-    """Row v sums the rows ``src.ids[e]`` of ``a`` over the edges e with ``dst.ids[e] == v``.
-
-    One edge list, two groupings: the forward pass sums along the edges and
-    the backward pass along the reversed edges.
-    """
-    _check_rows("neighbor_sum", a, src.count)
-    if src.ids.size != dst.ids.size:
-        raise ShapeError(f"{src.ids.size} edge sources vs {dst.ids.size} destinations")
+def neighbor_sum(a: Tensor, adj: Adjacency) -> Tensor:
+    """Row v sums the rows u of ``a`` over the walk steps u -> v; the gradient sums
+    along the reversed steps."""
+    _check_rows("neighbor_sum", a, adj.num_nodes)
 
     def bwd(g: Array):
-        return (src.sum(g[dst.ids]),)
+        return (adj.sum(g, reverse=True),)
 
-    return emit(dst.sum(a.data[src.ids]), "neighbor_sum", (a,), bwd)
+    return emit(adj.sum(a.data), "neighbor_sum", (a,), bwd)
 
 
 def gather_columns(a: Tensor, ids: Sequence[int]) -> Tensor:

@@ -2,6 +2,7 @@
 deep, gated) on two small graph files, and a ``train --task graph-reg`` run
 (its printed metrics, the sha256 of its bundle) with the ``eval`` of that
 bundle, as they were when ``tests/fixtures/graph_cli_golden.json`` was written.
+The same run writes the same bundle bytes at one and at two BLAS threads.
 
 Rewrite the fixture (only on purpose, when an output is meant to change) with
 ``PYTHONPATH=src python tests/test_graph_golden.py``.
@@ -11,6 +12,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +23,7 @@ import pytest
 from kernelnn.cli import EXIT_OK, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = FIXTURES / "graph_cli_golden.json"
 PAIRS = str(FIXTURES / "graphs.txt")
 REG = str(FIXTURES / "graph_reg.txt")
@@ -83,6 +87,21 @@ def test_graph_kernel_output_matches_golden(case):
 
 def test_graph_reg_train_and_eval_match_golden(tmp_path):
     assert train_lines(tmp_path) == _read_golden()["train"]
+
+
+def test_graph_reg_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TRAIN_CONFIG))
+    bundles = []
+    for threads in ("1", "2"):
+        bundle = tmp_path / f"threads{threads}.bundle"
+        subprocess.run([sys.executable, "-m", "kernelnn.cli", "train", "--task", "graph-reg",
+                        "--config", str(config), "--data", REG, "--valid", REG,
+                        "--out", str(bundle)],
+                       env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True, timeout=120)
+        bundles.append(bundle.read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 if __name__ == "__main__":

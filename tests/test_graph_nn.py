@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from kernelnn.graph_nn import (
     graph_forward,
     init_graph,
 )
-from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, GraphKernelConfig
+from kernelnn.inputs import ADDITIVE, DENSE_LIMIT, MULTIPLICATIVE, FeatureGraph, GraphKernelConfig
 from kernelnn.seq_nn import logit
 from kernelnn.tensor import (
     Activation,
@@ -455,14 +456,33 @@ def test_single_layer_gradients(kind, composition, act):
 
 
 def union_members(rng, d):
-    """An edgeless node inside a triangle graph, a directed chain, a random graph, one node."""
+    """An edgeless node inside a triangle graph, a directed chain, a random graph, one node,
+    and a graph with a self-loop."""
     feats = [rng.normal(size=d) for _ in range(5)]
     return [
         FeatureGraph.undirected(feats, [(0, 1), (1, 2), (2, 0)]),
         FeatureGraph.chain([rng.normal(size=d) for _ in range(4)]),
         random_graph(rng, 6, d),
         FeatureGraph((rng.normal(size=d),)),
+        FeatureGraph.undirected([rng.normal(size=d) for _ in range(3)], [(0, 0), (0, 1), (1, 2)]),
     ]
+
+
+def sparse_graph(rng, num_nodes, d, edge_prob=None):
+    """A connected graph of about three steps per node, or of the given edge probability."""
+    return random_graph(rng, num_nodes, d, edge_prob=edge_prob or 1.0 / num_nodes)
+
+
+def limit_unions(rng, members):
+    """The members plus one at the dense limit with enough steps that their neighbor sums
+    multiply padded blocks; the members plus one past the limit, which sum over edges; and
+    the members plus a sparse one at the limit, whose blocks would hold more padding per
+    step than the dense limits allow, so they sum over edges too."""
+    d = members[0].dim
+    at_limit = [*members, sparse_graph(rng, DENSE_LIMIT, d, edge_prob=0.2)]
+    past = [*members, sparse_graph(rng, DENSE_LIMIT + 1, d)]
+    padded = [*members, sparse_graph(rng, DENSE_LIMIT, d)]
+    return {"dense": at_limit, "edges": past, "padded": padded}
 
 
 @pytest.mark.parametrize(
@@ -474,34 +494,48 @@ def union_members(rng, d):
 def test_union_members_match_their_solo_forward(kind, composition):
     rng = np.random.default_rng(20)
     d, m = 3, 4
-    graphs = union_members(rng, d)
-    cfg, params = case_setup(kind, rng, d, m, composition=composition)
-    union = graph_forward(FeatureGraph.union(graphs), params, cfg)
-    assert union.out.shape == (len(graphs), m)
-    assert union.graph.sizes == tuple(g.num_nodes for g in graphs)
-    for b, g in enumerate(graphs):
-        solo = graph_forward(g, params, cfg)
-        start = sum(union.graph.sizes[:b])
-        rows = slice(start, start + g.num_nodes)
-        for l in range(len(solo.states)):
-            for j in range(cfg.n):
-                assert rel_error(union.states[l][j].data[rows], solo.states[l][j].data) <= 1e-12
-            assert rel_error(union.nodes[l].data[rows], solo.nodes[l].data) <= 1e-12
-            assert rel_error(union.readouts[l].data[b], solo.readouts[l].data[0]) <= 1e-12
-        assert rel_error(union.out.data[b], solo.h_graph.data) <= 1e-12
+    unions = limit_unions(rng, union_members(rng, d))
+    # every activation: sigmoid(0) = 0.5, so a padding row it reached would show
+    for act in Activation:
+        cfg, params = case_setup(kind, rng, d, m, act, composition)
+        for path, graphs in unions.items():
+            union = graph_forward(FeatureGraph.union(graphs), params, cfg)
+            assert (union.graph.adjacency.blocks is None) == (path != "dense")
+            assert union.out.shape == (len(graphs), m)
+            assert union.graph.sizes == tuple(g.num_nodes for g in graphs)
+            for b, g in enumerate(graphs):
+                solo = graph_forward(g, params, cfg)
+                start = sum(union.graph.sizes[:b])
+                rows = slice(start, start + g.num_nodes)
+                for l in range(len(solo.states)):
+                    for j in range(cfg.n):
+                        assert rel_error(union.states[l][j].data[rows],
+                                         solo.states[l][j].data) <= 1e-12
+                    assert rel_error(union.nodes[l].data[rows], solo.nodes[l].data) <= 1e-12
+                    assert rel_error(union.readouts[l].data[b], solo.readouts[l].data[0]) <= 1e-12
+                assert rel_error(union.out.data[b], solo.h_graph.data) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["deep", "wl", "gated"])
 def test_union_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(21)
     d, m = 2, 3
-    union = FeatureGraph.union([random_graph(rng, 4, d),
-                                FeatureGraph.chain([rng.normal(size=d)] * 3),
-                                FeatureGraph((np.ones(d), -np.ones(d)))])
-    cfg, params = case_setup(kind, rng, d, m)
-    probe = Tensor(rng.normal(size=(3, m)))
-    assert_tape_matches_finite_differences(
-        lambda ps: tsum(mul(probe, graph_forward(union, ps, cfg).out)), params)
+    members = [random_graph(rng, 4, d), FeatureGraph.chain([rng.normal(size=d)] * 3),
+               FeatureGraph((np.ones(d), -np.ones(d))), FeatureGraph((rng.normal(size=d),)),
+               FeatureGraph.undirected([rng.normal(size=d) for _ in range(3)], [(1, 1), (0, 1)])]
+    unions = limit_unions(rng, members)
+    compositions = [MULTIPLICATIVE, ADDITIVE] if kind == "deep" else [MULTIPLICATIVE]
+    for act, composition, graphs in itertools.product(Activation, compositions,
+                                                      unions.values()):
+        if (act, composition) == (Activation.QUADRATIC, ADDITIVE):
+            # squared sums over the 128- and 129-node members reach 1e14-1e55 in two layers,
+            # where the central difference's own truncation error is past the tolerance
+            continue
+        cfg, params = case_setup(kind, rng, d, m, act, composition)
+        union = FeatureGraph.union(graphs)
+        probe = Tensor(rng.normal(size=(len(graphs), m)))
+        assert_tape_matches_finite_differences(
+            lambda ps: tsum(mul(probe, graph_forward(union, ps, cfg).out)), params)
 
 
 def test_single_graph_views_need_a_union_of_one():

@@ -13,7 +13,7 @@ from kernelnn import inputs
 from kernelnn.errors import ContractError, ShapeError
 from kernelnn.graph_kernel import WLRelabelParams, deep_local_kernel, enumerate_walks, wl_relabel
 from kernelnn.graph_nn import MODULES, GraphModelConfig, graph_forward, init_graph
-from kernelnn.inputs import ADDITIVE, FeatureGraph, GraphKernelConfig, Segments
+from kernelnn.inputs import ADDITIVE, Adjacency, FeatureGraph, GraphKernelConfig, Segments
 from kernelnn.tensor import Activation
 
 # derandomized, so every run of the suite tries the same inputs
@@ -213,14 +213,23 @@ def test_chain_is_the_checked_constructor_on_its_steps(n):
 
 
 def made_graphs() -> dict[str, FeatureGraph]:
-    """One graph from each way of making one."""
+    """One graph from each way of making one, and two unions whose neighbor sums take the
+    edge list: one with a member past the dense limit, and one of many members whose
+    blocks, padded to its one member at the limit, would hold too many entries per step."""
     rng = np.random.default_rng(5)
     g = FeatureGraph(rng.normal(size=(4, 2)), [(0, 1), (2, 1), (3, 3), (1, 0)])
     relabel = WLRelabelParams(*rng.normal(size=(3, 2, 2)), activation=Activation.TANH)
     union = FeatureGraph.union([g, FeatureGraph.chain(features(3))])
+    past_limit = FeatureGraph.union([g, FeatureGraph.chain(features(inputs.DENSE_LIMIT + 1))])
+    uneven = FeatureGraph.union([g] * 15 + [FeatureGraph.chain(features(inputs.DENSE_LIMIT))])
     return {"constructor": g, "undirected": FeatureGraph.undirected(features(3), [(0, 1), (1, 2)]),
             "chain": FeatureGraph.chain(features(3)), "union": union,
-            "split": union.split(union.sizes)[0], "wl_relabel": wl_relabel(g, relabel)}
+            "split": union.split(union.sizes)[0], "wl_relabel": wl_relabel(g, relabel),
+            "past_limit": past_limit, "uneven": uneven}
+
+
+EDGE_PATH = ("past_limit", "uneven")
+
 
 
 @pytest.mark.parametrize("made", sorted(made_graphs()))
@@ -232,6 +241,13 @@ def test_edge_arrays_are_read_only(made):
             a[0] = 0
 
 
+def assert_same(got, want, fields) -> None:
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or (a.dtype == b.dtype and a.shape == b.shape
+                                             and a.tobytes() == b.tobytes())
+
+
 @pytest.mark.parametrize("made", sorted(made_graphs()))
 def test_cached_segments_equal_a_fresh_build(made):
     g = made_graphs()[made]
@@ -239,33 +255,57 @@ def test_cached_segments_equal_a_fresh_build(made):
     members = np.repeat(np.arange(len(g.sizes)), g.sizes)
     fresh = (Segments(src, g.num_nodes), Segments(dst, g.num_nodes),
              Segments(members, len(g.sizes)))
-    for got, want in zip(g.segments, fresh, strict=True):
+    got_adj, want_adj = g.adjacency, Adjacency(FeatureGraph.union(g.split(g.sizes)))
+    assert got_adj.num_nodes == want_adj.num_nodes == g.num_nodes
+    assert (got_adj.blocks is None) == (made in EDGE_PATH)
+    assert_same(got_adj, want_adj, ("blocks",))
+    held, fresh = [*g.segments, g.members], list(fresh)
+    if made in EDGE_PATH:  # the graph's own edge list, grouped by source and by destination
+        assert got_adj.src is g.segments[0] and got_adj.dst is g.segments[1]
+        held, fresh = held + [got_adj.src, got_adj.dst], fresh + [want_adj.src, want_adj.dst]
+    else:
+        assert_same(got_adj, want_adj, ("slot",))
+    for got, want in zip(held, fresh, strict=True):
         assert got.count == want.count
-        for field in ("ids", "order", "present", "starts"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+        assert_same(got, want, ("ids", "order", "present", "starts"))
+    # either layout sums along the steps, and its reverse along the reversed steps
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    a[dst, src] = 1.0
+    eye = np.eye(g.num_nodes)
+    assert np.array_equal(g.adjacency.sum(eye), a)
+    assert np.array_equal(g.adjacency.sum(eye, reverse=True), a.T)
 
 
-def count_segment_builds(monkeypatch) -> list[int]:
+def count_builds(monkeypatch) -> list[tuple[str, int]]:
+    """Each grouping built from now on, as (its class, its row or node count)."""
     built = []
-    init = Segments.__init__
+    for cls in (Segments, Adjacency):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            _init(self, *args)
+            built.append((_name, getattr(self, "count", getattr(self, "num_nodes", None))))
 
-    def counted(self, ids, count):
-        built.append(count)
-        init(self, ids, count)
-
-    monkeypatch.setattr(inputs.Segments, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return built
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_one_graph_forwarded_twice_builds_its_groupings_once(monkeypatch, module):
-    g = made_graphs()["constructor"]
+    graphs = made_graphs()
     cfg = GraphModelConfig(n=2, hidden=3, layers=2 if module in ("deep", "wl") else 1,
                            module=module)
     p = init_graph(cfg, 2, np.random.default_rng(6))
-    built = count_segment_builds(monkeypatch)
-    first = graph_forward(g, p, cfg).out.data
-    assert len(built) == 3
-    assert np.array_equal(graph_forward(g, p, cfg).out.data, first) and len(built) == 3
-
+    built = count_builds(monkeypatch)
+    for made in ("constructor", "uneven"):
+        g = graphs[made]
+        n, b = g.num_nodes, len(g.sizes)
+        built.clear()
+        first = graph_forward(g, p, cfg).out.data
+        # the gated module's gates sum along the steps by source and by destination; every
+        # other module's neighbor sum reads the adjacency, which past the dense limits sums
+        # along those same two groupings; each readout reads the member grouping
+        steps = [("Segments", n), ("Segments", n)]
+        want = ([*steps, ("Segments", b)] if module == "gated"
+                else [("Adjacency", n), ("Segments", b)] + (steps if made in EDGE_PATH else []))
+        assert sorted(built) == sorted(want)
+        assert np.array_equal(graph_forward(g, p, cfg).out.data, first)
+        assert sorted(built) == sorted(want)

@@ -1,12 +1,15 @@
+import base64
 import contextlib
 import io
+import json
+import re
 
 import numpy as np
 import pytest
 
 from kernelnn import graph_nn, seq_nn, tensor, train
 from kernelnn.cli import EXIT_OK, main
-from kernelnn.errors import DataError
+from kernelnn.errors import DataError, EvaluationError
 from kernelnn.graph_nn import GraphModelConfig
 from kernelnn.inputs import FeatureGraph
 from kernelnn.io import (
@@ -232,6 +235,43 @@ def test_graph_bundle_decode_draws_nothing_and_keeps_every_bit(tmp_path, monkeyp
     save_bundle(bundle_from_graph(restored, seed=8), again)
     assert again.read_bytes() == path.read_bytes()
     assert _eval_lines(path, data) == [MetricRecord(0, "eval", rmse * rmse, rmse, "rmse").line()]
+
+
+@pytest.mark.parametrize("kind", ["lm", "graph"])
+def test_bundle_decode_scans_each_array_once(tmp_path, monkeypatch, kind):
+    if kind == "lm":
+        model = init_lm_model(SeqModelConfig(n=2, hidden=3), vocab_size=4,
+                              rng=np.random.default_rng(1))
+        to_bundle, from_bundle = bundle_from_lm, lm_from_bundle
+    else:
+        model = init_graph_model(GraphModelConfig(n=2, hidden=3, layers=2), in_dim=2,
+                                 rng=np.random.default_rng(1))
+        to_bundle, from_bundle = bundle_from_graph, graph_from_bundle
+    path = tmp_path / "model.bundle"
+    save_bundle(to_bundle(model, seed=1), path)
+    scans = []
+    isfinite = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda a: scans.append(a.shape) or isfinite(a))
+    restored = from_bundle(load_bundle(path))
+    assert sorted(scans) == sorted(t.shape for t in model.named().values())
+    for name, t in restored.named().items():
+        assert not t.data.flags.writeable, name
+        assert t.data.tobytes() == model.named()[name].data.tobytes(), name
+    # a non-finite entry is still named with its file and its parameter
+    monkeypatch.undo()
+    name = sorted(model.named())[0]
+    value = load_bundle(path).params[name].copy()
+    value.flat[0] = np.nan
+    doc = json.loads(path.read_text())
+    doc["params"][name]["data"] = base64.b64encode(value.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(f"{path}: param {name!r}: non-finite value")):
+        load_bundle(path)
+    # a bundle built in memory was never decoded, so its arrays are scanned as they are adopted
+    bundle = to_bundle(model, seed=1)
+    bundle.params[name] = value
+    with pytest.raises(EvaluationError, match="non-finite"):
+        from_bundle(bundle)
 
 
 def _layer_names(layer, names):

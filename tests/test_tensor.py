@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from kernelnn import inputs
 from kernelnn.errors import ContractError, EvaluationError, ShapeError
+from kernelnn.inputs import Adjacency, FeatureGraph
 from kernelnn.tensor import (
     Activation,
     Tape,
@@ -205,28 +207,34 @@ def test_segments_sum_rows_in_any_id_order():
         Segments([0, 5], 5)
 
 
-def test_gather_segment_and_neighbor_sums_match_finite_differences():
+def test_gather_segment_and_neighbor_sums_match_finite_differences(monkeypatch):
     rng = np.random.default_rng(5)
     # walk steps u -> v of a directed graph on 4 nodes; node 3 has no predecessor
-    src = Segments([1, 2, 0, 0, 1], 4)
-    dst = Segments([0, 0, 1, 2, 2], 4)
+    src_ids, dst_ids = [1, 2, 0, 0, 1], [0, 0, 1, 2, 2]
+    src, dst = Segments(src_ids, 4), Segments(dst_ids, 4)
     graph_of = Segments([0, 0, 1, 1], 2)
     a = Tensor(rng.normal(size=(4, 3)))
     gate = Tensor(rng.normal(size=(5, 3)))
     probe = Tensor(rng.normal(size=(2, 3)))
+    # the dense block, then (a graph past the limit) the edge list
+    for limit in (inputs.DENSE_LIMIT, 3):
+        monkeypatch.setattr(inputs, "DENSE_LIMIT", limit)
+        adj = Adjacency(FeatureGraph(np.zeros((4, 1)), list(zip(src_ids, dst_ids))))
+        assert (adj.blocks is None) == (limit < 4)
 
-    def run(t):
-        nb = neighbor_sum(Activation.TANH(t), src, dst)
-        gated = segment_sum(mul(gate, gather_rows(t, src)), dst)
-        return tsum(mul(probe, segment_sum(mul(nb, gated), graph_of)))
+        def run(t):
+            nb = neighbor_sum(Activation.TANH(t), adj)
+            gated = segment_sum(mul(gate, gather_rows(t, src)), dst)
+            return tsum(mul(probe, segment_sum(mul(nb, gated), graph_of)))
 
-    with Tape() as tape:
-        root = run(a)
-    grads = tape.backward(root)
-    assert rel_error(grads[a], finite_diff_grad(lambda t: run(t).item(), a)) < 1e-6
-    assert np.array_equal(neighbor_sum(a, src, dst).data,
-                          segment_sum(gather_rows(a, src), dst).data)
-    assert np.array_equal(neighbor_sum(a, src, dst).data[3], np.zeros(3))
+        with Tape() as tape:
+            root = run(a)
+        grads = tape.backward(root)
+        assert rel_error(grads[a], finite_diff_grad(lambda t: run(t).item(), a)) < 1e-6
+        # at most two steps into a node: a sum of two terms has one rounding in any order
+        assert np.array_equal(neighbor_sum(a, adj).data,
+                              segment_sum(gather_rows(a, src), dst).data)
+        assert np.array_equal(neighbor_sum(a, adj).data[3], np.zeros(3))
 
 
 def test_accumulate_orders_sum():
