@@ -24,16 +24,6 @@ MAX_ORACLE_WALK = 4
 MAX_ORACLE_DEPTH = 256  # one nested call per level; the stack ran out between 700 and 1 000
 
 
-def permute_graph(g: FeatureGraph, perm: Sequence[int]) -> FeatureGraph:
-    """Relabel node indices: old node i becomes perm[i]."""
-    n = g.num_nodes
-    if sorted(perm) != list(range(n)):
-        raise ContractError(f"perm must be a permutation of range({n})")
-    p = np.asarray(perm, dtype=np.intp)
-    src, dst = g.edge_arrays
-    return FeatureGraph(g.matrix[np.argsort(p)], np.column_stack([p[src], p[dst]]))
-
-
 def _guard(g: FeatureGraph, n: int) -> None:
     if g.num_nodes > MAX_ORACLE_NODES:
         raise GuardError(f"oracle refuses graphs above {MAX_ORACLE_NODES} nodes, got {g.num_nodes}")
@@ -78,45 +68,6 @@ def random_walk_kernel(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfi
     gathered = dots[a1[:, None, :], a2[None, :, :]]
     # fsum is exactly rounded, so the result is independent of walk/node order
     return decay_pow(cfg.lam, n - 1) * math.fsum(gathered.prod(axis=2).ravel())
-
-
-def local_kernel(
-    v: int,
-    vp: int,
-    g1: FeatureGraph,
-    g2: FeatureGraph,
-    cfg: GraphKernelConfig,
-    _memo: dict | None = None,
-) -> float:
-    """Per-node-pair recursive similarity; its double sum over nodes is the walk kernel."""
-    _check_local(g1, g2, cfg)
-    memo: dict = {} if _memo is None else _memo
-
-    def rec(order: int, a: int, b: int) -> float:
-        key = (order, a, b)
-        if key in memo:
-            return memo[key]
-        base = float(np.dot(g1.features[a], g2.features[b]))
-        if order == 1:
-            memo[key] = base
-            return base
-        agg = cfg.lam * math.fsum(
-            rec(order - 1, u, up) for u in g1.neighbors[a] for up in g2.neighbors[b]
-        )
-        val = base * agg if cfg.composition == MULTIPLICATIVE else base + agg
-        memo[key] = val
-        return val
-
-    return rec(cfg.n, v, vp)
-
-
-def local_kernel_sum(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig) -> float:
-    memo: dict = {}
-    return math.fsum(
-        local_kernel(v, vp, g1, g2, cfg, _memo=memo)
-        for v in range(g1.num_nodes)
-        for vp in range(g2.num_nodes)
-    )
 
 
 def _walk_ends(g: FeatureGraph, n: int) -> list[list[bool]]:
@@ -259,28 +210,6 @@ def gated_random_walk_kernel(
                 fa, fb = g1.features[xi], g2.features[yi]
                 term = term * gate_values(fa, fb, u, b) * float(np.dot(fa, fb))
             terms.append(term)
-    return np.array([math.fsum(t[k] for t in terms) for k in range(m)])
-
-
-def gated_walk_state_sum(
-    g: FeatureGraph, weights: Sequence[np.ndarray], u: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Unrolled readout of the gated walk module: gates act on steps 2..n.
-
-    Each n-node walk contributes the elementwise product of its projected
-    node features, weighted per coordinate by the gates of its n-1 edges.
-    """
-    ws = [np.asarray(w, dtype=np.float64) for w in weights]
-    n = len(ws)
-    walks = enumerate_walks(g, n)
-    m = ws[0].shape[0]
-    terms = []
-    for walk in walks:
-        term = ws[0] @ g.features[walk[0]]
-        for i in range(1, n):
-            gate = gate_values(g.features[walk[i - 1]], g.features[walk[i]], u, b)
-            term = term * gate * (ws[i] @ g.features[walk[i]])
-        terms.append(term)
     return np.array([math.fsum(t[k] for t in terms) for k in range(m)])
 
 

@@ -9,6 +9,7 @@ save/load/save round trip is byte-identical.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import weakref
 from dataclasses import asdict, dataclass, fields
@@ -247,22 +248,16 @@ class ModelBundle:
     seed: int
 
 
-def _encode_array(arr: np.ndarray) -> dict:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    return {
-        "shape": list(arr.shape),
-        "dtype": "float64",
-        "byte_order": "little",
-        "data": base64.b64encode(data.tobytes()).decode("ascii"),
-    }
-
-
 def _decode_array(obj, where: str) -> np.ndarray:
     try:
         if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
             raise DataError(f"{where}: unsupported tensor encoding {obj.get('dtype')}")
-        raw = base64.b64decode(obj["data"])
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(obj["shape"])
+        data = obj["data"]
+        # binascii decodes an ASCII str as it is; JSON holds no bytes, so any other payload
+        # fails in base64.b64decode, whose TypeError names its type
+        raw = binascii.a2b_base64(data) if isinstance(data, str) else base64.b64decode(data)
+        # the decoded buffer is the array: no copy on a little-endian host
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(obj["shape"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: undecodable tensor payload ({exc})") from None
     if not np.isfinite(arr).all():
@@ -278,23 +273,38 @@ _SCANNED: weakref.WeakValueDictionary[int, np.ndarray] = weakref.WeakValueDictio
 
 
 def save_bundle(bundle: ModelBundle, path) -> None:
+    """Write ``bundle`` as canonical JSON, each payload streamed from its ``<f8`` buffer.
+
+    ``json.dumps`` sees only the skeleton, with every payload empty: base64 needs no JSON
+    escaping, so each is written between its quotes as ``binascii`` encodes it.  Every
+    array is converted before the file is opened, so a bundle that cannot be written
+    leaves the file as it was.
+    """
+    params = {name: np.asarray(arr, dtype="<f8", order="C")
+              for name, arr in sorted(bundle.params.items())}
     doc = {
         "format_version": BUNDLE_VERSION,
         "kind": bundle.kind,
         "config": bundle.config,
         "seed": bundle.seed,
-        "params": {name: _encode_array(arr) for name, arr in sorted(bundle.params.items())},
+        "params": {name: {"shape": list(arr.shape), "dtype": "float64", "byte_order": "little",
+                          "data": ""} for name, arr in params.items()},
     }
-    Path(path).write_bytes(
-        (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-    )
+    # only a key "data" with the value "" dumps as '"data":""', and the params follow the
+    # config (keys sort), so the last len(params) of them are the payloads, in order
+    head, *tails = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").rsplit(
+        '"data":""', len(params))
+    with Path(path).open("wb") as f:
+        f.write(head.encode("ascii"))
+        for arr, tail in zip(params.values(), tails):
+            f.writelines((b'"data":"', binascii.b2a_base64(arr, newline=False), b'"',
+                          tail.encode("ascii")))
 
 
 def load_bundle(path) -> ModelBundle:
     path = Path(path)
-    text = read_text(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: bundle is not valid JSON") from None
     if not isinstance(doc, dict):

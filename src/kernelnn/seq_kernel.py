@@ -20,7 +20,6 @@ from .inputs import MULTIPLICATIVE, NORMALIZED, FeatureSequence, SeqKernelConfig
 
 MAX_ORACLE_LEN = 16
 MAX_ORACLE_ORDER = 4
-FEATURE_MAP_CAP = 10**6
 
 
 def decay_pow(lam: float, exponent: int) -> float:
@@ -83,32 +82,6 @@ def string_kernel(x: FeatureSequence, y: FeatureSequence, cfg: SeqKernelConfig) 
         z = float(wx.sum() * wy.sum())
         return value / z if z != 0.0 else 0.0
     return value
-
-
-def explicit_feature_map(x: FeatureSequence, cfg: SeqKernelConfig) -> np.ndarray:
-    """Materialized kernel mapping: d**n outer products or an n*d concatenation."""
-    _guard(x, cfg.n)
-    n, d = cfg.n, x.dim
-    if cfg.composition == MULTIPLICATIVE:
-        if d**n > FEATURE_MAP_CAP:
-            raise GuardError(f"feature map of size {d}**{n} exceeds cap {FEATURE_MAP_CAP}")
-        out = np.zeros(d**n)
-    else:
-        out = np.zeros(n * d)
-    xt, wx = _tuple_weights(len(x), n, cfg.lam)
-    for idx, w in zip(xt, wx):
-        if cfg.composition == MULTIPLICATIVE:
-            prod = x.tokens[idx[0]]
-            for i in idx[1:]:
-                prod = np.multiply.outer(prod, x.tokens[i])
-            out += w * prod.ravel()
-        else:
-            for slot, i in enumerate(idx):
-                out[slot * d : (slot + 1) * d] += w * x.tokens[i]
-    if cfg.normalization == NORMALIZED:
-        z = float(wx.sum())
-        return out / z if z != 0.0 else out * 0.0
-    return out
 
 
 def reference_sequence(weights: Sequence[np.ndarray], coord: int) -> FeatureSequence:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from kernelnn import graph_dp
 from kernelnn.errors import ContractError, GuardError, ShapeError
-from kernelnn.graph_kernel import gated_random_walk_kernel, permute_graph
+from kernelnn.graph_kernel import gated_random_walk_kernel
 from kernelnn.inputs import FeatureGraph
 from kernelnn.tensor import rel_error
+
+from helpers import permute_graph
 
 DIM = 2
 PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=80)

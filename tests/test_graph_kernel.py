@@ -9,10 +9,6 @@ from kernelnn.graph_kernel import (
     enumerate_walks,
     gate_values,
     gated_random_walk_kernel,
-    gated_walk_state_sum,
-    local_kernel,
-    local_kernel_sum,
-    permute_graph,
     random_walk_kernel,
     reference_walk,
     wl_kernel,
@@ -22,6 +18,8 @@ from kernelnn.inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph, GraphKernelC
 from kernelnn.seq_kernel import gram_matrix
 from kernelnn.seq_nn import logit
 from kernelnn.tensor import Activation
+
+from helpers import gated_walk_state_sum, local_kernel, local_kernel_sum, permute_graph
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])

@@ -8,8 +8,6 @@ from kernelnn.errors import ConfigError, ContractError
 from kernelnn.graph_kernel import (
     WLRelabelParams,
     deep_local_kernel,
-    gated_walk_state_sum,
-    permute_graph,
     random_walk_kernel,
     reference_walk,
     wl_relabel,
@@ -34,7 +32,7 @@ from kernelnn.tensor import (
     rel_error,
 )
 
-from helpers import tsum
+from helpers import gated_walk_state_sum, permute_graph, tsum
 from test_graph_kernel import random_graph
 
 

@@ -16,11 +16,6 @@ from kernelnn.graph_nn import MODULES, GraphModelConfig, graph_forward, init_gra
 from kernelnn.inputs import ADDITIVE, Adjacency, FeatureGraph, GraphKernelConfig, Segments
 from kernelnn.tensor import Activation
 
-# derandomized, so every run of the suite tries the same inputs
-settings.register_profile("kernelnn", derandomize=True, database=None, deadline=None,
-                          max_examples=200)
-settings.load_profile("kernelnn")
-
 
 def features(n: int) -> list[np.ndarray]:
     return [np.array([float(v), -1.0]) for v in range(n)]

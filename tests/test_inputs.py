@@ -13,7 +13,6 @@ import pytest
 
 from kernelnn.graph_kernel import (
     WLRelabelParams,
-    gated_walk_state_sum,
     random_walk_kernel,
     reference_walk,
     wl_relabel,
@@ -21,6 +20,8 @@ from kernelnn.graph_kernel import (
 from kernelnn.graph_nn import GraphModelConfig, graph_forward, init_graph
 from kernelnn.inputs import FeatureGraph, GraphKernelConfig
 from kernelnn.tensor import Activation, rel_error
+
+from helpers import gated_walk_state_sum
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kernelnn"
 ORACLES = {"seq_kernel", "graph_kernel"}

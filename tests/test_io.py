@@ -1,8 +1,11 @@
 import base64
 import contextlib
+import importlib
 import io
 import json
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from kernelnn.io import (
     ModelBundle,
     bundle_from_graph,
     bundle_from_lm,
+    config_from_dict,
     flatten_corpus,
     graph_from_bundle,
     lm_from_bundle,
@@ -137,6 +141,34 @@ def test_bundle_round_trip_is_byte_identical(tmp_path):
     save_bundle(bundle, p1)
     save_bundle(load_bundle(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def traced_peak(call) -> int:
+    """The most memory ``call`` held at once beyond what was live before it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_bundle_save_and_load_make_no_whole_bundle_copies(tmp_path, monkeypatch):
+    """On a bundle of the benchmark's LM shape (0.78 MB), save holds less than the bundle's
+    size at once, one payload's base64 at a time, and load at most 2.25 times it: the file
+    text beside its parsed payloads, then the payloads beside the decoded arrays."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    wl = importlib.import_module("workloads")
+    cfg = config_from_dict(SeqModelConfig, wl.lm_config(0)["model"], "model")
+    bundle = bundle_from_lm(init_lm_model(cfg, wl.LM_VOCAB, np.random.default_rng(0)), seed=0)
+    path = tmp_path / "lm.bundle"
+    save_bundle(bundle, path)
+    size = path.stat().st_size
+    assert size > 700_000
+    assert traced_peak(lambda: save_bundle(bundle, path)) <= 1.0 * size
+    assert traced_peak(lambda: load_bundle(path)) <= 2.25 * size
 
 
 def test_bundle_version_mismatch_rejected(tmp_path):

@@ -15,7 +15,6 @@ from kernelnn.inputs import (
 from kernelnn.seq_kernel import (
     deep_sequence_kernel,
     decay_pow,
-    explicit_feature_map,
     gated_string_kernel_state,
     gram_matrix,
     reference_sequence,
@@ -23,6 +22,8 @@ from kernelnn.seq_kernel import (
     suffix_weight_sum,
     unrolled_state,
 )
+
+from helpers import explicit_feature_map
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
