@@ -252,12 +252,14 @@ def _decode_array(obj, where: str) -> np.ndarray:
     try:
         if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
             raise DataError(f"{where}: unsupported tensor encoding {obj.get('dtype')}")
+        if type(dims := obj["shape"]) is not list or any(type(s) is not int or s < 0 for s in dims):
+            raise ValueError(f"shape {dims!r} is not a list of non-negative integers")
         data = obj["data"]
         # binascii decodes an ASCII str as it is; JSON holds no bytes, so any other payload
         # fails in base64.b64decode, whose TypeError names its type
         raw = binascii.a2b_base64(data) if isinstance(data, str) else base64.b64decode(data)
         # the decoded buffer is the array: no copy on a little-endian host
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(obj["shape"])
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(dims)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{where}: undecodable tensor payload ({exc})") from None
     if not np.isfinite(arr).all():

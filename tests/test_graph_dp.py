@@ -1,8 +1,11 @@
 """The gated walk kernel by dynamic programming against the exhaustive oracle.
 
 The DP equals the oracle, does not see node labels, and is additive over
-disjoint unions, which referees it on unions the oracle itself refuses.
+disjoint unions, which referees it on unions the oracle itself refuses.  Its
+dense and edge neighbor sums agree, whichever graph takes which.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -72,16 +75,45 @@ def test_dp_is_additive_over_disjoint_unions(a, a2, g, gate, n):
     assert rel_error(got, want) <= 1e-10
 
 
+@PROPERTIES
+@given(graphs(max_nodes=8, max_steps=20), graphs(max_nodes=8, max_steps=20), gates(),
+       st.integers(1, 6))
+@example(FeatureGraph([[1.0, 2.0]]), FeatureGraph([[3.0, 0.5], [1.0, -1.0]], [(0, 0), (0, 1)]),
+         (np.ones((1, 2 * DIM)), np.zeros(1)), 6)  # one edgeless node against a self-loop
+def test_dense_and_edge_steps_agree(g1, g2, gate, n):
+    # every graph dense, every graph on its edges, and each graph alone on its edges
+    u, b = gate
+    got = []
+    for limit in (10**6, 0, g1.num_nodes, g2.num_nodes):
+        with mock.patch.object(graph_dp, "DENSE_NODES", limit):
+            got.append(graph_dp.gated_random_walk_kernel(g1, g2, u, b, n))
+    assert max(rel_error(v, got[0]) for v in got) <= 5e-16
+
+
+def test_a_step_into_overflow_that_no_walk_leaves_scores_zero():
+    # a 0/1 product would add 0 * inf = nan from the chain's end, where no step leaves
+    chain = FeatureGraph(np.full((9, DIM), 1e300), [(v, v + 1) for v in range(8)])
+    loop = FeatureGraph(np.full((1, DIM), 1e300), [(0, 0)])
+    assert chain.num_nodes <= graph_dp.DENSE_NODES
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = graph_dp.gated_random_walk_kernel(chain, loop, np.ones((1, 2 * DIM)), np.zeros(1), 10)
+    assert got.tolist() == [0.0]
+
+
 def test_dp_scores_a_union_the_oracle_refuses():
     rng = np.random.default_rng(4)
     ring = [(v, (v + 1) % 8) for v in range(8)]
-    parts = [FeatureGraph(rng.normal(size=(8, DIM)), ring + [(0, 0), (3, 5)]) for _ in range(2)]
+    parts = [FeatureGraph(rng.normal(size=(8, DIM)), ring + [(0, 0), (3, 5)])
+             for _ in range(graph_dp.DENSE_NODES // 8 + 1)]
     union, g = FeatureGraph.union(parts), FeatureGraph(rng.normal(size=(3, DIM)), [(0, 1), (1, 2)])
+    assert union.num_nodes > graph_dp.DENSE_NODES >= 8  # the union on its edges, each part dense
     u, b = rng.normal(size=(2, 2 * DIM)), rng.normal(size=2)
     with pytest.raises(GuardError):
         gated_random_walk_kernel(union, g, u, b, 3)
-    want = sum(gated_random_walk_kernel(p, g, u, b, 3) for p in parts)
-    assert rel_error(graph_dp.gated_random_walk_kernel(union, g, u, b, 3), want) <= 1e-10
+    want = [gated_random_walk_kernel(p, g, u, b, 3) for p in parts]
+    for p, w in zip(parts, want):
+        assert rel_error(graph_dp.gated_random_walk_kernel(p, g, u, b, 3), w) <= 1e-10
+    assert rel_error(graph_dp.gated_random_walk_kernel(union, g, u, b, 3), sum(want)) <= 1e-10
 
 
 def test_dp_raises_the_oracles_errors():

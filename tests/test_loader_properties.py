@@ -88,11 +88,14 @@ BASE_TEXT = canonical_bundle_bytes(BASE).decode("ascii")
 
 def base64_reference(obj):
     """What a stored tensor must load as: ``base64.b64decode``'s bytes as ``<f8`` in the
-    stored shape, or None where the loader must refuse it."""
+    stored shape, a list of non-negative integers, or None where the loader must refuse it."""
     if obj.get("dtype") != "float64" or obj.get("byte_order") != "little":
         return None
+    shape = obj["shape"]
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
+        return None  # stricter than reshape, which takes null and -1 as "flat", True as 1
     try:
-        arr = np.frombuffer(base64.b64decode(obj["data"]), "<f8").reshape(obj["shape"])
+        arr = np.frombuffer(base64.b64decode(obj["data"]), "<f8").reshape(shape)
     except (TypeError, ValueError):
         return None
     return arr if np.isfinite(arr).all() else None
@@ -125,7 +128,7 @@ def payload_faults(draw):
         obj["data"] = draw(st.sampled_from([0, 1.5, [], [data], None, True, {}]))
     elif fault == "shape":
         obj["shape"] = draw(st.sampled_from([[], [1], [2], [3], [-1], [0], [2, 1], [0, 2], [3, 0],
-                                             [2**70], "2", None, [1.5], {}]))
+                                             [2**70], [-2], [True], "2", None, [1.5], {}]))
     elif fault == "encoding":
         key = draw(st.sampled_from(["dtype", "byte_order"]))
         value = draw(st.sampled_from([None, "float32", "big", "little", "float64", "<f8"]))
