@@ -1,7 +1,7 @@
 """Command-line surface: kernel values, verification sweeps, training, eval.
 
 Exit codes: 0 success, 1 verification failure, 2 input/config error,
-3 enumeration guard refusal, 4 non-finite numerics.
+4 non-finite numerics.  No command runs an oracle past its guard, so none exits 3.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as kio
-from .errors import ConfigError, DataError, EvaluationError, GuardError, KernelNNError
-from .graph_dp import gated_random_walk_kernel
-from .graph_kernel import WLRelabelParams, deep_graph_kernel, random_walk_kernel, wl_kernel
+from .errors import ConfigError, DataError, EvaluationError, KernelNNError
+from .graph_dp import deep_graph_kernel, gated_random_walk_kernel, random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig
-from .inputs import FeatureGraph, GraphKernelConfig, SeqKernelConfig
+from .inputs import FeatureGraph, GraphKernelConfig, SeqKernelConfig, WLRelabelParams
 from .seq_dp import deep_sequence_kernel, string_kernel
 from .seq_nn import SeqModelConfig
 from .tensor import Activation
@@ -42,7 +41,6 @@ from .verify import SUITES, run_suite
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-EXIT_GUARD = 3
 EXIT_NUMERIC = 4
 EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the pipe killed
 
@@ -203,7 +201,7 @@ def cmd_kernel(args) -> int:
                     value = wl_kernel(g1, g2, cfg, depth, relabel)
                 else:
                     value = deep_graph_kernel(g1, g2, cfg)
-            except (OverflowError, ValueError):  # math.fsum of terms that overflowed
+            except (OverflowError, ValueError):  # lam**(n-1) or an fsum of terms that overflowed
                 value = math.nan
         if not math.isfinite(value):
             raise EvaluationError(f"{args.file}: pair {i // 2 + 1}: the {kernel} kernel value "
@@ -335,9 +333,6 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         raise ConfigError(f"unknown command {args.command!r}")
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

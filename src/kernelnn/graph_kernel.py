@@ -8,15 +8,14 @@ serve as ground truth for :mod:`kernelnn.graph_nn`.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, GuardError, ShapeError
-from .inputs import MULTIPLICATIVE, FeatureGraph, GraphKernelConfig, _feature_matrix
+from .inputs import MULTIPLICATIVE, FeatureGraph, GraphKernelConfig, WLRelabelParams
+from .inputs import _feature_matrix
 from .seq_kernel import decay_pow
 
 MAX_ORACLE_NODES = 8
@@ -134,28 +133,9 @@ def deep_graph_kernel(g1: FeatureGraph, g2: FeatureGraph, cfg: GraphKernelConfig
     )
 
 
-@dataclass(frozen=True)
-class WLRelabelParams:
-    u1: np.ndarray
-    u2: np.ndarray
-    v: np.ndarray
-    activation: enum.Enum  # read by its value: "tanh" or "identity"
-
-
 def wl_relabel(g: FeatureGraph, params: WLRelabelParams) -> FeatureGraph:
     """Replace each node feature by a transform of itself plus aggregated neighbors."""
-    act = {"tanh": np.tanh, "identity": lambda z: z}.get(params.activation.value)
-    if act is None:
-        raise ContractError(f"relabel activation must be tanh or identity, "
-                            f"got {params.activation.value!r}")
-    u1 = np.asarray(params.u1, dtype=np.float64)
-    u2 = np.asarray(params.u2, dtype=np.float64)
-    vm = np.asarray(params.v, dtype=np.float64)
-    d = g.dim
-    if u1.shape[1] != d or vm.shape[1] != d or u2.shape[1] != vm.shape[0] or u1.shape[0] != u2.shape[0]:
-        raise ShapeError(
-            f"relabel shapes inconsistent: u1 {u1.shape}, u2 {u2.shape}, v {vm.shape}, features ({d},)"
-        )
+    act, u1, u2, vm = params.checked(g.dim)
     inner = [act(vm @ f) for f in g.features]
     new_feats = []
     for v_idx in range(g.num_nodes):

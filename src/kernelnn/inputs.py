@@ -8,6 +8,7 @@ only :mod:`kernelnn.errors`, and no oracle imports a module it checks.
 
 from __future__ import annotations
 
+import enum
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -324,3 +325,26 @@ class GraphKernelConfig:
             raise ContractError(f"unknown composition {self.composition!r}")
         if self.depth < 1:
             raise ContractError(f"depth must be >= 1, got {self.depth}")
+
+
+@dataclass(frozen=True)
+class WLRelabelParams:
+    """The WL relabel ``act(u1 f_v + u2 sum_{u -> v} act(v f_u))`` of every node v."""
+
+    u1: np.ndarray
+    u2: np.ndarray
+    v: np.ndarray
+    activation: enum.Enum  # read by its value: "tanh" or "identity"
+
+    def checked(self, d: int):
+        """The activation and the float64 ``(u1, u2, v)``, checked against features of width d."""
+        act = {"tanh": np.tanh, "identity": lambda z: z}.get(self.activation.value)
+        if act is None:
+            raise ContractError(f"relabel activation must be tanh or identity, "
+                                f"got {self.activation.value!r}")
+        u1, u2, vm = (np.asarray(a, dtype=np.float64) for a in (self.u1, self.u2, self.v))
+        if (u1.shape[1] != d or vm.shape[1] != d or u2.shape[1] != vm.shape[0]
+                or u1.shape[0] != u2.shape[0]):
+            raise ShapeError(f"relabel shapes inconsistent: u1 {u1.shape}, u2 {u2.shape}, "
+                             f"v {vm.shape}, features ({d},)")
+        return act, u1, u2, vm

@@ -2,11 +2,12 @@
 and parser of one line, the bundle bytes as the format defines them, and the
 brute-force kernel forms that only tests compare against (a relabeled graph,
 per-node-pair local kernels, the unrolled gated walk readout and the explicit
-string-kernel feature map)."""
+string-kernel feature map), and the exact product-graph walk sum that referees the DPs."""
 
 import base64
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -172,3 +173,27 @@ def explicit_feature_map(x: FeatureSequence, cfg: SeqKernelConfig) -> np.ndarray
         z = float(wx.sum())
         return out / z if z != 0.0 else out * 0.0
     return out
+
+
+def exact_walk_sum(g1: FeatureGraph, g2: FeatureGraph, factors, n: int):
+    """Per coordinate, the exact walk sum ``K_1 = W``, ``K_j = W * A1 K_{j-1} A2^T`` at j = n,
+    and the same sum over ``|W|``, which is the sum of every walk-pair term's absolute value.
+
+    ``W`` is the product of ``factors``, each broadcast to (m, N1, N2), every float taken as
+    given; the sums are ``Fraction`` values, so nothing is rounded.
+    """
+    fs = np.broadcast_arrays(*(np.asarray(f, dtype=np.float64) for f in factors))
+    rows, cols = range(g1.num_nodes), range(g2.num_nodes)
+    sums, abs_sums = [], []
+    for coord in range(fs[0].shape[0]):
+        w = [[math.prod((Fraction(f[coord, a, b]) for f in fs), start=Fraction(1)) for b in cols]
+             for a in rows]
+        for table, out in ((w, sums), ([[abs(x) for x in row] for row in w], abs_sums)):
+            k = table
+            for _ in range(n - 1):  # summed along graph 1's steps, then along graph 2's
+                half = [[sum((k[u][b] for u in g1.neighbors[a]), Fraction(0)) for b in cols]
+                        for a in rows]
+                k = [[table[a][b] * sum((half[a][u] for u in g2.neighbors[b]), Fraction(0))
+                      for b in cols] for a in rows]
+            out.append(sum((x for row in k for x in row), Fraction(0)))
+    return sums, abs_sums

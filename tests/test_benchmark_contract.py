@@ -43,7 +43,7 @@ def test_training_calls_pass_the_benchmark_state_gates(perfbench, tmp_path, kind
 
 @pytest.mark.parametrize("kind,sizes", [
     ("seq", "small"), ("walk", "small"), ("wl", "small"), ("gated", "small"), ("seq", "oracle"),
-    ("gated", "oracle"),
+    ("walk", "oracle"), ("wl", "oracle"), ("gated", "oracle"),
 ])
 def test_kernel_calls_pass_the_benchmark_value_gates(perfbench, tmp_path, kind, sizes):
     # the first call is gated on the printed values against direct oracle calls

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ import pytest
 from kernelnn import io as kio
 from kernelnn.cli import (
     EXIT_CLOSED_PIPE,
-    EXIT_GUARD,
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
@@ -27,7 +27,7 @@ from kernelnn.cli import (
 )
 from kernelnn.inputs import FeatureGraph
 
-from helpers import save_graphs
+from helpers import exact_walk_sum, save_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -102,13 +102,17 @@ def test_kernel_parse_failure_names_line(tmp_path, capsys):
     assert ":2" in err
 
 
-def test_kernel_guard_violation_exit_code(capsys):
-    code, _, err = run(
-        capsys, "kernel", "--task", "graph",
-        "--file", str(FIXTURES / "graphs.txt"), "--n", "5",
-    )
-    assert code == EXIT_GUARD
-    assert "refuses" in err
+def test_kernel_walk_past_the_oracle_order_prints_the_exact_value(capsys):
+    # the oracle refused --n 5; the DP prints the exact kernel, rounded once
+    code, out, err = run(capsys, "kernel", "--task", "graph",
+                         "--file", str(FIXTURES / "graphs.txt"), "--n", "5")
+    assert code == EXIT_OK, err
+    graphs = [g for g, _ in kio.load_graphs(FIXTURES / "graphs.txt")]
+    want = []
+    for g1, g2 in zip(graphs[0::2], graphs[1::2]):
+        (k,), _ = exact_walk_sum(g1, g2, [(g1.matrix @ g2.matrix.T)[None]], 5)
+        want.append(format_value(float(k * Fraction(0.5) ** 4)))
+    assert out.splitlines() == want
 
 
 @pytest.mark.parametrize("options", [
@@ -259,12 +263,12 @@ def test_kernel_negative_seed_is_input_error(capsys, kind):
     assert err.startswith("error: --seed")
 
 
-def test_kernel_deep_depth_stops_at_its_guard(capsys):
-    code, out, _ = run(capsys, "kernel", *KERNEL_KINDS["deep"], "--depth", "256")
-    assert code == EXIT_OK and out
-    code, out, err = run(capsys, "kernel", *KERNEL_KINDS["deep"], "--depth", "257")
-    assert code == EXIT_GUARD and out == ""
-    assert err.startswith("error: ") and "depth" in err
+def test_kernel_deep_takes_any_depth(capsys):
+    # the oracle recursed once per level and refused depths over 256
+    code, out, err = run(capsys, "kernel", *KERNEL_KINDS["deep"], "--depth", "1000")
+    assert code == EXIT_OK, err
+    values = [float(v) for v in out.split()]
+    assert len(values) == 2 and all(math.isfinite(v) for v in values)
 
 
 def write_large_graphs(tmp_path) -> Path:
@@ -289,11 +293,12 @@ def test_kernel_gated_takes_large_graphs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variant", ["walk", "wl", "deep"])
-def test_kernel_oracle_variants_still_refuse_large_graphs(tmp_path, capsys, variant):
+def test_kernel_takes_large_graphs_for_every_variant(tmp_path, capsys, variant):
     code, out, err = run(capsys, "kernel", "--task", "graph", "--file",
-                         str(write_large_graphs(tmp_path)), "--variant", variant)
-    assert code == EXIT_GUARD
-    assert out == "" and "refuses" in err
+                         str(write_large_graphs(tmp_path)), "--variant", variant, "--n", "6")
+    assert code == EXIT_OK, err
+    values = [float(v) for v in out.split()]
+    assert len(values) == 1 and math.isfinite(values[0])
 
 
 def test_kernel_gated_takes_any_walk_order(capsys):
