@@ -21,7 +21,7 @@ from . import io as kio
 from .errors import ConfigError, DataError, EvaluationError, KernelNNError
 from .graph_dp import deep_graph_kernel, gated_random_walk_kernel, random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig
-from .inputs import FeatureGraph, GraphKernelConfig, SeqKernelConfig, WLRelabelParams
+from .inputs import ADDITIVE, FeatureGraph, GraphKernelConfig, SeqKernelConfig, WLRelabelParams
 from .seq_dp import deep_sequence_kernel, string_kernel
 from .seq_nn import SeqModelConfig
 from .tensor import Activation
@@ -114,21 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _seq_pairs(args) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive lines of the corpus as pairs of token-id arrays.
-
-    Each distinct out-of-vocabulary token has its own id, so it matches only
-    itself.
-    """
-    if not args.vocab:
-        raise DataError("seq kernels need --vocab to map tokens to ids")
-    vocab, _ = kio.load_vocab(args.vocab)
-    sents = [np.array(s) for s in kio.load_corpus(args.file, vocab, distinct_unknowns=True)]
-    if len(sents) % 2 != 0:
-        raise DataError(f"{args.file}: need an even number of lines, got {len(sents)}")
-    return list(zip(sents[0::2], sents[1::2]))
-
-
 def _kernel_depth(kernel: str, depth: int | None) -> int | None:
     """The depth the kernel runs at; a depth it cannot take is a config error."""
     low, default = KERNEL_DEPTHS.get(kernel, (None, None))
@@ -141,72 +126,79 @@ def _kernel_depth(kernel: str, depth: int | None) -> int | None:
     return depth
 
 
-def cmd_kernel(args) -> int:
-    # walk ignores --seed, and gated --lambda, until the benchmark's argv stops passing them
-    if args.seed is not None and (args.seed < 0 or args.task == "seq" or args.variant == "deep"):
-        raise ConfigError(f"--seed must be >= 0 and only wl and --gated read it, got {args.seed}")
+def _kernel(args):
+    """The kernel's name, its value of one pair, and the inputs that pair up consecutively.
+
+    Seq inputs are the corpus lines as token-id arrays.  Each distinct
+    out-of-vocabulary token has its own id, so it matches only itself.
+    """
     if args.task == "seq":
         if args.gated:
             raise ConfigError("--gated applies to --task graph only")
-        variant = args.variant or "mult-unnorm"
+        kernel, variant = "seq", args.variant or "mult-unnorm"
         if variant not in SEQ_VARIANTS:
             raise ConfigError(f"unknown sequence variant {variant!r}")
-        depth = _kernel_depth("seq", args.depth)
         composition, normalization = SEQ_VARIANTS[variant]
         cfg = SeqKernelConfig(n=args.n, lam=args.lam, composition=composition,
                               normalization=normalization)
-        for x, y in _seq_pairs(args):
+        if not args.vocab:
+            raise DataError("seq kernels need --vocab to map tokens to ids")
+    else:
+        if args.vocab:
+            raise ConfigError("--vocab applies to --task seq only")
+        variant = args.variant or "walk"
+        if variant not in GRAPH_VARIANTS:
+            raise ConfigError(f"unknown graph variant {variant!r}")
+        if args.gated and args.variant is not None:
+            raise ConfigError("--gated takes no --variant")
+        kernel = "gated" if args.gated else variant
+        cfg = GraphKernelConfig(n=args.n, lam=args.lam)
+        rng = np.random.default_rng(args.seed or 0)  # draws the wl and gated parameters
+    depth = _kernel_depth(kernel, args.depth)
+    if kernel == "deep":
+        cfg = replace(cfg, composition=ADDITIVE, depth=depth)
+    if kernel == "seq":
+        vocab, _ = kio.load_vocab(args.vocab)
+        items = [np.array(s) for s in kio.load_corpus(args.file, vocab, distinct_unknowns=True)]
+    else:
+        items = [g for g, _ in kio.load_graphs(args.file)]
+
+    def value(x, y) -> float:
+        if kernel == "seq":
             # one-hot tokens: the inner product of two tokens is whether their ids match
             sim = (x[:, None] == y[None, :]).astype(np.float64)
-            if depth > 1:
-                value = deep_sequence_kernel(sim, depth, cfg)
-            else:
-                value = string_kernel(sim, cfg)
-            print(format_value(value))
-        return EXIT_OK
-    if args.vocab:
-        raise ConfigError("--vocab applies to --task seq only")
-    variant = args.variant or "walk"
-    if variant not in GRAPH_VARIANTS:
-        raise ConfigError(f"unknown graph variant {variant!r}")
-    if args.gated and args.variant is not None:
-        raise ConfigError("--gated takes no --variant")
-    kernel = "gated" if args.gated else variant
-    depth = _kernel_depth(kernel, args.depth)
-    graphs = [g for g, _ in kio.load_graphs(args.file)]
-    if len(graphs) % 2 != 0:
-        raise DataError(f"{args.file}: need an even number of graphs, got {len(graphs)}")
-    d = graphs[0].dim
-    if kernel == "deep":
-        cfg = GraphKernelConfig(n=args.n, lam=args.lam, composition="additive", depth=depth)
-    elif kernel != "gated":
-        cfg = GraphKernelConfig(n=args.n, lam=args.lam)
-    rng = np.random.default_rng(args.seed or 0)
-    for i in range(0, len(graphs), 2):
-        g1, g2 = graphs[i], graphs[i + 1]
-        # overflow shows as a non-finite value, checked below, not as a numpy warning
-        with np.errstate(all="ignore"):
+            return deep_sequence_kernel(sim, depth, cfg) if depth > 1 else string_kernel(sim, cfg)
+        if kernel == "gated":
+            u, b = rng.normal(size=(1, 2 * x.dim)), rng.normal(size=1)
+            return float(gated_random_walk_kernel(x, y, u, b, cfg.n)[0])
+        if kernel == "wl":
+            relabel = WLRelabelParams(*rng.normal(size=(3, x.dim, x.dim)), Activation.TANH)
+            return wl_kernel(x, y, cfg, depth, relabel)
+        return (random_walk_kernel if kernel == "walk" else deep_graph_kernel)(x, y, cfg)
+
+    return kernel, value, items
+
+
+def cmd_kernel(args) -> int:
+    # walk ignores --seed, and gated --lambda (checked all the same), until the
+    # benchmark's argv stops passing them
+    if args.seed is not None and (args.seed < 0 or args.task == "seq" or args.variant == "deep"):
+        raise ConfigError(f"--seed must be >= 0 and only wl and --gated read it, got {args.seed}")
+    kernel, value, items = _kernel(args)
+    if len(items) % 2 != 0:
+        what = "lines" if args.task == "seq" else "graphs"
+        raise DataError(f"{args.file}: need an even number of {what}, got {len(items)}")
+    # overflow shows as a non-finite value, checked below, not as a numpy warning
+    with np.errstate(all="ignore"):
+        for i in range(0, len(items), 2):
             try:
-                if kernel == "gated":
-                    u = rng.normal(size=(1, 2 * d))
-                    b = rng.normal(size=1)
-                    value = float(gated_random_walk_kernel(g1, g2, u, b, args.n)[0])
-                elif kernel == "walk":
-                    value = random_walk_kernel(g1, g2, cfg)
-                elif kernel == "wl":
-                    relabel = WLRelabelParams(
-                        u1=rng.normal(size=(d, d)), u2=rng.normal(size=(d, d)),
-                        v=rng.normal(size=(d, d)), activation=Activation.TANH,
-                    )
-                    value = wl_kernel(g1, g2, cfg, depth, relabel)
-                else:
-                    value = deep_graph_kernel(g1, g2, cfg)
+                v = value(items[i], items[i + 1])
             except (OverflowError, ValueError):  # lam**(n-1) or an fsum of terms that overflowed
-                value = math.nan
-        if not math.isfinite(value):
-            raise EvaluationError(f"{args.file}: pair {i // 2 + 1}: the {kernel} kernel value "
-                                  f"is not finite ({value})")
-        print(format_value(value))
+                v = math.nan
+            if not math.isfinite(v):
+                raise EvaluationError(f"{args.file}: pair {i // 2 + 1}: the {kernel} kernel "
+                                      f"value is not finite ({v})")
+            print(format_value(v))
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """The input types both sides share: feature sequences and graphs, kernel configs,
-and the row groupings that the graph modules and the gated DP sum over.
+and the row groupings that the graph modules sum over.
 
 The recurrent modules and the exhaustive oracles that check them both read
 these types, so they live here, apart from either side: this module imports

@@ -8,6 +8,7 @@ the acceptance tests call them directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -90,14 +91,38 @@ def gram_range_residual(gram: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.norm(resid) / denom) if denom > 0 else 0.0
 
 
+def _worst(errors) -> float:
+    """The largest error, at least 0.0; a NaN error is kept, so it fails every tolerance."""
+    worst = 0.0
+    for err in errors:
+        if err > worst or err != err:
+            worst = err
+    return worst
+
+
+def _suite(name: str):
+    """Make a generator of ``(detail, error)`` pairs into a ``check(seed, tol)``: one result
+    per detail, in the order first yielded, whose error is the worst yielded for it."""
+    def wrap(gen):
+        @functools.wraps(gen)
+        def check(seed: int, tol: float) -> list[CheckResult]:
+            errors: dict[str, list] = {}
+            for detail, err in gen(seed):
+                errors.setdefault(detail, []).append(err)
+            return [CheckResult(name, seed, (worst := _worst(e)), worst <= tol, detail)
+                    for detail, e in errors.items()]
+        return check
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 
-def check_seq_state_kernel(seed: int, tol: float) -> list[CheckResult]:
+@_suite("seq-state-kernel")
+def check_seq_state_kernel(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for n in (1, 2, 3):
         d = int(rng.integers(2, 5))
         m = int(rng.integers(2, 5))
@@ -115,8 +140,7 @@ def check_seq_state_kernel(seed: int, tol: float) -> list[CheckResult]:
             prefix = x.prefix(t)
             for got, ref in zip(state, refs):
                 want = string_kernel(prefix, ref, kcfg)
-                worst = max(worst, abs(got - want) / max(1.0, abs(got), abs(want)))
-    return [CheckResult("seq-state-kernel", seed, worst, worst <= tol)]
+                yield "", abs(got - want) / max(1.0, abs(got), abs(want))
 
 
 SEQ_KERNEL_VARIANTS = tuple((c, z) for c in ("multiplicative", "additive")
@@ -147,10 +171,10 @@ def _random_step_graph(rng, num_nodes: int, dim: int) -> FeatureGraph:
     return FeatureGraph(x, steps)
 
 
-def check_fast_kernel(seed: int, tol: float) -> list[CheckResult]:
+@_suite("fast-kernel")
+def check_fast_kernel(seed: int):
     """The dynamic-programming kernels of ``kernel`` against the oracles."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for n in (1, 2, 3, 4):
         # at order 4 and 16 tokens the oracle's gather alone takes about 100 MB
         cap = 12 if n == 4 else MAX_ORACLE_LEN
@@ -162,33 +186,40 @@ def check_fast_kernel(seed: int, tol: float) -> list[CheckResult]:
             lx = (cap, 0, lx, lx)[k]
             for onehot in (False, True):
                 x, y, sim = random_kernel_pair(rng, lx, ly, onehot)
-                worst = max(worst, rel_error(seq_dp.string_kernel(sim, cfg),
-                                             string_kernel(x, y, cfg)))
-    out = [CheckResult("fast-kernel", seed, worst, worst <= tol, detail="string")]
-    worst = 0.0
+                yield "string", rel_error(seq_dp.string_kernel(sim, cfg), string_kernel(x, y, cfg))
     for depth in (2, 3):
         composition, normalization = SEQ_KERNEL_VARIANTS[(seed + depth) % 4]
         n = int(rng.integers(1, 4))
         cfg = SeqKernelConfig(n=n, lam=float(rng.uniform(0.0, 0.99)),
                               composition=composition, normalization=normalization)
         x, y, sim = random_kernel_pair(rng, int(rng.integers(n, 7)), int(rng.integers(n, 7)), False)
-        worst = max(worst, rel_error(seq_dp.deep_sequence_kernel(sim, depth, cfg),
-                                     deep_sequence_kernel(x, y, depth, cfg)))
-    out.append(CheckResult("fast-kernel", seed, worst, worst <= tol, detail="deep"))
-    worst = 0.0
+        yield "deep", rel_error(seq_dp.deep_sequence_kernel(sim, depth, cfg),
+                                deep_sequence_kernel(x, y, depth, cfg))
+    d = 3
     for n in (1, 2, 3, 4):
-        d, m = 3, int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
         g1, g2 = (_random_step_graph(rng, int(rng.integers(1, 6)), d) for _ in range(2))
         u, b = rng.normal(size=(m, 2 * d)), rng.normal(size=m)
-        worst = max(worst, rel_error(graph_dp.gated_random_walk_kernel(g1, g2, u, b, n),
-                                     gated_random_walk_kernel(g1, g2, u, b, n)))
-    out.append(CheckResult("fast-kernel", seed, worst, worst <= tol, detail="gated"))
-    return out
+        yield "gated", rel_error(graph_dp.gated_random_walk_kernel(g1, g2, u, b, n),
+                                 gated_random_walk_kernel(g1, g2, u, b, n))
+    for n in (1, 2, 3, 4):
+        g1, g2 = (_random_step_graph(rng, int(rng.integers(1, 6)), d) for _ in range(2))
+        cfg = GraphKernelConfig(n=n, lam=float(rng.uniform(0.0, 0.99)))
+        yield "walk", rel_error(graph_dp.random_walk_kernel(g1, g2, cfg),
+                                random_walk_kernel(g1, g2, cfg))
+        depth = int(rng.integers(0, 3))
+        relabel = WLRelabelParams(*rng.normal(size=(3, d, d)), Activation.TANH)
+        yield "wl", rel_error(graph_dp.wl_kernel(g1, g2, cfg, depth, relabel),
+                              wl_kernel(g1, g2, cfg, depth, relabel))
+        deep = replace(cfg, composition=SEQ_KERNEL_VARIANTS[(seed + n) % 4][0],
+                       depth=int(rng.integers(1, 4)))
+        yield "deep-graph", rel_error(graph_dp.deep_graph_kernel(g1, g2, deep),
+                                      deep_graph_kernel(g1, g2, deep))
 
 
-def check_graph_state_kernel(seed: int, tol: float) -> list[CheckResult]:
+@_suite("graph-state-kernel")
+def check_graph_state_kernel(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for n in (1, 2, 3):
         d = int(rng.integers(2, 4))
         m = int(rng.integers(2, 5))
@@ -204,32 +235,30 @@ def check_graph_state_kernel(seed: int, tol: float) -> list[CheckResult]:
         ws = [w.data for w in p.W]
         for k in range(m):
             want = random_walk_kernel(g, reference_walk(ws, k), kcfg)
-            worst = max(worst, abs(total[k] - want) / max(1.0, abs(total[k]), abs(want)))
-    return [CheckResult("graph-state-kernel", seed, worst, worst <= tol)]
+            yield "", abs(total[k] - want) / max(1.0, abs(total[k]), abs(want))
 
 
-def check_cnn_degeneration(seed: int, tol: float) -> list[CheckResult]:
+@_suite("cnn-degeneration")
+def check_cnn_degeneration(seed: int):
     rng = np.random.default_rng(seed)
     n, d, m, length = 3, 3, 4, 6
     cfg = SeqModelConfig(n=n, hidden=m, lam=0.0, variant="add-norm", activation=Activation.TANH)
     (p,) = init_seq_stack(cfg, d, rng)
     x = _random_sequence(rng, length, d)
     trace = forward_stack(x, [p], cfg)
-    worst = 0.0
     for t in range(1, length + 1):
         pre = np.zeros(m)
         for j in range(1, n + 1):
             tok = t - n + j
             if tok >= 1:
                 pre += p.W[j - 1].data @ x.tokens[tok - 1]
-        worst = max(worst, float(np.max(np.abs(trace.matrix(0).data[t - 1] - np.tanh(pre)))))
-    return [CheckResult("cnn-degeneration", seed, worst, worst <= tol)]
+        yield "", float(np.max(np.abs(trace.matrix(0).data[t - 1] - np.tanh(pre))))
 
 
-def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
+@_suite("gated-degeneration")
+def check_gated_degeneration(seed: int):
     rng = np.random.default_rng(seed)
     lam = float(rng.uniform(0.2, 0.8))
-    worst = 0.0
     # sequence modules: every variant, both gate inputs
     d, m, length = 3, 3, 5
     x = _random_sequence(rng, length, d)
@@ -243,9 +272,7 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
             tc = forward_stack(x, [p], replace(gated_cfg, decay="constant"))
             for j in (1, 2):
                 for t in range(1, length + 1):
-                    worst = max(
-                        worst, float(np.max(np.abs(tg.state(j, t).data - tc.state(j, t).data)))
-                    )
+                    yield "", float(np.max(np.abs(tg.state(j, t).data - tc.state(j, t).data)))
     # graph module
     g = _random_graph(rng, 5, d)
     gated_gcfg = GraphModelConfig(n=3, hidden=m, lam=lam, module="gated")
@@ -254,13 +281,12 @@ def check_gated_degeneration(seed: int, tol: float) -> list[CheckResult]:
     tg = graph_forward(g, gp, gated_gcfg)
     tc = graph_forward(g, WalkParams(gp.W), replace(gated_gcfg, module="walk"))
     for a, b in zip(tg.states[0], tc.states[0]):
-        worst = max(worst, float(np.max(np.abs(a.data - b.data))))
-    return [CheckResult("gated-degeneration", seed, worst, worst <= tol)]
+        yield "", float(np.max(np.abs(a.data - b.data)))
 
 
-def check_variants(seed: int, tol: float) -> list[CheckResult]:
+@_suite("variants")
+def check_variants(seed: int):
     rng = np.random.default_rng(seed)
-    out = []
     for variant in ("mult-unnorm", "mult-norm", "add-norm"):
         n, d, m, length = 3, 2, 3, 5
         lam = float(rng.uniform(0.1, 0.9))
@@ -269,17 +295,14 @@ def check_variants(seed: int, tol: float) -> list[CheckResult]:
         x = _random_sequence(rng, length, d)
         trace = forward_stack(x, [p], cfg)
         ws = [w.data for w in p.W]
-        worst = 0.0
         for t in range(1, length + 1):
             want = unrolled_state(x, ws, lam, variant, t=t)
-            worst = max(worst, rel_error(trace.state(n, t).data, want))
-        out.append(CheckResult("variants", seed, worst, worst <= tol, detail=variant))
-    return out
+            yield variant, rel_error(trace.state(n, t).data, want)
 
 
-def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
+@_suite("deep-rkhs")
+def check_deep_rkhs(seed: int):
     rng = np.random.default_rng(seed)
-    out = []
     # sequence stack, depth 2
     d, m, lam = 2, 3, 0.5
     scfg = SeqModelConfig(n=2, hidden=m, layers=2, lam=lam, activation=Activation.IDENTITY)
@@ -287,13 +310,11 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
     seqs = [_random_sequence(rng, 4, d) for _ in range(5)]
     kcfg = SeqKernelConfig(n=2, lam=lam)
     gram = np.array([[deep_sequence_kernel(a, b, 2, kcfg) for b in seqs] for a in seqs])
-    worst = 0.0
     for i in range(m):
         values = np.array(
             [forward_stack(s, sparams, scfg).state(2, len(s), 1).data[i] for s in seqs]
         )
-        worst = max(worst, gram_range_residual(gram, values))
-    out.append(CheckResult("deep-rkhs", seed, worst, worst <= tol, detail="sequence"))
+        yield "sequence", gram_range_residual(gram, values)
     # graph stack, depth 2, additive composition
     gcfg = GraphModelConfig(n=2, hidden=m, lam=lam, composition=ADDITIVE,
                             activation=Activation.IDENTITY, layers=2, module="deep")
@@ -308,15 +329,13 @@ def check_deep_rkhs(seed: int, tol: float) -> list[CheckResult]:
         ]
     )
     traces = [graph_forward(g, gparams, gcfg) for g in graphs]
-    worst_g = 0.0
     for i in range(m):
         values = np.array([traces[gi].nodes[-1].data[v, i] for gi, v in points])
-        worst_g = max(worst_g, gram_range_residual(gram_g, values))
-    out.append(CheckResult("deep-rkhs", seed, worst_g, worst_g <= tol, detail="graph"))
-    return out
+        yield "graph", gram_range_residual(gram_g, values)
 
 
-def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
+@_suite("wl-chain")
+def check_wl_chain(seed: int):
     rng = np.random.default_rng(seed)
     d, m, lam, layers, n = 2, 3, 0.5, 2, 2
     g = _random_graph(rng, int(rng.integers(3, 6)), d)
@@ -333,8 +352,7 @@ def check_wl_chain(seed: int, tol: float) -> list[CheckResult]:
         for k in range(m):
             expected[k] += random_walk_kernel(relabeled, reference_walk(ws, k), kcfg)
         relabeled = wl_relabel(relabeled, relabel)
-    err = rel_error(trace.h_graph.data, expected)
-    return [CheckResult("wl-chain", seed, err, err <= tol)]
+    yield "", rel_error(trace.h_graph.data, expected)
 
 
 def _tape_vs_fd(run, params) -> tuple[float, int]:
@@ -346,7 +364,7 @@ def _tape_vs_fd(run, params) -> tuple[float, int]:
     with Tape() as tape:
         loss = run(params)
     grads = tape.backward(loss)
-    worst, coords = 0.0, 0
+    errors, coords = [], 0
     for name, tensor in params.named().items():
         put = params.setter(name)
 
@@ -359,9 +377,9 @@ def _tape_vs_fd(run, params) -> tuple[float, int]:
 
         fd = finite_diff_grad(swapped, tensor)
         got = grads.get(tensor, Tensor(np.zeros(tensor.shape)))
-        worst = max(worst, rel_error(got, fd))
+        errors.append(rel_error(got, fd))
         coords += tensor.size
-    return worst, coords
+    return _worst(errors), coords
 
 
 def _seq_grad_error(cfg: SeqModelConfig, rng) -> tuple[float, int]:
@@ -393,9 +411,9 @@ def _graph_grad_error(cfg: GraphModelConfig, rng) -> tuple[float, int]:
     return _tape_vs_fd(run, init_graph(cfg, d, rng))
 
 
-def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
+@_suite("gradcheck")
+def check_gradcheck(seed: int):
     rng = np.random.default_rng(seed)
-    out = []
     total_coords = 0
     for variant in ("mult-unnorm", "mult-norm", "add-norm"):
         for decay in ("constant", "learned", "gated-input", "gated-input-state"):
@@ -403,9 +421,7 @@ def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
                                  activation=Activation.TANH, output="combination")
             err, coords = _seq_grad_error(cfg, rng)
             total_coords += coords
-            out.append(
-                CheckResult("gradcheck", seed, err, err <= tol, detail=f"seq:{variant}:{decay}")
-            )
+            yield f"seq:{variant}:{decay}", err
     for kind, cfg in (
         ("rw", GraphModelConfig(n=2, hidden=3, activation=Activation.TANH, module="walk")),
         ("gated", GraphModelConfig(n=2, hidden=3, activation=Activation.TANH, module="gated")),
@@ -415,22 +431,21 @@ def check_gradcheck(seed: int, tol: float) -> list[CheckResult]:
     ):
         err, coords = _graph_grad_error(cfg, rng)
         total_coords += coords
-        out.append(CheckResult("gradcheck", seed, err, err <= tol, detail=f"graph:{kind}"))
-    out.append(
-        CheckResult("gradcheck", seed, 0.0, total_coords >= 200,
-                    detail=f"coords:{total_coords}")
-    )
-    return out
+        yield f"graph:{kind}", err
+    yield f"coords:{total_coords}", 0.0 if total_coords >= 200 else math.inf  # too few checked
 
 
-def check_psd(seed: int, tol: float) -> list[CheckResult]:
+@_suite("psd")
+def check_psd(seed: int):
     rng = np.random.default_rng(seed)
-    out = []
 
     def psd_error(gram: np.ndarray) -> float:
+        """Minus the least eigenvalue over the largest, above 0 only off the PSD cone; NaN
+        where an entry is not finite (LAPACK's eigensolver does not converge on one)."""
+        if not np.isfinite(gram).all():
+            return math.nan
         eig = np.linalg.eigvalsh(gram)
-        top = max(float(eig.max()), 1e-30)
-        return max(0.0, -float(eig.min()) / top)
+        return -float(eig.min()) / max(float(eig.max()), 1e-30)
 
     seqs = [_random_sequence(rng, int(rng.integers(2, 7)), 3) for _ in range(8)]
     for n in (1, 2, 3):
@@ -438,30 +453,21 @@ def check_psd(seed: int, tol: float) -> list[CheckResult]:
             for normalization in ("unnormalized", "normalized"):
                 cfg = SeqKernelConfig(n=n, lam=0.5, composition=composition,
                                       normalization=normalization)
-                err = psd_error(gram_matrix(seqs, lambda a, b: string_kernel(a, b, cfg)))
-                out.append(CheckResult("psd", seed, err, err <= tol,
-                                       detail=f"string:{n}:{composition[:4]}:{normalization[:6]}"))
+                yield (f"string:{n}:{composition[:4]}:{normalization[:6]}",
+                       psd_error(gram_matrix(seqs, lambda a, b: string_kernel(a, b, cfg))))
     graphs = [_random_graph(rng, int(rng.integers(3, 6)), 2) for _ in range(8)]
     walk_cfg = GraphKernelConfig(n=2, lam=0.5)
-    err = psd_error(gram_matrix(graphs, lambda a, b: random_walk_kernel(a, b, walk_cfg)))
-    out.append(CheckResult("psd", seed, err, err <= tol, detail="walk"))
+    yield "walk", psd_error(gram_matrix(graphs, lambda a, b: random_walk_kernel(a, b, walk_cfg)))
     deep_cfg = GraphKernelConfig(n=2, lam=0.5, composition=ADDITIVE, depth=2)
-    err = psd_error(gram_matrix(graphs[:6], lambda a, b: deep_graph_kernel(a, b, deep_cfg)))
-    out.append(CheckResult("psd", seed, err, err <= tol, detail="deep"))
+    yield "deep", psd_error(gram_matrix(graphs[:6], lambda a, b: deep_graph_kernel(a, b, deep_cfg)))
     relabel = WLRelabelParams(
         u1=rng.normal(size=(2, 2)), u2=rng.normal(size=(2, 2)), v=rng.normal(size=(2, 2)),
         activation=Activation.TANH,
     )
-    err = psd_error(
-        gram_matrix(graphs, lambda a, b: wl_kernel(a, b, walk_cfg, 2, relabel))
-    )
-    out.append(CheckResult("psd", seed, err, err <= tol, detail="wl"))
+    yield "wl", psd_error(gram_matrix(graphs, lambda a, b: wl_kernel(a, b, walk_cfg, 2, relabel)))
     seq_deep_cfg = SeqKernelConfig(n=2, lam=0.5)
-    err = psd_error(
-        gram_matrix(seqs[:6], lambda a, b: deep_sequence_kernel(a, b, 2, seq_deep_cfg))
-    )
-    out.append(CheckResult("psd", seed, err, err <= tol, detail="deep-seq"))
-    return out
+    yield "deep-seq", psd_error(
+        gram_matrix(seqs[:6], lambda a, b: deep_sequence_kernel(a, b, 2, seq_deep_cfg)))
 
 
 def check_smoke_train(seed: int, tol: float) -> list[CheckResult]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernelnn import cli
 from kernelnn import io as kio
 from kernelnn.cli import (
     EXIT_CLOSED_PIPE,
@@ -340,6 +341,34 @@ def test_kernel_non_finite_graph_value_is_a_numeric_error(tmp_path, capsys, pair
     assert code == EXIT_NUMERIC
     assert len(out.splitlines()) == 1  # the first pair's value
     assert err.startswith(f"error: {path}: pair 2: ") and "not finite" in err
+
+
+@pytest.mark.parametrize("depth", ["1", "10"])
+def test_kernel_non_finite_seq_value_is_a_numeric_error(tmp_path, capsys, monkeypatch, depth):
+    # stacked ten deep, two 200-token lines of one word overflow the DP; one level deep that
+    # takes about 1 000 tokens a line, so there the string kernel is scaled past the float range
+    if depth == "1":
+        string_kernel = cli.string_kernel
+        monkeypatch.setattr(cli, "string_kernel",
+                            lambda sim, cfg: string_kernel(sim, cfg) * np.float64(1e308))
+    path = tmp_path / "pairs.txt"
+    path.write_text("a\na\n" + ("a " * 200 + "\n") * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end the run with a traceback
+        code, out, err = run(capsys, "kernel", "--task", "seq", "--file", str(path),
+                             "--vocab", str(FIXTURES / "vocab.txt"), "--n", "2",
+                             "--lambda", "0.9", "--depth", depth)
+    assert code == EXIT_NUMERIC
+    assert out.splitlines() == ["0"]  # the first pair's value: no 2-tuple fits in one token
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: pair 2: the seq kernel value is not finite")
+
+
+@pytest.mark.parametrize("lam", ["-5", "nan"])
+def test_kernel_gated_checks_lambda_like_the_other_graph_kernels(capsys, lam):
+    code, out, err = run(capsys, "kernel", *GRAPH_ARGS, "--gated", f"--lambda={lam}")
+    assert code == EXIT_INPUT
+    assert out == "" and f"got {lam}" in err
 
 
 @pytest.mark.parametrize("extra", [("--n", "3"), ("--n", "5"), ("--n", "3", "--depth", "2")],

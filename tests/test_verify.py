@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from kernelnn import verify
 from kernelnn.errors import ConfigError
 from kernelnn.graph_nn import GraphModelConfig, graph_forward, init_graph
 from kernelnn.inputs import FeatureGraph
@@ -9,6 +13,7 @@ from kernelnn.verify import (
     SUITES,
     CheckResult,
     _tape_vs_fd,
+    _worst,
     check_gradcheck,
     gram_range_residual,
     run_suite,
@@ -95,4 +100,27 @@ def test_gram_range_residual_detects_membership():
 def test_fast_kernel_suite_passes_with_its_string_deep_and_gated_lines():
     report = run_suite("fast-kernel")
     assert report.passed
-    assert [r.detail for r in report.results] == ["string", "deep", "gated"] * SUITES["fast-kernel"][1]
+    details = ["string", "deep", "gated", "walk", "wl", "deep-graph"]
+    assert [r.detail for r in report.results] == details * SUITES["fast-kernel"][1]
+
+
+@pytest.mark.parametrize("errors", [[math.nan, 1.0, 0.5], [0.5, math.nan, 1.0], [0.5, 1.0, math.nan]])
+def test_the_worst_error_keeps_a_nan_wherever_it_falls(errors):
+    assert math.isnan(_worst(errors))
+    assert _worst([]) == 0.0 and _worst([-1.0, 2.0, 1.0]) == 2.0
+
+
+# the oracle each suite compares with, answering NaN on its second call only
+NAN_ORACLES = {"fast-kernel": "string_kernel", "graph-state-kernel": "random_walk_kernel",
+               "psd": "random_walk_kernel"}
+
+
+@pytest.mark.parametrize("suite", sorted(NAN_ORACLES))
+def test_a_nan_error_fails_the_suite(monkeypatch, suite):
+    oracle, calls = getattr(verify, NAN_ORACLES[suite]), itertools.count()
+    monkeypatch.setattr(verify, NAN_ORACLES[suite],
+                        lambda *args: math.nan if next(calls) == 1 else oracle(*args))
+    report = run_suite(suite, seeds=1)
+    assert not report.passed
+    assert [r.passed for r in report.results] == [not math.isnan(r.error) for r in report.results]
+    assert sum(math.isnan(r.error) for r in report.results) == 1
