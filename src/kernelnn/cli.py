@@ -22,7 +22,8 @@ from .errors import ConfigError, DataError, EvaluationError, KernelNNError
 from .graph_dp import deep_graph_kernel, gated_random_walk_kernel, random_walk_kernel, wl_kernel
 from .graph_nn import GraphModelConfig
 from .inputs import ADDITIVE, FeatureGraph, GraphKernelConfig, SeqKernelConfig, WLRelabelParams
-from .seq_dp import deep_sequence_kernel, string_kernel
+from .seq_dp import padded, stacks
+from .seq_dp import string_kernels as string_kernel  # the name perfbench times, once per stack
 from .seq_nn import SeqModelConfig
 from .tensor import Activation
 from .train import (
@@ -126,10 +127,29 @@ def _kernel_depth(kernel: str, depth: int | None) -> int | None:
     return depth
 
 
-def _kernel(args):
-    """The kernel's name, its value of one pair, and the inputs that pair up consecutively.
+def _seq_values(sents, depth: int, cfg: SeqKernelConfig) -> list[float]:
+    """The seq kernel of each consecutive pair of token-id lists, one stacked DP per stack.
 
-    Seq inputs are the corpus lines as token-id arrays.  Each distinct
+    A pair's one-hot similarities are whether its ids match; the padding ids
+    of the two sides (-1, -2) match nothing, so the stack is zero past each
+    pair's lengths.
+    """
+    lengths = [(len(x), len(y)) for x, y in zip(sents[0::2], sents[1::2])]
+    values = [0.0] * len(lengths)
+    for idx in stacks(lengths):
+        x, y = (np.full((len(idx), padded(lengths[idx[0]][k])), -1 - k) for k in (0, 1))
+        for row, i in enumerate(idx):
+            x[row, :lengths[i][0]], y[row, :lengths[i][1]] = sents[2 * i], sents[2 * i + 1]
+        sims = (x[:, :, None] == y[:, None, :]).astype(np.float64)
+        for i, v in zip(idx, string_kernel(sims, [lengths[i] for i in idx], depth, cfg).tolist()):
+            values[i] = v
+    return values
+
+
+def _kernel(args):
+    """The kernel's name, its inputs, and a function giving the values of consecutive pairs.
+
+    Seq inputs are the corpus lines as token-id lists.  Each distinct
     out-of-vocabulary token has its own id, so it matches only itself.
     """
     if args.task == "seq":
@@ -159,24 +179,28 @@ def _kernel(args):
         cfg = replace(cfg, composition=ADDITIVE, depth=depth)
     if kernel == "seq":
         vocab, _ = kio.load_vocab(args.vocab)
-        items = [np.array(s) for s in kio.load_corpus(args.file, vocab, distinct_unknowns=True)]
+        items = kio.load_corpus(args.file, vocab, distinct_unknowns=True)
     else:
         items = [g for g, _ in kio.load_graphs(args.file)]
 
     def value(x, y) -> float:
-        if kernel == "seq":
-            # one-hot tokens: the inner product of two tokens is whether their ids match
-            sim = (x[:, None] == y[None, :]).astype(np.float64)
-            return deep_sequence_kernel(sim, depth, cfg) if depth > 1 else string_kernel(sim, cfg)
-        if kernel == "gated":
-            u, b = rng.normal(size=(1, 2 * x.dim)), rng.normal(size=1)
-            return float(gated_random_walk_kernel(x, y, u, b, cfg.n)[0])
-        if kernel == "wl":
-            relabel = WLRelabelParams(*rng.normal(size=(3, x.dim, x.dim)), Activation.TANH)
-            return wl_kernel(x, y, cfg, depth, relabel)
-        return (random_walk_kernel if kernel == "walk" else deep_graph_kernel)(x, y, cfg)
+        try:
+            if kernel == "gated":
+                u, b = rng.normal(size=(1, 2 * x.dim)), rng.normal(size=1)
+                return float(gated_random_walk_kernel(x, y, u, b, cfg.n)[0])
+            if kernel == "wl":
+                relabel = WLRelabelParams(*rng.normal(size=(3, x.dim, x.dim)), Activation.TANH)
+                return wl_kernel(x, y, cfg, depth, relabel)
+            return (random_walk_kernel if kernel == "walk" else deep_graph_kernel)(x, y, cfg)
+        except (OverflowError, ValueError):  # lam**(n-1) or an fsum of terms that overflowed
+            return math.nan
 
-    return kernel, value, items
+    def values():  # the seq kernel runs every stack at the first value; a graph pair on its turn
+        if kernel == "seq":
+            return _seq_values(items, depth, cfg)
+        return (value(x, y) for x, y in zip(items[0::2], items[1::2]))
+
+    return kernel, items, values
 
 
 def cmd_kernel(args) -> int:
@@ -184,19 +208,15 @@ def cmd_kernel(args) -> int:
     # benchmark's argv stops passing them
     if args.seed is not None and (args.seed < 0 or args.task == "seq" or args.variant == "deep"):
         raise ConfigError(f"--seed must be >= 0 and only wl and --gated read it, got {args.seed}")
-    kernel, value, items = _kernel(args)
+    kernel, items, values = _kernel(args)
     if len(items) % 2 != 0:
         what = "lines" if args.task == "seq" else "graphs"
         raise DataError(f"{args.file}: need an even number of {what}, got {len(items)}")
     # overflow shows as a non-finite value, checked below, not as a numpy warning
     with np.errstate(all="ignore"):
-        for i in range(0, len(items), 2):
-            try:
-                v = value(items[i], items[i + 1])
-            except (OverflowError, ValueError):  # lam**(n-1) or an fsum of terms that overflowed
-                v = math.nan
+        for pair, v in enumerate(values(), start=1):
             if not math.isfinite(v):
-                raise EvaluationError(f"{args.file}: pair {i // 2 + 1}: the {kernel} kernel "
+                raise EvaluationError(f"{args.file}: pair {pair}: the {kernel} kernel "
                                       f"value is not finite ({v})")
             print(format_value(v))
     return EXIT_OK

@@ -2,7 +2,8 @@
 and parser of one line, the bundle bytes as the format defines them, and the
 brute-force kernel forms that only tests compare against (a relabeled graph,
 per-node-pair local kernels, the unrolled gated walk readout and the explicit
-string-kernel feature map), and the exact product-graph walk sum that referees the DPs."""
+string-kernel feature map), and the exact product-graph walk sum and string-kernel prefix
+recursion that referee the DPs."""
 
 import base64
 import json
@@ -197,3 +198,57 @@ def exact_walk_sum(g1: FeatureGraph, g2: FeatureGraph, factors, n: int):
                       for b in cols] for a in rows]
             out.append(sum((x for row in k for x in row), Fraction(0)))
     return sums, abs_sums
+
+
+def _exact_prefix(e, lx: int, ly: int, lam: Fraction) -> list[list[Fraction]]:
+    """The (lx+1, ly+1) table whose entry (a, b) sums ``e[a'][b'] lam**(a-1-a') lam**(b-1-b')``
+    over a' < a and b' < b: along x by ``r[a] = lam r[a-1] + e[a-1]``, then along y alike."""
+    rows = [[Fraction(0)] * ly]
+    for a in range(lx):
+        rows.append([lam * r + v for r, v in zip(rows[-1], e[a])])
+    out = []
+    for r in rows:
+        acc = [Fraction(0)]
+        for v in r:
+            acc.append(lam * acc[-1] + v)
+        out.append(acc)
+    return out
+
+
+def exact_string_kernel(sim, cfg: SeqKernelConfig, depth: int = 1) -> tuple[Fraction, Fraction]:
+    """The depth-``depth`` string kernel of the similarity matrix ``sim``, every float taken as
+    given, by the prefix recursion over ``Fraction``, and K_abs, the same recursion over |sim|.
+
+    ``W_1`` is all ones and ``W_j = P(W_{j-1})`` on the (lx, ly) entries, so ``W_j`` weighs the
+    j-tuple pairs ending at each entry.  ``G_1 = S``, and ``G_j = S * P(G_{j-1})``
+    (multiplicative) or ``G_j = S * P(W_{j-1}) + P(G_{j-1})`` (additive).  A level's table is
+    ``P(G_n)``, divided entrywise by ``P(W_n)`` (0 where that is 0) when normalized, and the
+    next level's ``S`` is that table without its first row and column.
+    """
+    lam = Fraction(cfg.lam)
+    lx, ly = np.shape(sim)
+    w = [[Fraction(1)] * ly for _ in range(lx)]
+    weights = []  # P(W_j) for j = 1..n
+    for _ in range(cfg.n):
+        weights.append(_exact_prefix(w, lx, ly, lam))
+        w = [row[:ly] for row in weights[-1][:lx]]
+    s = [[Fraction(float(v)) for v in row] for row in np.asarray(sim, dtype=np.float64)]
+    out = []
+    for level_sim in (s, [[abs(v) for v in row] for row in s]):
+        for _ in range(depth):
+            g = level_sim
+            for j in range(1, cfg.n):
+                inner = _exact_prefix(g, lx, ly, lam)
+                if cfg.composition == MULTIPLICATIVE:
+                    g = [[v * inner[a][b] for b, v in enumerate(row)]
+                         for a, row in enumerate(level_sim)]
+                else:
+                    g = [[v * weights[j - 1][a][b] + inner[a][b] for b, v in enumerate(row)]
+                         for a, row in enumerate(level_sim)]
+            table = _exact_prefix(g, lx, ly, lam)
+            if cfg.normalization == NORMALIZED:
+                table = [[v / z if z else Fraction(0) for v, z in zip(row, zs)]
+                         for row, zs in zip(table, weights[-1])]
+            level_sim = [row[1:] for row in table[1:]]
+        out.append(table[lx][ly])
+    return out[0], out[1]

@@ -7,14 +7,17 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from kernelnn import cli
+from kernelnn import cli, seq_dp
 from kernelnn import io as kio
 from kernelnn.cli import (
     EXIT_CLOSED_PIPE,
@@ -26,12 +29,16 @@ from kernelnn.cli import (
     format_value,
     main,
 )
-from kernelnn.inputs import FeatureGraph
+from kernelnn.inputs import FeatureGraph, SeqKernelConfig
 
 from helpers import exact_walk_sum, save_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# a seq call's peak, in padded tables of its largest pair: 6.8 seen for 300-token add-norm
+# pairs at depth 2 (5.5 for the per-pair DP before the stacks), where one stack of all 64
+# pairs would take 64 times as much
+MEMORY_TABLES = 8
 
 
 def run(capsys, *argv):
@@ -349,8 +356,8 @@ def test_kernel_non_finite_seq_value_is_a_numeric_error(tmp_path, capsys, monkey
     # takes about 1 000 tokens a line, so there the string kernel is scaled past the float range
     if depth == "1":
         string_kernel = cli.string_kernel
-        monkeypatch.setattr(cli, "string_kernel",
-                            lambda sim, cfg: string_kernel(sim, cfg) * np.float64(1e308))
+        monkeypatch.setattr(cli, "string_kernel", lambda sims, lengths, depth, cfg:
+                            string_kernel(sims, lengths, depth, cfg) * np.float64(1e308))
     path = tmp_path / "pairs.txt"
     path.write_text("a\na\n" + ("a " * 200 + "\n") * 2)
     with warnings.catch_warnings():
@@ -362,6 +369,82 @@ def test_kernel_non_finite_seq_value_is_a_numeric_error(tmp_path, capsys, monkey
     assert out.splitlines() == ["0"]  # the first pair's value: no 2-tuple fits in one token
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {path}: pair 2: the seq kernel value is not finite")
+
+
+SEQ_WORDS = ["a", "b", "c", "d", "zz"]  # "zz" is not in the vocabulary
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(cli.SEQ_VARIANTS)), st.integers(1, 3),
+       st.integers(1, 3), st.floats(0.0, 0.99))
+def test_kernel_seq_prints_each_pair_as_it_prints_that_pair_alone(
+        tmp_path_factory, capsys, seed, variant, n, depth, lam):
+    rng = np.random.default_rng(seed)
+    lines = [" ".join(rng.choice(SEQ_WORDS, size=int(rng.integers(1, 81))))
+             for _ in range(2 * int(rng.integers(1, 7)))]
+    tmp = tmp_path_factory.mktemp("pairs")
+
+    def printed(lines):
+        path = tmp / "pairs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "kernel", "--task", "seq", "--file", str(path), "--vocab",
+                             str(FIXTURES / "vocab.txt"), "--n", str(n), "--lambda", str(lam),
+                             "--variant", variant, "--depth", str(depth))
+        assert code == EXIT_OK, err
+        return out.splitlines()
+
+    whole = printed(lines)
+    assert whole == [printed(lines[i:i + 2])[0] for i in range(0, len(lines), 2)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(cli.SEQ_VARIANTS.values())),
+       st.integers(1, 3), st.integers(1, 2), st.floats(0.0, 0.99))
+def test_kernel_seq_values_of_a_file_have_the_bits_of_each_pair_alone(
+        seed, variant, n, depth, lam):
+    rng = np.random.default_rng(seed)
+    cfg = SeqKernelConfig(n=n, lam=lam, composition=variant[0], normalization=variant[1])
+    sents = [list(rng.integers(0, 3, size=int(rng.integers(1, 41))))
+             for _ in range(2 * int(rng.integers(2, 9)))]
+    whole = cli._seq_values(sents, depth, cfg)
+    alone = [cli._seq_values(sents[i:i + 2], depth, cfg)[0] for i in range(0, len(sents), 2)]
+    assert np.array(whole).tobytes() == np.array(alone).tobytes()
+
+
+def test_kernel_seq_runs_one_stacked_dp_per_stack_and_a_short_pair_in_it_prints_zero(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    string_kernel = cli.string_kernel
+
+    def counted(sims, lengths, depth, cfg):
+        calls.append(len(lengths))
+        return string_kernel(sims, lengths, depth, cfg)
+
+    monkeypatch.setattr(cli, "string_kernel", counted)
+    path = tmp_path / "pairs.txt"  # 3-token pairs of 3 to 15 tokens, and one of 2 tokens
+    path.write_text("a b c a\nb c a b c\n" * 3 + "a b\na b c\n" + "c b a " * 5 + "\na b c\n")
+    code, out, _ = run(capsys, "kernel", "--task", "seq", "--file", str(path),
+                       "--vocab", str(FIXTURES / "vocab.txt"), "--n", "3")
+    assert code == EXIT_OK and calls == [5]
+    assert out.splitlines()[3] == "0" and all(v != "0" for v in out.splitlines()[:3])
+
+
+def test_kernel_seq_memory_stays_a_multiple_of_one_pairs_tables(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    path = tmp_path / "pairs.txt"
+    path.write_text("\n".join(" ".join(rng.choice(SEQ_WORDS[:4], size=300)) for _ in range(128)))
+    table = 8 * (seq_dp.padded(300) + 1) ** 2  # bytes in one pair's padded table
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "kernel", "--task", "seq", "--file", str(path),
+                           "--vocab", str(FIXTURES / "vocab.txt"), "--n", "2", "--depth", "2",
+                           "--variant", "add-norm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and len(out.splitlines()) == 64
+    assert peak < MEMORY_TABLES * table
 
 
 @pytest.mark.parametrize("lam", ["-5", "nan"])
