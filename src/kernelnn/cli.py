@@ -212,13 +212,11 @@ def cmd_kernel(args) -> int:
     if len(items) % 2 != 0:
         what = "lines" if args.task == "seq" else "graphs"
         raise DataError(f"{args.file}: need an even number of {what}, got {len(items)}")
-    # overflow shows as a non-finite value, checked below, not as a numpy warning
-    with np.errstate(all="ignore"):
-        for pair, v in enumerate(values(), start=1):
-            if not math.isfinite(v):
-                raise EvaluationError(f"{args.file}: pair {pair}: the {kernel} kernel "
-                                      f"value is not finite ({v})")
-            print(format_value(v))
+    for pair, v in enumerate(values(), start=1):
+        if not math.isfinite(v):
+            raise EvaluationError(f"{args.file}: pair {pair}: the {kernel} kernel "
+                                  f"value is not finite ({v})")
+        print(format_value(v))
     return EXIT_OK
 
 
@@ -329,6 +327,8 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# overflow shows as a non-finite value, which each command checks, not as a numpy warning
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)

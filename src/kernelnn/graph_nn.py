@@ -20,12 +20,12 @@ module's gates sum over the edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError, check_fields
+from .errors import ConfigError, ContractError, check_fields
 from .inputs import ADDITIVE, MULTIPLICATIVE, FeatureGraph
 from .seq_nn import logit
 from .tensor import (
@@ -83,37 +83,21 @@ class GraphModelConfig:
 
 
 @dataclass
-class WalkParams(NamedParams):
-    W: list[Tensor]
+class GraphParams(NamedParams):
+    """Every module's tensors, laid out by :func:`graph_shapes`: ``layer_W[l][j-1]`` is
+    layer l+1's W_j, ``readout`` the deep layers' readout matrices, ``gate_u`` and
+    ``gate_b`` the gated module's edge gate, ``u1``, ``u2`` and ``v`` the relabeling
+    transforms wl's layers share; a field the module does not read is None."""
 
-
-@dataclass
-class GatedParams(NamedParams):
-    W: list[Tensor]
-    gate_u: Tensor
-    gate_b: Tensor
-
-
-@dataclass
-class DeepParams(NamedParams):
-    """Per-layer walk weights and readout matrices."""
-
-    LISTS: ClassVar[dict[str, str]] = {"W": "l{}.W{}", "readout": "l{}.readout"}
-
-    W: list[list[Tensor]]
-    readout: list[Tensor]
-
-
-@dataclass
-class WLParams(NamedParams):
-    """Per-layer walk weights plus relabeling transforms shared by all layers."""
-
-    LISTS: ClassVar[dict[str, str]] = {"layer_W": "l{}.W{}"}
+    LISTS: ClassVar[dict[str, str]] = {"layer_W": "l{}.W{}", "readout": "l{}.readout"}
 
     layer_W: list[list[Tensor]]
-    u1: Tensor
-    u2: Tensor
-    v: Tensor
+    readout: list[Tensor] | None = None
+    gate_u: Tensor | None = None
+    gate_b: Tensor | None = None
+    u1: Tensor | None = None
+    u2: Tensor | None = None
+    v: Tensor | None = None
 
 
 @dataclass(eq=False)
@@ -153,36 +137,56 @@ class GraphStateTrace:
         return self.states[layer][j - 1].data.sum(axis=0)
 
 
-def init_graph(cfg: GraphModelConfig, in_dim: int,
-               rng: np.random.Generator | None) -> WalkParams | GatedParams | DeepParams | WLParams:
-    """The module's tensors drawn by the init rule, layer by layer; a deep layer
-    reads the previous layer's output, and the gates start at lam.  With ``rng``
-    None, a skeleton (:func:`model_params`)."""
-    m, deep = cfg.hidden, cfg.module == "deep"
-    names = [[f"l{l}.W{j}" for j in range(1, cfg.n + 1)] for l in range(1, cfg.layers + 1)]
-    shapes: dict[str, tuple[int, ...]] = {}
-    for l, ws in enumerate(names):
-        shapes.update(dict.fromkeys(ws, (m, m if deep and l > 0 else in_dim)))
-        if deep:
-            shapes[f"l{l + 1}.readout"] = (m, m)
-    if cfg.module == "wl":
-        shapes.update(dict.fromkeys(("u1", "u2", "v"), (in_dim, in_dim)))
+def graph_shapes(cfg: GraphModelConfig, in_dim: int) -> dict[str, tuple[int, ...]]:
+    """Each tensor the module holds, by name, with its shape, in :class:`GraphParams` order;
+    a deep layer after the first reads the previous layer's output."""
+    m, layers, deep = cfg.hidden, range(1, cfg.layers + 1), cfg.module == "deep"
+    shapes = {f"l{l}.W{j}": (m, m if deep and l > 1 else in_dim)
+              for l in layers for j in range(1, cfg.n + 1)}
+    if deep:
+        shapes.update({f"l{l}.readout": (m, m) for l in layers})
     if cfg.module == "gated":
         shapes.update(gate_u=(m, 2 * in_dim), gate_b=(m,))
-    fill = {"gate_b": logit(cfg.lam)} if cfg.module == "gated" else None
-    t = model_params(shapes, rng, fill)
-    ws = [[t.pop(name) for name in layer] for layer in names]
-    if deep:
-        return DeepParams(ws, [t.pop(f"l{l}.readout") for l in range(1, cfg.layers + 1)])
     if cfg.module == "wl":
-        return WLParams(ws, **t)
-    return GatedParams(ws[0], **t) if cfg.module == "gated" else WalkParams(ws[0])
+        shapes.update(dict.fromkeys(("u1", "u2", "v"), (in_dim, in_dim)))
+    return shapes
 
 
-def _check_weights(ws: Sequence[Tensor], m: int, in_dim: int) -> None:
-    for j, w in enumerate(ws):
-        if w.shape != (m, in_dim):
-            raise ShapeError(f"W{j + 1} has shape {w.shape}, expected {(m, in_dim)}")
+def init_graph(cfg: GraphModelConfig, in_dim: int, rng: np.random.Generator | None) -> GraphParams:
+    """:func:`graph_shapes` drawn by the init rule layer by layer, a deep layer's readout
+    right after its projections, then the rest; the gates start at lam.  With ``rng``
+    None, a skeleton (:func:`model_params`)."""
+    shapes, layers = graph_shapes(cfg, in_dim), range(1, cfg.layers + 1)
+    drawn = sorted(shapes, key=lambda k: int(k[1:k.index(".")]) if "." in k else cfg.layers + 1)
+    fill = {"gate_b": logit(cfg.lam)} if cfg.module == "gated" else None
+    t = model_params({k: shapes[k] for k in drawn}, rng, fill)
+    ws = [[t.pop(f"l{l}.W{j}") for j in range(1, cfg.n + 1)] for l in layers]
+    readout = [t.pop(f"l{l}.readout") for l in layers] if cfg.module == "deep" else None
+    return GraphParams(ws, readout, **t)
+
+
+def _shapes(p: GraphParams) -> tuple:
+    """Each field's tensor shapes, nested as the field holds them, None for an empty field."""
+    return ([[w.data.shape for w in ws] for ws in p.layer_W],
+            p.readout and [r.data.shape for r in p.readout],
+            [t and t.data.shape for t in (p.gate_u, p.gate_b, p.u1, p.u2, p.v)])
+
+
+@cache
+def _layout(module: str, n: int, layers: int, hidden: int, in_dim: int) -> tuple:
+    cfg = GraphModelConfig(n=n, hidden=hidden, layers=layers, module=module)
+    return _shapes(init_graph(cfg, in_dim, None))
+
+
+def _check(p: GraphParams, cfg: GraphModelConfig, in_dim: int) -> None:
+    """Raise ConfigError naming the first tensor missing from ``p``, extra in it or of
+    another shape than :func:`graph_shapes` gives; a match costs one cached comparison."""
+    if _shapes(p) == _layout(cfg.module, cfg.n, cfg.layers, cfg.hidden, in_dim):
+        return
+    want, got = graph_shapes(cfg, in_dim), {k: t.shape for k, t in p.named().items()}
+    if name := next((k for k in [*want, *got] if got.get(k) != want.get(k)), None):
+        raise ConfigError(f"{name}: the {cfg.module} module on {in_dim}-wide features expects "
+                          f"{want.get(name, 'no tensor')}, got {got.get(name, 'no tensor')}")
 
 
 def _walk_states(g: FeatureGraph, x: Tensor, ws: Sequence[Tensor], cfg: GraphModelConfig,
@@ -208,29 +212,26 @@ def _walk_states(g: FeatureGraph, x: Tensor, ws: Sequence[Tensor], cfg: GraphMod
     return states
 
 
-def _walk(g: FeatureGraph, p: WalkParams | GatedParams, cfg: GraphModelConfig) -> GraphStateTrace:
+def _walk(g: FeatureGraph, p: GraphParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Project, recurse, sum the final states per graph, activate; the gated
     module's (E, hidden) gate of step u -> v is ``sigmoid(gate_u [f_u; f_v] + gate_b)``."""
     x = Tensor(g.matrix)
+    _check(p, cfg, x.shape[1])
     gate = None
-    if isinstance(p, GatedParams):
+    if cfg.module == "gated":
         pairs = Tensor(np.hstack([g.matrix[ids] for ids in g.edge_arrays]))
         gate = Activation.SIGMOID(linear(pairs, p.gate_u, p.gate_b))
-    _check_weights(p.W, cfg.hidden, x.shape[1])
-    states = _walk_states(g, x, p.W, cfg, gate=gate)
+    states = _walk_states(g, x, p.layer_W[0], cfg, gate=gate)
     pre = segment_sum(states[-1], g.members)
     return GraphStateTrace(g, [states], [x], [pre], cfg.activation(pre))
 
 
-def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTrace:
+def _deep(g: FeatureGraph, p: GraphParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Stacked layers aggregating activated neighbor states; the output is the last readout."""
-    if len(p.W) != cfg.layers or len(p.readout) != cfg.layers:
-        raise ConfigError(f"got {len(p.W)} weight lists and {len(p.readout)} readouts "
-                          f"for {cfg.layers} layers")
     x = Tensor(g.matrix)
+    _check(p, cfg, x.shape[1])
     states, nodes, readouts = [], [], []
-    for ws, readout in zip(p.W, p.readout):
-        _check_weights(ws, cfg.hidden, x.shape[1])
+    for ws, readout in zip(p.layer_W, p.readout):
         layer = _walk_states(g, x, ws, cfg, cfg.activation)
         x = cfg.activation(matvec(readout, layer[-1]))
         states.append(layer)
@@ -239,23 +240,21 @@ def _deep(g: FeatureGraph, p: DeepParams, cfg: GraphModelConfig) -> GraphStateTr
     return GraphStateTrace(g, states, nodes, readouts, readouts[-1])
 
 
-def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStateTrace:
+def wl_forward(g: FeatureGraph, p: GraphParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """Relabeling iterations with walk readouts, summed across layers.
 
     Per-layer readouts are pre-activation sums of the final walk states.  Only
     between layers is the node matrix relabeled, ``act(H u1^T + (A act(H v^T)) u2^T)``
     with the same u1, u2, v each time: no output reads a last relabel.
     """
-    if len(p.layer_W) != cfg.layers:
-        raise ConfigError(f"got {len(p.layer_W)} weight lists for {cfg.layers} layers")
     x = Tensor(g.matrix)
+    _check(p, cfg, x.shape[1])
     act = cfg.activation
     states, nodes, readouts = [], [], []
     for l, ws in enumerate(p.layer_W):
         if l:
             inner = act(matvec(p.v, x))
             x = act(add(matvec(p.u1, x), matvec(p.u2, neighbor_sum(inner, g.adjacency))))
-        _check_weights(ws, cfg.hidden, x.shape[1])
         layer = _walk_states(g, x, ws, cfg)
         nodes.append(x)
         states.append(layer)
@@ -263,14 +262,9 @@ def wl_forward(g: FeatureGraph, p: WLParams, cfg: GraphModelConfig) -> GraphStat
     return GraphStateTrace(g, states, nodes, readouts, accumulate(readouts))
 
 
-_FORWARDS = {"walk": (WalkParams, _walk), "gated": (GatedParams, _walk),
-             "deep": (DeepParams, _deep), "wl": (WLParams, wl_forward)}
+_FORWARDS = {"walk": _walk, "gated": _walk, "deep": _deep, "wl": wl_forward}
 
 
-def graph_forward(g: FeatureGraph, params, cfg: GraphModelConfig) -> GraphStateTrace:
+def graph_forward(g: FeatureGraph, params: GraphParams, cfg: GraphModelConfig) -> GraphStateTrace:
     """The module ``cfg.module`` on a graph, or on a union of graphs with one output row each."""
-    kind, forward = _FORWARDS[cfg.module]
-    if type(params) is not kind:
-        raise ConfigError(f"the {cfg.module} module runs on {kind.__name__}, "
-                          f"got {type(params).__name__}")
-    return forward(g, params, cfg)
+    return _FORWARDS[cfg.module](g, params, cfg)

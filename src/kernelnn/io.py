@@ -319,10 +319,9 @@ def load_bundle(path) -> ModelBundle:
         raise DataError(f"{path}: bundle lacks {', '.join(missing)}")
     if not isinstance(doc["config"], dict) or not isinstance(doc.get("params", {}), dict):
         raise DataError(f"{path}: bundle config and params must be objects")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: bundle seed {doc['seed']!r} is not an integer") from None
+    seed = doc["seed"]
+    if type(seed) is not int or seed < 0:  # as TrainConfig.seed: no bool, float or string
+        raise DataError(f"{path}: bundle seed {seed!r} is not an integer >= 0")
     params = {
         name: _decode_array(obj, f"{path}: param {name!r}")
         for name, obj in doc.get("params", {}).items()

@@ -14,7 +14,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError, EvaluationError, check_fields
-from .graph_nn import GraphModelConfig, WLParams, init_graph, wl_forward
+from .graph_nn import GraphModelConfig, GraphParams, init_graph, wl_forward
 from .inputs import FeatureGraph
 from .seq_nn import SeqLayerParams, SeqModelConfig, forward_stack, init_seq_stack
 from .tensor import (
@@ -238,13 +238,13 @@ class GraphRegModel(NamedParams):
     """Relabeling-iteration graph model with a scalar linear head."""
 
     cfg: GraphModelConfig
-    wl: WLParams
+    wl: GraphParams
     head_w: Tensor
     head_b: Tensor
 
     @property
     def in_dim(self) -> int:
-        return self.wl.v.shape[1]
+        return self.wl.layer_W[0][0].shape[1]
 
 
 def init_graph_model(cfg: GraphModelConfig, in_dim: int,

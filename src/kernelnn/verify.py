@@ -26,7 +26,7 @@ from .graph_kernel import (
     wl_kernel,
     wl_relabel,
 )
-from .graph_nn import GraphModelConfig, WalkParams, graph_forward, init_graph
+from .graph_nn import GraphModelConfig, GraphParams, graph_forward, init_graph
 from .inputs import ADDITIVE, FeatureGraph, FeatureSequence, GraphKernelConfig, SeqKernelConfig
 from .seq_kernel import (
     MAX_ORACLE_LEN,
@@ -232,7 +232,7 @@ def check_graph_state_kernel(seed: int):
         trace = graph_forward(g, p, cfg)
         total = trace.state_sum(n)
         kcfg = GraphKernelConfig(n=n, lam=lam)
-        ws = [w.data for w in p.W]
+        ws = [w.data for w in p.layer_W[0]]
         for k in range(m):
             want = random_walk_kernel(g, reference_walk(ws, k), kcfg)
             yield "", abs(total[k] - want) / max(1.0, abs(total[k]), abs(want))
@@ -279,7 +279,7 @@ def check_gated_degeneration(seed: int):
     gp = init_graph(gated_gcfg, d, rng)  # gate biases start at logit(lam)
     gp.gate_u = Tensor(np.zeros((m, 2 * d)))
     tg = graph_forward(g, gp, gated_gcfg)
-    tc = graph_forward(g, WalkParams(gp.W), replace(gated_gcfg, module="walk"))
+    tc = graph_forward(g, GraphParams(gp.layer_W), replace(gated_gcfg, module="walk"))
     for a, b in zip(tg.states[0], tc.states[0]):
         yield "", float(np.max(np.abs(a.data - b.data)))
 

@@ -663,7 +663,6 @@ def test_eval_bundle_version_mismatch(tmp_path, capsys):
     assert "version" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_with_numeric_code(tmp_path, capsys):
     vocab, corpus, _ = write_lm_inputs(tmp_path)
     config = tmp_path / "diverge.json"

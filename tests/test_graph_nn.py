@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,10 @@ from kernelnn.graph_kernel import (
 )
 from kernelnn.graph_nn import (
     MODULES,
-    DeepParams,
     GraphModelConfig,
-    WalkParams,
+    GraphParams,
     graph_forward,
+    graph_shapes,
     init_graph,
 )
 from kernelnn.inputs import ADDITIVE, DENSE_LIMIT, MULTIPLICATIVE, FeatureGraph, GraphKernelConfig
@@ -56,7 +57,7 @@ def test_order_one_states_are_projections():
     trace = graph_forward(g, p, cfg)
     want_sum = np.zeros(3)
     for v in range(4):
-        want = p.W[0].data @ g.features[v]
+        want = p.layer_W[0][0].data @ g.features[v]
         assert np.allclose(trace.state(1, v).data, want)
         want_sum += want
     assert np.allclose(trace.h_graph.data, Activation.SIGMOID.f(want_sum))
@@ -87,7 +88,7 @@ def test_state_sums_equal_reference_walk_kernels(n):
         trace = graph_forward(g, p, cfg)
         total = trace.state_sum(n)
         kcfg = GraphKernelConfig(n=n, lam=lam)
-        ws = [w.data for w in p.W]
+        ws = [w.data for w in p.layer_W[0]]
         for k in range(m):
             want = random_walk_kernel(g, reference_walk(ws, k), kcfg)
             assert abs(total[k] - want) <= 1e-10 * max(1.0, abs(total[k]), abs(want))
@@ -134,7 +135,7 @@ def test_generalized_additive_edgeless_keeps_projection():
     for module in ("walk", "deep"):
         cfg = GraphModelConfig(n=3, hidden=2, lam=0.5, composition=ADDITIVE, module=module)
         p = init_graph(cfg, 2, rng)
-        ws = p.W[0] if module == "deep" else p.W
+        ws = p.layer_W[0]
         trace = graph_forward(g, p, cfg)
         for j in (1, 2, 3):
             for v in range(2):
@@ -149,8 +150,8 @@ def test_deep_single_layer_identity_readout_matches_walk(composition):
     cfg = GraphModelConfig(n=2, hidden=3, lam=0.5, composition=composition,
                            activation=Activation.IDENTITY, module="deep")
     p = init_graph(cfg, 3, rng)
-    a = graph_forward(g, DeepParams(p.W, [Tensor(np.eye(3))]), cfg)
-    b = graph_forward(g, WalkParams(p.W[0]), replace(cfg, module="walk"))
+    a = graph_forward(g, GraphParams(p.layer_W, [Tensor(np.eye(3))]), cfg)
+    b = graph_forward(g, GraphParams(p.layer_W), replace(cfg, module="walk"))
     assert np.allclose(a.h_graph.data, b.h_graph.data, rtol=1e-12)
 
 
@@ -165,7 +166,7 @@ def test_deep_two_layer_reparameterization_identity():
     params = init_graph(cfg, d, rng)
     trace = graph_forward(g, params, cfg)
     node_feats = [np.array(f) for f in g.features]
-    for l, (ws, readout) in enumerate(zip(params.W, params.readout)):
+    for l, (ws, readout) in enumerate(zip(params.layer_W, params.readout)):
         u = readout.data
         fused = WLRelabelParams(
             u1=u @ ws[1].data,
@@ -207,7 +208,7 @@ def test_deep_params_are_named_by_layer():
     cfg = GraphModelConfig(n=2, hidden=3, layers=2, module="deep")
     p = init_graph(cfg, 2, np.random.default_rng(0))
     assert list(p.named()) == ["l1.W1", "l1.W2", "l2.W1", "l2.W2", "l1.readout", "l2.readout"]
-    assert [w.shape for w in p.W[1]] == [(3, 3), (3, 3)]  # layer 2 reads layer 1's output
+    assert [w.shape for w in p.layer_W[1]] == [(3, 3), (3, 3)]  # layer 2 reads layer 1's output
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_wl_single_layer_matches_plain_readout():
     cfg = GraphModelConfig(n=2, hidden=3, lam=0.5, layers=1, activation=Activation.TANH)
     wl = init_graph(cfg, 2, rng)
     trace = graph_forward(g, wl, cfg)
-    plain = graph_forward(g, WalkParams(wl.layer_W[0]), replace(cfg, module="walk"))
+    plain = graph_forward(g, GraphParams(wl.layer_W), replace(cfg, module="walk"))
     assert np.allclose(trace.readouts[0].data, plain.readouts[0].data, rtol=1e-12)
 
 
@@ -312,7 +313,7 @@ def test_gated_constant_degeneration_matches_plain():
     assert np.array_equal(p.gate_b.data, np.full(m, logit(lam)))  # gates start at lam
     p.gate_u = Tensor(np.zeros((m, 2 * d)))
     a = graph_forward(g, p, cfg)
-    b = graph_forward(g, WalkParams(p.W), replace(cfg, module="walk"))
+    b = graph_forward(g, GraphParams(p.layer_W), replace(cfg, module="walk"))
     for j in (1, 2, 3):
         for v in range(5):
             assert np.max(np.abs(a.state(j, v).data - b.state(j, v).data)) <= 1e-12
@@ -338,7 +339,8 @@ def test_gated_forward_matches_state_sum_oracle():
         p.gate_b = Tensor(rng.normal(size=m))
         trace = graph_forward(g, p, cfg)
         total = trace.state_sum(n)
-        want = gated_walk_state_sum(g, [w.data for w in p.W], p.gate_u.data, p.gate_b.data)
+        want = gated_walk_state_sum(g, [w.data for w in p.layer_W[0]], p.gate_u.data,
+                                    p.gate_b.data)
         assert rel_error(total, want) <= 1e-10
 
 
@@ -347,11 +349,56 @@ def test_gated_without_gate_params_is_config_error():
     g = random_graph(rng, 3, 2)
     gated = GraphModelConfig(n=2, hidden=3, module="gated")
     p = init_graph(gated, 2, rng)
-    with pytest.raises(ConfigError, match="GatedParams"):
-        graph_forward(g, WalkParams(p.W), gated)
+    with pytest.raises(ConfigError, match="gate_u"):
+        graph_forward(g, GraphParams(p.layer_W), gated)
     # and the walk module refuses gates it would not read
-    with pytest.raises(ConfigError, match="WalkParams"):
+    with pytest.raises(ConfigError, match="gate_u"):
         graph_forward(g, p, replace(gated, module="walk"))
+
+
+# ---------------------------------------------------------------------------
+# layout: one GraphParams, named and checked by graph_shapes
+# ---------------------------------------------------------------------------
+
+LAYOUTS = [(module, n, layers) for module in MODULES for n in (1, 3)
+           for layers in ((1,) if module in ("walk", "gated") else (1, 2))]
+
+
+@pytest.mark.parametrize("module, n, layers", LAYOUTS)
+def test_init_names_and_shapes_follow_graph_shapes(module, n, layers):
+    cfg = GraphModelConfig(n=n, hidden=3, layers=layers, module=module)
+    p = init_graph(cfg, 2, np.random.default_rng(0))
+    assert list(p.named()) == list(graph_shapes(cfg, 2))
+    assert {k: t.shape for k, t in p.named().items()} == graph_shapes(cfg, 2)
+
+
+def _broken_layouts(p: GraphParams, cfg: GraphModelConfig):
+    """(name, params): ``p`` with the tensor ``name`` missing, extra or of another shape."""
+    n, layers, ws = cfg.n, cfg.layers, p.layer_W
+    yield f"l1.W{n}", replace(p, layer_W=[ws[0][:-1], *ws[1:]])
+    yield f"l1.W{n + 1}", replace(p, layer_W=[ws[0] + ws[0][:1], *ws[1:]])
+    yield f"l{layers + 1}.W1", replace(p, layer_W=ws + ws[-1:])
+    if p.readout is None:
+        yield "l1.readout", replace(p, readout=[Tensor(np.eye(3))] * layers)
+    else:
+        yield f"l{layers}.readout", replace(p, readout=p.readout[:-1])
+    for field in ("gate_u", "gate_b", "u1", "u2", "v"):
+        held = getattr(p, field) is not None
+        yield field, replace(p, **{field: None if held else Tensor(np.zeros((3, 3)))})
+    for name, t in p.named().items():
+        yield name, p.with_named({name: Tensor(np.zeros(tuple(s + 1 for s in t.shape)))})
+
+
+@pytest.mark.parametrize("module, n, layers", LAYOUTS)
+def test_a_missing_extra_or_misshapen_tensor_is_a_config_error_naming_it(module, n, layers):
+    rng = np.random.default_rng(1)
+    g = random_graph(rng, 4, 2)
+    cfg = GraphModelConfig(n=n, hidden=3, layers=layers, module=module)
+    p = init_graph(cfg, 2, rng)
+    graph_forward(g, p, cfg)
+    for name, broken in _broken_layouts(p, cfg):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: the {module} module"):
+            graph_forward(g, broken, cfg)
 
 
 # ---------------------------------------------------------------------------

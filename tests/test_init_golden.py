@@ -60,7 +60,7 @@ def init_digests(tmp: Path) -> dict[str, str]:
                      "readout=True gated=False": "deep"}
     for n, (layer, module) in itertools.product((1, 3), layer_modules.items()):
         p = init_graph(GraphModelConfig(n=n, hidden=3, module=module), 4, np.random.default_rng(SEED))
-        # a one-layer deep stack names its tensors l1.W1, l1.readout; a layer's are W1, readout
+        # the fixture hashes a one-layer module's names without their l1. prefix (W1, readout)
         out[f"graph-layer n={n} {layer}"] = _named_digest(p, strip="l1.")
     return out
 

@@ -90,7 +90,8 @@ def gated_state_pair():
     cfg = GraphModelConfig(n=n, hidden=m, module="gated")
     p = init_graph(cfg, d, rng)
     got = graph_forward(g, p, cfg).state_sum(n)
-    return got, gated_walk_state_sum(g, [w.data for w in p.W], p.gate_u.data, p.gate_b.data)
+    return got, gated_walk_state_sum(g, [w.data for w in p.layer_W[0]], p.gate_u.data,
+                                     p.gate_b.data)
 
 
 @pytest.mark.parametrize("pair", [wl_chain_pair, gated_state_pair], ids=["wl-chain", "gated"])

@@ -16,6 +16,7 @@ from kernelnn.errors import DataError, EvaluationError
 from kernelnn.graph_nn import GraphModelConfig
 from kernelnn.inputs import FeatureGraph
 from kernelnn.io import (
+    BUNDLE_VERSION,
     ModelBundle,
     bundle_from_graph,
     bundle_from_lm,
@@ -177,6 +178,15 @@ def test_bundle_version_mismatch_rejected(tmp_path):
     with pytest.raises(DataError) as err:
         load_bundle(path)
     assert "version" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", ["1e400", "1.5", "true", '"7"', "-3"])
+def test_bundle_seed_must_be_a_json_integer_at_least_zero(tmp_path, seed):
+    path = tmp_path / "bad.bundle"
+    path.write_text(f'{{"format_version": {BUNDLE_VERSION}, "kind": "seq-lm", "config": {{}}, '
+                    f'"seed": {seed}, "params": {{}}}}')
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: bundle seed .* is not an integer"):
+        load_bundle(path)
 
 
 def test_lm_model_bundle_round_trip(tmp_path):
