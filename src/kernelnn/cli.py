@@ -267,7 +267,7 @@ def _emit_metrics(records, metrics_path) -> None:
     for line in lines:
         print(line)
     if metrics_path:
-        Path(metrics_path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        kio.write_bytes(metrics_path, [("\n".join(lines) + ("\n" if lines else "")).encode()])
 
 
 def cmd_train(args) -> int:

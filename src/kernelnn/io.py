@@ -15,6 +15,7 @@ import weakref
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,15 @@ def read_text(path: Path) -> str:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError:
         raise DataError(f"{path}: file is not text") from None
+
+
+def write_bytes(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a file in turn; a file that cannot be written is a DataError."""
+    try:
+        with Path(path).open("wb") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +306,9 @@ def save_bundle(bundle: ModelBundle, path) -> None:
     # config (keys sort), so the last len(params) of them are the payloads, in order
     head, *tails = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").rsplit(
         '"data":""', len(params))
-    with Path(path).open("wb") as f:
-        f.write(head.encode("ascii"))
-        for arr, tail in zip(params.values(), tails):
-            f.writelines((b'"data":"', binascii.b2a_base64(arr, newline=False), b'"',
-                          tail.encode("ascii")))
+    payloads = ((b'"data":"', binascii.b2a_base64(arr, newline=False), b'"', tail.encode("ascii"))
+                for arr, tail in zip(params.values(), tails))  # each encoded as it is written
+    write_bytes(path, chain([head.encode("ascii")], chain.from_iterable(payloads)))
 
 
 def load_bundle(path) -> ModelBundle:
@@ -312,11 +320,13 @@ def load_bundle(path) -> ModelBundle:
     if not isinstance(doc, dict):
         raise DataError(f"{path}: bundle is not a JSON object")
     version = doc.get("format_version")
-    if version != BUNDLE_VERSION:
+    if type(version) is not int or version != BUNDLE_VERSION:  # true and 1.0 are not 1
         raise DataError(f"{path}: unsupported bundle version {version!r}")
     missing = [key for key in ("kind", "config", "seed") if key not in doc]
     if missing:
         raise DataError(f"{path}: bundle lacks {', '.join(missing)}")
+    if type(doc["kind"]) is not str:
+        raise DataError(f"{path}: bundle kind {doc['kind']!r} is not a string")
     if not isinstance(doc["config"], dict) or not isinstance(doc.get("params", {}), dict):
         raise DataError(f"{path}: bundle config and params must be objects")
     seed = doc["seed"]

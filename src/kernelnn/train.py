@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from functools import partial
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -277,24 +278,52 @@ class MetricRecord:
         )
 
 
-def _grads_by_name(tape: Tape, loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """The gradient of each named parameter the loss reaches; :func:`step` zero-fills the rest."""
-    grads = tape.backward(loss)
-    return {name: grads[t].data for name, t in params.items() if t in grads}
+def _fit(model, tc: TrainConfig, opt: OptimizerState, batches, loss, records):
+    """The one training loop, stopped after ``tc.max_steps`` steps.
+
+    Per epoch: one step for each ``(count, batch)`` of ``batches()``, taped on
+    ``loss(model, batch, carry)`` with the carry None at the epoch's start; then
+    ``records(epoch, model, mean loss per count)`` and the learning-rate decay.
+    """
+    out: list[MetricRecord] = []
+    steps = 0
+    for epoch in range(1, tc.epochs + 1):
+        carry, total, seen = None, 0.0, 0
+        for count, batch in batches():
+            params = model.named()
+            with Tape() as tape:
+                value, carry = loss(model, batch, carry)
+            grads = tape.backward(value)  # step zero-fills a parameter the loss does not reach
+            grads = {name: grads[t].data for name, t in params.items() if t in grads}
+            model = model.with_named(step(params, grads, opt))
+            total += value.item() * count
+            seen += count
+            steps += 1
+            if steps == tc.max_steps:
+                break
+        out.extend(records(epoch, model, total / seen))
+        opt.end_epoch()
+        if steps == tc.max_steps:
+            break
+    return model, out
+
+
+def _windows(ids: Sequence[int], unroll: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """Each window of ``unroll`` predictions over a token stream, with its prediction count."""
+    for t0 in range(0, len(ids) - 1, unroll):
+        window = ids[t0 : t0 + unroll + 1]
+        yield len(window) - 1, window
 
 
 def eval_lm(model: SeqLMModel, ids: Sequence[int]) -> tuple[float, float]:
     """Mean cross-entropy over a token stream and its exponential (the ppl), dropout off."""
     if len(ids) < 2:
         raise DataError("evaluation needs at least two tokens")
-    total, count = 0.0, 0
-    state = None
-    for t0 in range(0, len(ids) - 1, EVAL_UNROLL):
-        window = ids[t0 : t0 + EVAL_UNROLL + 1]
+    total, state = 0.0, None
+    for count, window in _windows(ids, EVAL_UNROLL):
         loss, state = lm_window_loss(model, window, state)
-        total += loss.item() * (len(window) - 1)
-        count += len(window) - 1
-    mean = total / count
+        total += loss.item() * count
+    mean = total / (len(ids) - 1)
     return mean, math.exp(mean)
 
 
@@ -316,32 +345,14 @@ def train_lm(
         raise DataError("training needs at least two tokens")
     unroll = 16 if tc.unroll is None else tc.unroll
     rng = np.random.default_rng(tc.seed)
-    records: list[MetricRecord] = []
-    steps = 0
-    for epoch in range(1, tc.epochs + 1):
-        state = None
-        total, count = 0.0, 0
-        for t0 in range(0, len(train_ids) - 1, unroll):
-            window = train_ids[t0 : t0 + unroll + 1]
-            params = model.named()
-            with Tape() as tape:
-                loss, state = lm_window_loss(model, window, state, rng=rng)
-            grads = _grads_by_name(tape, loss, params)
-            model = model.with_named(step(params, grads, opt))
-            total += loss.item() * (len(window) - 1)
-            count += len(window) - 1
-            steps += 1
-            if tc.max_steps is not None and steps >= tc.max_steps:
-                break
-        mean = total / max(count, 1)
-        records.append(MetricRecord(epoch, "train", mean, math.exp(mean), "ppl"))
+
+    def records(epoch: int, model: SeqLMModel, mean: float) -> Iterator[MetricRecord]:
+        yield MetricRecord(epoch, "train", mean, math.exp(mean), "ppl")
         if valid_ids is not None:
-            vloss, vppl = eval_lm(model, valid_ids)
-            records.append(MetricRecord(epoch, "valid", vloss, vppl, "ppl"))
-        opt.end_epoch()
-        if tc.max_steps is not None and steps >= tc.max_steps:
-            break
-    return model, records
+            yield MetricRecord(epoch, "valid", *eval_lm(model, valid_ids), "ppl")
+
+    return _fit(model, tc, opt, partial(_windows, train_ids, unroll),
+                partial(lm_window_loss, rng=rng), records)
 
 
 def eval_graph_reg(model: GraphRegModel, graphs: FeatureGraph, targets: Sequence[float]) -> float:
@@ -373,32 +384,20 @@ def train_graph_reg(
     train_set = FeatureGraph.union(graphs)
     valid_set = None if valid is None else FeatureGraph.union(valid[0])
     rng = np.random.default_rng(tc.seed)
-    records: list[MetricRecord] = []
-    steps = 0
-    for epoch in range(1, tc.epochs + 1):
-        order = rng.permutation(len(graphs))
-        total, seen = 0.0, 0
-        for b0 in range(0, len(order), tc.batch):
-            batch = order[b0 : b0 + tc.batch]
-            union = FeatureGraph.union([graphs[i] for i in batch])
-            params = model.named()
-            with Tape() as tape:
-                readout = wl_forward(union, model.wl, model.cfg).out
-                loss = regression_loss(readout, [targets[i] for i in batch],
-                                       model.head_w, model.head_b)
-            grads = _grads_by_name(tape, loss, params)
-            model = model.with_named(step(params, grads, opt))
-            total += loss.item() * len(batch)
-            seen += len(batch)
-            steps += 1
-            if tc.max_steps is not None and steps >= tc.max_steps:
-                break
-        rmse = eval_graph_reg(model, train_set, targets)
-        records.append(MetricRecord(epoch, "train", total / seen, rmse, "rmse"))
+
+    def batches() -> list[tuple[int, np.ndarray]]:
+        order = rng.permutation(len(graphs))  # drawn as the epoch starts
+        return [(len(b), b) for b in np.split(order, range(tc.batch, len(order), tc.batch))]
+
+    def loss(model: GraphRegModel, batch: np.ndarray, _) -> tuple[Tensor, None]:
+        readout = wl_forward(FeatureGraph.union([graphs[i] for i in batch]), model.wl, model.cfg)
+        ys = [targets[i] for i in batch]
+        return regression_loss(readout.out, ys, model.head_w, model.head_b), None
+
+    def records(epoch: int, model: GraphRegModel, mean: float) -> Iterator[MetricRecord]:
+        yield MetricRecord(epoch, "train", mean, eval_graph_reg(model, train_set, targets), "rmse")
         if valid is not None:
             vrmse = eval_graph_reg(model, valid_set, valid[1])
-            records.append(MetricRecord(epoch, "valid", vrmse * vrmse, vrmse, "rmse"))
-        opt.end_epoch()
-        if tc.max_steps is not None and steps >= tc.max_steps:
-            break
-    return model, records
+            yield MetricRecord(epoch, "valid", vrmse * vrmse, vrmse, "rmse")
+
+    return _fit(model, tc, opt, batches, loss, records)

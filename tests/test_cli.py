@@ -844,6 +844,12 @@ BAD_BUNDLES = {
                     "extra ['extra']"),
     "wrong-shape": (lambda doc: doc["params"]["out_b"].update(shape=[1, 3]), "'out_b' has shape"),
     "config-without-n": (lambda doc: doc["config"].pop("n"), "model config"),
+    # a header value of another JSON type: a list or object kind was unhashable in eval's
+    # decoder lookup, and true or 1.0 compared equal to version 1
+    "kind-list": (lambda doc: doc.update(kind=["graph-reg"]), "kind ['graph-reg'] is not a"),
+    "kind-object": (lambda doc: doc.update(kind={"k": 1}), "kind {'k': 1} is not a"),
+    "version-true": (lambda doc: doc.update(format_version=True), "bundle version True"),
+    "version-float": (lambda doc: doc.update(format_version=1.0), "bundle version 1.0"),
 }
 
 
@@ -869,6 +875,34 @@ def test_eval_bad_bundle_is_input_error(tmp_path, capsys, case):
                        "--vocab", str(vocab))
     assert code == EXIT_INPUT
     assert str(path) in err and fragment in err
+
+
+UNWRITABLE_OUTPUTS = {
+    # (the command, the option naming its output); the other outputs go to tmp_path
+    "train-out": ("train", "--out"),
+    "train-metrics": ("train", "--metrics"),
+    "eval-metrics": ("eval", "--metrics"),
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_an_output_that_cannot_be_written_is_input_error(tmp_path, capsys, case, where):
+    vocab, corpus, config = write_lm_inputs(tmp_path, epochs=1)
+    bundle = tmp_path / "model.bundle"
+    inputs = ["--data", str(corpus), "--vocab", str(vocab)]
+    train = ["train", "--task", "lm", "--config", str(config), *inputs]
+    assert run(capsys, *train, "--out", str(bundle))[0] == EXIT_OK
+    command, option = UNWRITABLE_OUTPUTS[case]
+    target = str(tmp_path / "no-such-dir" / "out" if where == "missing-directory" else tmp_path)
+    if command == "train":
+        outputs = {"--out": str(bundle), option: target}
+        argv = train + [arg for pair in outputs.items() for arg in pair]
+    else:
+        argv = ["eval", "--bundle", str(bundle), *inputs, option, target]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith(f"error: {target}: cannot write (") and err.count("\n") == 1
 
 
 BAD_GRAPH_REG_INPUTS = {

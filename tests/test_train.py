@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kernelnn import train
 from kernelnn.errors import ConfigError, DataError, EvaluationError
 from kernelnn.graph_nn import GraphModelConfig, graph_forward
 from kernelnn.inputs import FeatureGraph
@@ -309,6 +311,55 @@ def test_graph_train_loss_of_a_cut_short_epoch_is_a_mean_over_seen_graphs():
                                  TrainConfig(epochs=1, batch=4, seed=2, max_steps=1),
                                  OptimizerState(kind="adam", lr=0.01))
     assert records[0].loss == pytest.approx(want, rel=1e-12)
+
+
+def test_lm_train_loss_of_a_cut_short_epoch_is_a_mean_over_seen_windows(monkeypatch):
+    cfg = SeqModelConfig(n=2, hidden=4, lam=0.5, dropout=0.2)
+    model = init_lm_model(cfg, vocab_size=3, rng=np.random.default_rng(0))
+    ids = make_repeating_corpus([1, 2, 0], 10)  # 29 predictions: windows of 8, 8, 8 and 5
+    steps = recorded_steps(monkeypatch)
+    _, records = train_lm(model, ids, TrainConfig(unroll=8, seed=1, max_steps=2),
+                          OptimizerState(lr=0.1))
+    assert len(steps) == 2
+    assert records[0].loss == pytest.approx(np.mean([loss.item() for _, loss in steps]),
+                                            rel=1e-12)
+
+
+def lm_task():
+    cfg = SeqModelConfig(n=1, hidden=4, lam=0.5, dropout=0.2)
+    model = init_lm_model(cfg, vocab_size=3, rng=np.random.default_rng(0))
+    ids = make_repeating_corpus([1, 2, 0], 8)  # 23 predictions: windows of 8, 8 and 7
+    return lambda tc, opt: train_lm(model, ids, replace(tc, unroll=8), opt, valid_ids=ids[:9])
+
+
+def graph_task():
+    graphs, targets = synthetic_graph_task(np.random.default_rng(15), count=10)
+    cfg = GraphModelConfig(n=1, hidden=3, lam=0.5, activation=Activation.TANH)
+    model = init_graph_model(cfg, in_dim=3, rng=np.random.default_rng(1))
+    return lambda tc, opt: train_graph_reg(model, graphs, targets, replace(tc, batch=4), opt,
+                                           valid=(graphs[:4], targets[:4]))
+
+
+# three steps an epoch for three epochs: cut mid-epoch, at an epoch's end, just past it, or not
+@pytest.mark.parametrize("max_steps", [2, 3, 4, None])
+@pytest.mark.parametrize("task", [lm_task, graph_task])
+def test_training_takes_max_steps_and_records_and_decays_once_per_epoch_begun(
+        monkeypatch, task, max_steps):
+    fit, real_step, calls = task(), train.step, []
+
+    def counted(*args):
+        calls.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(train, "step", counted)
+    opt = OptimizerState(lr=0.01, lr_decay=0.5)
+    _, records = fit(TrainConfig(epochs=3, seed=4, max_steps=max_steps), opt)
+    steps = 9 if max_steps is None else max_steps
+    begun = math.ceil(steps / 3)
+    assert len(calls) == steps
+    assert [(r.epoch, r.split) for r in records] == [
+        (epoch, split) for epoch in range(1, begun + 1) for split in ("train", "valid")]
+    assert opt.lr == 0.01 * 0.5**begun
 
 
 def test_graph_training_unions_the_training_and_validation_sets_once(monkeypatch):
